@@ -15,9 +15,6 @@ repository root.  The gate fails (exit status 1) when:
 * the fresh codegen-vs-event speedup at width 64 drops below
   ``--min-ratio`` of the baseline's — i.e. the generated kernels lost a
   meaningful fraction of their advantage;
-* the numpy backend's distinct-shape grading speedup over codegen falls
-  below ``--min-numpy-speedup`` (absolute, default 3.0) — the vectorized
-  backend's headline claim;
 * a warm kernel-cache pass reports any compilations — a warm start must
   skip compilation entirely;
 * transition-model grading costs more than ``--max-transition-overhead``
@@ -25,9 +22,7 @@ repository root.  The gate fails (exit status 1) when:
   at identical batch shapes — the launch/capture injection planes must
   stay a constant-factor tax.
 
-The numpy gates only apply when the fresh file carries the corresponding
-keys (the benchmark ran with numpy installed); baselines produced before
-those metrics existed are tolerated.  Raw per-width timings are printed
+Raw per-width timings are printed
 for context but not gated: absolute seconds vary with runner hardware,
 while backend *ratios* are measured on the same machine in the same run
 and are therefore stable.
@@ -79,10 +74,6 @@ from typing import Any, Dict
 #: Key of the gated headline metric inside ``BENCH_simulation.json``.
 SPEEDUP_KEY = "codegen_speedup_width64"
 
-#: Key of the numpy grading-workload metric (absent on numpy-less runs
-#: and on baselines predating the numpy backend).
-NUMPY_SPEEDUP_KEY = "numpy_grade_speedup_width256"
-
 #: Keys of the persistent-cache compile counts.
 COLD_COMPILES_KEY = "kernel_compiles_cold"
 WARM_COMPILES_KEY = "kernel_compiles_warm"
@@ -102,7 +93,6 @@ def compare(
     new: Dict[str, Any],
     baseline: Dict[str, Any],
     min_ratio: float,
-    min_numpy_speedup: float = 3.0,
     max_transition_overhead: float = 3.0,
 ) -> int:
     """Print the comparison; return a process exit status."""
@@ -137,20 +127,6 @@ def compare(
             "floor — the codegen backend regressed relative to the event "
             "backend"
         )
-
-    if NUMPY_SPEEDUP_KEY in new:
-        numpy_speedup = float(new[NUMPY_SPEEDUP_KEY])
-        print(
-            f"  numpy grading speedup over codegen: {numpy_speedup:.2f}x "
-            f"(floor {min_numpy_speedup:.2f})"
-        )
-        if numpy_speedup < min_numpy_speedup:
-            failures.append(
-                f"numpy grading speedup {numpy_speedup:.2f} fell below "
-                f"the {min_numpy_speedup:.2f}x floor"
-            )
-    else:
-        print("  numpy grading speedup: not measured (numpy absent)")
 
     if TRANSITION_OVERHEAD_KEY in new:
         overhead = float(new[TRANSITION_OVERHEAD_KEY])
@@ -368,12 +344,6 @@ def main(argv=None) -> int:
         help="minimum new/baseline speedup ratio (default 0.8)",
     )
     parser.add_argument(
-        "--min-numpy-speedup",
-        type=float,
-        default=3.0,
-        help="minimum numpy-over-codegen grading speedup (default 3.0)",
-    )
-    parser.add_argument(
         "--max-transition-overhead",
         type=float,
         default=3.0,
@@ -425,7 +395,6 @@ def main(argv=None) -> int:
         load(args.new),
         load(args.baseline),
         args.min_ratio,
-        args.min_numpy_speedup,
         args.max_transition_overhead,
     )
 

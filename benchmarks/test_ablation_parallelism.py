@@ -7,18 +7,17 @@ word width grows, confirming the design choice the paper inherits from
 PROOFS: wider words amortise the per-gate interpretation cost across
 patterns.
 
-Each width is measured under all three simulation backends — the
-event-driven interpreter, the generated straight-line kernels, and the
-vectorized numpy matrix sweep — and the comparison is written both as a
-rendered table (``benchmarks/out/``) and as machine-readable
-``BENCH_simulation.json`` at the repository root.
+Each width is measured under both simulation backends — the event-driven
+interpreter and the generated straight-line kernels — and the comparison
+is written both as a rendered table (``benchmarks/out/``) and as
+machine-readable ``BENCH_simulation.json`` at the repository root.
 
-Two further metrics target the numpy backend's reason for existing:
+Two further metrics cover compilation cost:
 
 * the *grading* workload — several fault batches of **distinct** shapes
   graded cold (fresh process state), the regime of
   ``FaultSimulator.grade_blocks`` and campaign merge, where codegen must
-  exec-compile a kernel per shape while one numpy program serves all;
+  exec-compile a kernel per shape;
 * the *cold vs warm* kernel-cache comparison — with a persistent cache
   directory, a warm process must report **zero** compilations.
 
@@ -45,23 +44,15 @@ from repro.simulation.fault_sim import FaultSimulator
 
 from .conftest import write_artifact
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
 WIDTHS = [1, 8, 32, 64, 256, 1024]
-BACKENDS = ["event", "codegen"] + (["numpy"] if HAVE_NUMPY else [])
+BACKENDS = ["event", "codegen"]
 
 CIRCUIT = "s298"
 N_VECTORS = 64
 
 #: Distinct-shape grading workload: fault-batch sizes and frames per
 #: block.  Each batch has a different injection signature, so the
-#: codegen backend compiles a fresh kernel per batch while the numpy
-#: backend reuses its one per-circuit program.
+#: codegen backend compiles a fresh kernel per batch.
 GRADE_SIZES = [246, 243, 123, 37]
 GRADE_FRAMES = 16
 GRADE_WIDTH = 256
@@ -136,8 +127,7 @@ def test_fault_sim_grading(benchmark, backend):
 
     def run():
         # a fresh compiled circuit per round reproduces per-process cold
-        # state: codegen recompiles every batch shape, numpy rebuilds one
-        # program
+        # state: codegen recompiles every batch shape
         cc = compile_circuit(iscas89(CIRCUIT))
         sim = FaultSimulator(cc, width=GRADE_WIDTH, backend=backend)
         for block, batch in zip(blocks, batches):
@@ -173,21 +163,12 @@ def _measure_cache_warmup(tmp_dir):
     """(cold compiles, warm compiles) with a persistent kernel cache."""
 
     def one_pass():
-        from repro.simulation import numpy_backend
-
         compiles0 = COMPILE_STATS["kernels"]
-        programs0 = numpy_backend.PROGRAM_STATS["programs"]
         blocks, batches = _grade_workload()
-        for backend in ("codegen", "numpy") if HAVE_NUMPY else ("codegen",):
-            cc = compile_circuit(iscas89(CIRCUIT))
-            sim = FaultSimulator(cc, width=GRADE_WIDTH, backend=backend)
-            sim.run(blocks[0], batches[0], stop_on_all_detected=False)
-        return int(
-            COMPILE_STATS["kernels"]
-            - compiles0
-            + numpy_backend.PROGRAM_STATS["programs"]
-            - programs0
-        )
+        cc = compile_circuit(iscas89(CIRCUIT))
+        sim = FaultSimulator(cc, width=GRADE_WIDTH, backend="codegen")
+        sim.run(blocks[0], batches[0], stop_on_all_detected=False)
+        return int(COMPILE_STATS["kernels"] - compiles0)
 
     kernel_cache.configure(str(tmp_dir))
     try:
@@ -234,16 +215,6 @@ def _render():
         lines.append(
             f"    {backend:>8s}: {_grade[backend] * 1e3:8.1f} ms"
         )
-    numpy_grade_speedup = None
-    if "numpy" in _grade:
-        numpy_grade_speedup = _grade["codegen"] / _grade["numpy"]
-        verdict = "PASS" if numpy_grade_speedup >= 3.0 else "FAIL"
-        lines.append(
-            f"  [{verdict}] numpy grades distinct shapes "
-            f"{numpy_grade_speedup:.2f}x faster than codegen at width "
-            f"{GRADE_WIDTH} (target: 3x)"
-        )
-
     lines.append(
         f"  transition-model grading (same {len(GRADE_SIZES)} batch "
         f"shapes, width {GRADE_WIDTH}):"
@@ -290,8 +261,6 @@ def _render():
         "transition_grade_seconds": {b: _tgrade[b] for b in BACKENDS},
         "transition_grade_overhead_codegen": transition_overhead,
     }
-    if numpy_grade_speedup is not None:
-        payload["numpy_grade_speedup_width256"] = numpy_grade_speedup
     Path(__file__).parent.parent.joinpath("BENCH_simulation.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )

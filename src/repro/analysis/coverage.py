@@ -54,7 +54,6 @@ def evaluate_test_set(
     faults: Optional[Sequence[Fault]] = None,
     width: int = 64,
     backend: Optional[str] = None,
-    jobs: int = 1,
     fault_model: str = "stuck_at",
 ) -> CoverageReport:
     """Fault-simulate ``vectors`` from the all-X state and report coverage.
@@ -67,7 +66,7 @@ def evaluate_test_set(
         if faults is not None
         else collapse_faults(circuit, fault_model)
     )
-    sim = FaultSimulator(circuit, width=width, backend=backend, jobs=jobs)
+    sim = FaultSimulator(circuit, width=width, backend=backend)
     result = sim.run(vectors, fault_list)
     return CoverageReport(
         total_faults=len(fault_list),
@@ -92,12 +91,11 @@ def random_baseline(
     seed: int = 0,
     width: int = 64,
     backend: Optional[str] = None,
-    jobs: int = 1,
 ) -> CoverageReport:
     """Coverage of ``count`` random vectors — the weakest sensible baseline."""
     return evaluate_test_set(
         circuit, random_vectors(circuit, count, seed), faults, width,
-        backend=backend, jobs=jobs,
+        backend=backend,
     )
 
 

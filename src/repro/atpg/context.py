@@ -11,7 +11,7 @@ instances.  :class:`AtpgContext` owns all of that once per circuit:
   demand from a :class:`~repro.circuit.netlist.Circuit`);
 * SCOAP :class:`~repro.atpg.scoap.Testability` measures (lazy);
 * the collapsed fault universe (lazy);
-* fault-simulator handles, cached by ``(width, jobs)``;
+* fault-simulator handles, cached by word width;
 * deterministic RNG derivation (named streams off one base seed);
 * the telemetry recorder and the injectable wall clock;
 * the optional cross-fault :class:`~repro.knowledge.StateKnowledge` store.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..circuit.netlist import Circuit
 from ..clock import monotonic
@@ -99,7 +99,7 @@ class AtpgContext:
         self.fault_model = resolve_fault_model(fault_model).name
         self._testability = testability
         self._faults: Optional[List[Fault]] = None
-        self._simulators: Dict[Tuple[int, int], FaultSimulator] = {}
+        self._simulators: Dict[int, FaultSimulator] = {}
 
     # -- construction helpers ------------------------------------------
     @classmethod
@@ -174,21 +174,19 @@ class AtpgContext:
         """A named deterministic random stream derived from the seed."""
         return random.Random(_derive(self.seed, token))
 
-    def fault_simulator(self, width: int = 64, jobs: int = 1) -> FaultSimulator:
-        """A fault simulator for this circuit, cached by ``(width, jobs)``."""
-        key = (width, jobs)
-        sim = self._simulators.get(key)
+    def fault_simulator(self, width: int = 64) -> FaultSimulator:
+        """A fault simulator for this circuit, cached by word width."""
+        sim = self._simulators.get(width)
         if sim is None:
             sim = FaultSimulator(
                 self.cc,
                 width=width,
                 backend=self.backend,
-                jobs=jobs,
                 telemetry=self.telemetry,
             )
-            self._simulators[key] = sim
+            self._simulators[width] = sim
         return sim
 
     def verifier(self) -> FaultSimulator:
         """The width-1 simulator used to confirm single candidates."""
-        return self.fault_simulator(width=1, jobs=1)
+        return self.fault_simulator(width=1)

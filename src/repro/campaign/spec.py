@@ -27,6 +27,7 @@ from ..faults.model import (
     resolve_fault_model,
 )
 from ..hybrid.passes import PassConfig, gahitec_schedule, hitec_schedule
+from ..simulation.logic_sim import available_backends
 
 #: Identifier embedded in every serialized spec.
 SPEC_SCHEMA = "repro-campaign-spec/v1"
@@ -73,7 +74,8 @@ class CampaignSpec:
             existing specs keep their hash.
         baseline: run the deterministic HITEC baseline schedule instead of
             GA-HITEC.
-        backend: simulation backend for every item (``None`` = default).
+        backend: simulation backend for every item (``None`` = default);
+            must be a registered backend name.
         width: fault-simulation word width.
         fault_limit: cap each circuit's collapsed fault list to its first
             N entries (smoke tests and CI drills; ``None`` = all).
@@ -155,6 +157,11 @@ class CampaignSpec:
             resolve_fault_model(self.fault_model)
         except FaultModelError as exc:
             raise CampaignError(str(exc)) from exc
+        if self.backend is not None and self.backend not in available_backends():
+            raise CampaignError(
+                f"unknown simulation backend {self.backend!r}; "
+                f"registered: {available_backends()}"
+            )
         # tuple-ify so specs parsed from JSON lists hash identically
         if not isinstance(self.circuits, tuple):
             object.__setattr__(self, "circuits", tuple(self.circuits))

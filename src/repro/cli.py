@@ -58,6 +58,7 @@ from .hybrid.driver import gahitec, hitec_baseline
 from .hybrid.passes import gahitec_schedule, hitec_schedule
 from .knowledge import load_store_for, model_fingerprint, save_knowledge
 from .policy import FaultPolicy, PolicyError, dataset_from_reports, train_policy
+from .simulation import resolve_backend
 from .telemetry import RunReport, TelemetryRecorder, diff_reports, render_diff
 
 __all__ = ["build_parser", "main", "resolve_circuit"]
@@ -185,7 +186,7 @@ def cmd_atpg(args: argparse.Namespace) -> int:
             knowledge = preloaded
     if args.baseline:
         driver = hitec_baseline(circuit, seed=args.seed,
-                                backend=args.backend, jobs=args.jobs,
+                                backend=args.backend,
                                 telemetry=recorder, knowledge=knowledge,
                                 policy=policy, faults=faults,
                                 fault_model=args.fault_model)
@@ -196,7 +197,7 @@ def cmd_atpg(args: argparse.Namespace) -> int:
         )
     else:
         driver = gahitec(circuit, seed=args.seed,
-                         backend=args.backend, jobs=args.jobs,
+                         backend=args.backend,
                          telemetry=recorder, knowledge=knowledge,
                          policy=policy, faults=faults,
                          fault_model=args.fault_model)
@@ -432,8 +433,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_faultsim(args: argparse.Namespace) -> int:
     circuit = resolve_circuit(args.circuit)
     vectors = _read_vectors(args.vectors, len(circuit.inputs))
-    report = evaluate_test_set(circuit, vectors,
-                               backend=args.backend, jobs=args.jobs,
+    report = evaluate_test_set(circuit, vectors, backend=args.backend,
                                fault_model=args.fault_model)
     print(report)
     if args.list_undetected:
@@ -499,16 +499,12 @@ def _add_fault_model_option(p: argparse.ArgumentParser) -> None:
 
 def _add_sim_options(p: argparse.ArgumentParser) -> None:
     """Simulation-backend options shared by the simulating commands."""
-    p.add_argument("--backend", choices=["event", "codegen", "numpy"],
-                   default=None,
-                   help="simulation backend (default: $REPRO_SIM_BACKEND "
-                        "or 'event'; 'codegen' compiles per-circuit kernels; "
-                        "'numpy' runs a vectorized matrix sweep and falls "
-                        "back to codegen when numpy is unavailable)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="fault-simulation worker processes (default 1)")
+    p.add_argument("--backend", metavar="NAME", default=None,
+                   help="simulation backend, 'event' or 'codegen' (default: "
+                        "$REPRO_SIM_BACKEND or 'event'; 'codegen' compiles "
+                        "per-circuit kernels)")
     p.add_argument("--kernel-cache", metavar="DIR", default=None,
-                   help="persist compiled kernels/programs under DIR so warm "
+                   help="persist compiled kernels under DIR so warm "
                         "runs and campaign workers skip compilation "
                         "(default: $REPRO_KERNEL_CACHE, unset disables)")
 
@@ -640,8 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "circuits)")
     cp.add_argument("--baseline", action="store_true",
                     help="run the HITEC baseline instead of GA-HITEC")
-    cp.add_argument("--backend", choices=["event", "codegen", "numpy"],
-                    default=None)
+    cp.add_argument("--backend", metavar="NAME", default=None,
+                    help="simulation backend, 'event' or 'codegen' "
+                         "(default: $REPRO_SIM_BACKEND or 'event')")
     cp.add_argument("--kernel-cache", metavar="DIR", default=None,
                     help="persist compiled kernels under DIR (workers "
                          "inherit it via $REPRO_KERNEL_CACHE)")
@@ -733,6 +730,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .simulation import kernel_cache
 
         kernel_cache.configure(args.kernel_cache)
+    if hasattr(args, "backend"):
+        # check --backend and $REPRO_SIM_BACKEND before any work starts
+        try:
+            resolve_backend(args.backend)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -28,7 +28,6 @@ operations per fault.
 from __future__ import annotations
 
 import random
-import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -60,18 +59,11 @@ from .results import PassStats, RunResult
 
 
 def _kernel_compile_totals() -> tuple[int, float]:
-    """Total kernel/program compilations across simulation backends.
-
-    The numpy backend is only consulted when already imported so that
-    reporting never forces a numpy import on codegen/event runs.
-    """
-    count = int(codegen.COMPILE_STATS["kernels"])
-    seconds = float(codegen.COMPILE_STATS["seconds"])
-    npb = sys.modules.get("repro.simulation.numpy_backend")
-    if npb is not None:
-        count += int(npb.PROGRAM_STATS["programs"])
-        seconds += float(npb.PROGRAM_STATS["seconds"])
-    return count, seconds
+    """Process-cumulative codegen kernel compilations and their seconds."""
+    return (
+        int(codegen.COMPILE_STATS["kernels"]),
+        float(codegen.COMPILE_STATS["seconds"]),
+    )
 
 
 class HybridTestGenerator:
@@ -98,8 +90,6 @@ class HybridTestGenerator:
         backend: simulation backend for every simulator the driver builds
             (``"event"`` or ``"codegen"``); ``None`` defers to the
             ``REPRO_SIM_BACKEND`` environment variable.
-        jobs: worker processes for validation fault simulation (1 =
-            in-process).
         telemetry: metrics/trace recorder shared by every component the
             driver builds; defaults to the shared no-op recorder.
         clock: wall-clock source for every deadline and duration the
@@ -142,7 +132,6 @@ class HybridTestGenerator:
         use_current_state: bool = True,
         constraints: Optional[InputConstraints] = None,
         backend: Optional[str] = None,
-        jobs: int = 1,
         telemetry: Optional[Recorder] = None,
         clock: Optional[Callable[[], float]] = None,
         knowledge: "bool | StateKnowledge" = True,
@@ -197,9 +186,8 @@ class HybridTestGenerator:
             max_frames=max_frames,
             max_solutions=max_solutions,
         )
-        self.fault_sim = self.ctx.fault_simulator(width=width, jobs=jobs)
+        self.fault_sim = self.ctx.fault_simulator(width=width)
         self.backend = self.fault_sim.backend
-        self.jobs = self.fault_sim.jobs
         self.ga_justifier = GAStateJustifier(self.ctx, rng=self.rng)
         self.generator_name = generator_name
         self.use_current_state = use_current_state
@@ -315,7 +303,6 @@ class HybridTestGenerator:
             seed=self.seed,
             backend=self.backend,
             fault_model=self.ctx.fault_model,
-            jobs=self.jobs,
             width=self.width,
         )
         compiles0, compile_s0 = _kernel_compile_totals()

@@ -13,9 +13,8 @@ incremental regime PROOFS runs inside HITEC).
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
@@ -24,7 +23,7 @@ from ..telemetry import NULL_RECORDER, Recorder
 from . import kernel_cache
 from .compiled import CompiledCircuit, compile_circuit
 from .encoding import PackedValue, X, full_mask, pack_const, unpack
-from .logic_sim import FrameSimulator, Injection, make_simulator, resolve_backend
+from .logic_sim import Injection, make_simulator, resolve_backend
 
 
 def injection_for(cc: CompiledCircuit, fault: Fault, mask: int) -> Injection:
@@ -122,58 +121,15 @@ def _pack_frames(
     return frames
 
 
-def _fork_available() -> bool:
-    """True when fault shards can run as forked worker processes."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _split_chunks(items: List, parts: int) -> List[List]:
-    """Split into at most ``parts`` contiguous, near-even, non-empty chunks."""
-    parts = max(1, min(parts, len(items)))
-    size, extra = divmod(len(items), parts)
-    chunks, start = [], 0
-    for i in range(parts):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks
-
-
-#: Context a forked shard worker inherits (set only around the Pool's life).
-_SHARD_CTX: Optional[tuple] = None
-
-
-def _run_shard(index: int):
-    """Worker entry point: fault-simulate one contiguous chunk of batches."""
-    sim, frames, chunks, fault_states, stop_early, record_signatures, \
-        good_outputs = _SHARD_CTX
-    local = FaultSimResult(good_outputs=good_outputs)
-    states = dict(fault_states)
-    for batch in chunks[index]:
-        sim._run_batch(frames, batch, states, local, stop_early,
-                       record_signatures)
-    return local.detected, local.fault_states, local.signatures
-
-
 class FaultSimulator:
     """Parallel-fault simulator over a fixed circuit.
 
     Args:
         circuit: circuit or compiled circuit to simulate.
         width: number of faults packed per pass (word width).
-        backend: frame-simulator backend (``"event"``, ``"codegen"``, or
-            ``"numpy"``); ``None`` defers to ``REPRO_SIM_BACKEND`` / the
-            default.  ``"numpy"`` silently degrades to ``"codegen"`` when
-            numpy is not installed.
-        jobs: worker processes for :meth:`run`; 1 (the default) runs
-            in-process, >1 shards fault batches across forked workers on
-            platforms that support ``fork`` (in-process fallback
-            elsewhere).  The ``numpy`` backend always runs in-process —
-            matrix vectorization replaces sharding, with identical
-            results.
+        backend: frame-simulator backend (``"event"`` or ``"codegen"``);
+            ``None`` defers to ``REPRO_SIM_BACKEND`` / the default.
         telemetry: metrics recorder (defaults to the shared no-op).
-            Frame counters from forked shard workers are not merged back;
-            sharded runs record batch counts only.
     """
 
     def __init__(
@@ -181,13 +137,11 @@ class FaultSimulator:
         circuit: "Circuit | CompiledCircuit",
         width: int = 64,
         backend: Optional[str] = None,
-        jobs: int = 1,
         telemetry: Optional[Recorder] = None,
     ):
         self.cc = circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
         self.width = width
         self.backend = resolve_backend(backend)
-        self.jobs = max(1, int(jobs))
         self.telemetry = telemetry or NULL_RECORDER
 
     # ------------------------------------------------------------------
@@ -214,7 +168,6 @@ class FaultSimulator:
         fault_states: Optional[Dict[Fault, List[int]]] = None,
         stop_on_all_detected: bool = True,
         record_signatures: bool = False,
-        jobs: Optional[int] = None,
     ) -> FaultSimResult:
         """Fault-simulate ``vectors`` against ``faults``.
 
@@ -229,16 +182,11 @@ class FaultSimulator:
                 position) observation point per fault into
                 ``result.signatures`` (disables early stopping) — the raw
                 material of a fault dictionary.
-            jobs: override the constructor's worker-process count for this
-                call.
 
         Returns:
             A :class:`FaultSimResult`; ``fault_states`` holds final states
-            only for faults *not* detected by this sequence.  Results are
-            identical whatever ``jobs`` is: batches are sharded whole, and
-            shard results merge back in batch order.
+            only for faults *not* detected by this sequence.
         """
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
         result = FaultSimResult()
         cache0 = kernel_cache.stats_snapshot()
         with self.telemetry.span("sim.fault_sim"):
@@ -248,43 +196,18 @@ class FaultSimulator:
                 stop_on_all_detected = False
             self.telemetry.count("sim.runs")
             self.telemetry.count("sim.faults", len(faults))
-            if self.backend == "numpy":
-                # whole-run vectorized path: the good machine rides in
-                # slot 0 of each chunk, detection is computed post-hoc
-                # from recorded output planes, and ``jobs`` is ignored —
-                # in-process vectorization replaces process sharding with
-                # identical results
-                from .numpy_backend import run_fault_sim
-
-                frames_run = run_fault_sim(
-                    self, vectors, faults, good_state, fault_states,
-                    result, record_signatures,
-                )
-                self.telemetry.count("sim.good_frames", len(vectors))
-                self.telemetry.count("sim.frames", frames_run)
-                self.telemetry.count(
-                    "sim.batches",
-                    max(1, -(-len(faults) // self.width)) if faults else 1,
-                )
-            else:
-                result.good_outputs, result.good_state = self.simulate_good(
-                    vectors, good_state
-                )
-                frames = _pack_frames(vectors, self.width)
-                batches = [
-                    list(faults[start : start + self.width])
-                    for start in range(0, len(faults), self.width)
-                ]
-                self.telemetry.count("sim.batches", len(batches))
-                if jobs > 1 and len(batches) > 1 and _fork_available():
-                    self._run_sharded(frames, batches, fault_states, result,
-                                      stop_on_all_detected,
-                                      record_signatures, jobs)
-                else:
-                    for batch in batches:
-                        self._run_batch(frames, batch, fault_states, result,
-                                        stop_on_all_detected,
-                                        record_signatures)
+            result.good_outputs, result.good_state = self.simulate_good(
+                vectors, good_state
+            )
+            frames = _pack_frames(vectors, self.width)
+            batches = [
+                list(faults[start : start + self.width])
+                for start in range(0, len(faults), self.width)
+            ]
+            self.telemetry.count("sim.batches", len(batches))
+            for batch in batches:
+                self._run_batch(frames, batch, fault_states, result,
+                                stop_on_all_detected, record_signatures)
         for name in ("hits", "misses", "corrupt"):
             delta = kernel_cache.CACHE_STATS[name] - cache0[name]
             if delta:
@@ -297,7 +220,6 @@ class FaultSimulator:
         blocks: Sequence[Sequence[Vector]],
         faults: Sequence[Fault],
         drop_redundant: bool = True,
-        jobs: Optional[int] = None,
     ) -> BlockGradeResult:
         """Grade an ordered series of test-sequence blocks incrementally.
 
@@ -318,7 +240,6 @@ class FaultSimulator:
                 whole circuit's collapsed universe, so detections are
                 credited across the shards that produced the blocks.
             drop_redundant: drop blocks that add no new detection.
-            jobs: worker-process override passed through to :meth:`run`.
         """
         result = BlockGradeResult()
         remaining: List[Fault] = list(faults)
@@ -336,7 +257,6 @@ class FaultSimulator:
                     remaining,
                     good_state=good_state,
                     fault_states=trial,
-                    jobs=jobs,
                 )
                 new = sim.detected
                 if new or not drop_redundant:
@@ -356,45 +276,6 @@ class FaultSimulator:
         self.telemetry.count("sim.blocks_graded", len(blocks))
         self.telemetry.count("sim.blocks_dropped", len(result.dropped))
         return result
-
-    # ------------------------------------------------------------------
-    def _run_sharded(
-        self,
-        frames: List[List[PackedValue]],
-        batches: List[List[Fault]],
-        fault_states: Dict[Fault, List[int]],
-        result: FaultSimResult,
-        stop_early: bool,
-        record_signatures: bool,
-        jobs: int,
-    ) -> None:
-        """Partition whole batches across forked workers; merge in order."""
-        global _SHARD_CTX
-        chunks = _split_chunks(batches, jobs)
-        ctx = multiprocessing.get_context("fork")
-        _SHARD_CTX = (self, frames, chunks, fault_states, stop_early,
-                      record_signatures, result.good_outputs)
-        try:
-            with ctx.Pool(processes=len(chunks)) as pool:
-                shard_results = pool.map(_run_shard, range(len(chunks)))
-        except OSError:
-            # fork/pipe failure: degrade gracefully to in-process execution
-            for batch in batches:
-                self._run_batch(frames, batch, fault_states, result,
-                                stop_early, record_signatures)
-            return
-        finally:
-            _SHARD_CTX = None
-        # deterministic merge: shards come back in submission order, and
-        # each chunk preserves batch order, so the merged maps iterate in
-        # exactly the order the in-process loop would produce
-        for detected, states, signatures in shard_results:
-            result.detected.update(detected)
-            result.fault_states.update(states)
-            result.signatures.update(signatures)
-            for fault in detected:
-                fault_states.pop(fault, None)
-            fault_states.update(states)
 
     # ------------------------------------------------------------------
     def _run_batch(
@@ -487,11 +368,10 @@ def fault_coverage(
     faults: Sequence[Fault],
     width: int = 64,
     backend: Optional[str] = None,
-    jobs: int = 1,
 ) -> float:
     """Fraction of ``faults`` detected by ``vectors`` from the all-X state."""
     if not faults:
         return 0.0
-    sim = FaultSimulator(circuit, width=width, backend=backend, jobs=jobs)
+    sim = FaultSimulator(circuit, width=width, backend=backend)
     result = sim.run(vectors, faults)
     return len(result.detected) / len(faults)

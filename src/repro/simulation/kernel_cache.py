@@ -1,12 +1,10 @@
-"""Persistent on-disk cache for compiled simulation kernels and programs.
+"""Persistent on-disk cache for compiled simulation kernels.
 
-Both simulation backends pay a per-circuit compilation cost before their
-first sweep: ``codegen`` exec-compiles one straight-line Python kernel
-per injection *shape* (several milliseconds each on the benchmark
-circuits), and ``numpy`` builds one vectorized sweep program per
-circuit.  Campaign workers and warm repeat runs pay that cost again in
-every process — unless the compiled artifact is persisted.  This module
-is that persistence layer: a content-addressed directory of cache
+The ``codegen`` backend pays a compilation cost before its first sweep:
+it exec-compiles one straight-line Python kernel per injection *shape*
+(several milliseconds each on the benchmark circuits).  Campaign workers
+and warm repeat runs pay that cost again in every process — unless the
+compiled kernel is persisted.  This module is that persistence layer: a content-addressed directory of cache
 entries keyed by a structural circuit fingerprint plus a backend format
 version, enabled by the :data:`ENV_VAR` environment variable (or
 :func:`configure`, which sets it so forked/spawned worker processes
@@ -59,8 +57,8 @@ def configure(path: Optional[str]) -> None:
     """Set (or clear, with ``None``/empty) the cache directory.
 
     The choice is stored in the process environment, so worker processes
-    started after this call — campaign workers, fault-sim shards —
-    inherit it without any explicit plumbing.
+    started after this call (campaign workers) inherit it without any
+    explicit plumbing.
     """
     if path:
         os.environ[ENV_VAR] = str(path)
@@ -82,8 +80,8 @@ def circuit_fingerprint(cc: Any) -> str:
     """Structural hash of a compiled circuit: the cache's identity key.
 
     Covers net names, the levelized gate list (output, code, fanins),
-    and the PI/PO/flip-flop interface — everything a compiled kernel or
-    sweep program depends on.  Cached on the compiled circuit itself.
+    and the PI/PO/flip-flop interface — everything a compiled kernel
+    depends on.  Cached on the compiled circuit itself.
     """
     fp = getattr(cc, _FP_ATTR, None)
     if fp is None:

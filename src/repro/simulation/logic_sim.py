@@ -25,7 +25,6 @@ a detection in frame 0 but never invent one).
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
@@ -50,37 +49,13 @@ DEFAULT_BACKEND = "event"
 _BACKENDS: "Dict[str, Type[FrameSimulator]]" = {}
 
 
-class BackendUnavailableError(RuntimeError):
-    """A requested simulation backend's optional dependency is missing.
-
-    Raised when constructing a backend whose import-time dependency
-    (numpy, for the ``numpy`` backend) is not installed.  The registry
-    itself never raises this: :func:`resolve_backend` degrades to the
-    ``codegen`` backend with a :class:`RuntimeWarning` instead, so code
-    that merely *prefers* the vectorized backend keeps working.
-    """
-
-
 def register_backend(name: str, cls: "Type[FrameSimulator]") -> None:
     """Register a frame-simulator class under a backend name."""
     _BACKENDS[name] = cls
 
 
-def _load_lazy_backend(name: str) -> None:
-    """Import a lazily registered backend module, ignoring absence."""
-    if name == "codegen":
-        from . import codegen  # noqa: F401  (registers itself on import)
-    elif name == "numpy":
-        # the module imports cleanly without numpy but only registers the
-        # backend when numpy is importable
-        from . import numpy_backend  # noqa: F401
-
-
 def available_backends() -> List[str]:
     """Names of the registered simulation backends."""
-    for lazy in ("codegen", "numpy"):
-        if lazy not in _BACKENDS:
-            _load_lazy_backend(lazy)
     return sorted(_BACKENDS)
 
 
@@ -88,23 +63,10 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a backend choice to a registered name.
 
     ``None`` falls back to the :data:`BACKEND_ENV` environment variable,
-    then to :data:`DEFAULT_BACKEND`.  The ``codegen`` and ``numpy``
-    backends are imported lazily on first request; asking for ``numpy``
-    when numpy is not installed falls back to ``codegen`` with a
-    :class:`RuntimeWarning` (use the backend class directly to get a
-    hard :class:`BackendUnavailableError` instead).
+    then to :data:`DEFAULT_BACKEND`.  An unregistered name raises
+    :class:`ValueError`.
     """
     name = backend or os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    if name not in _BACKENDS and name in ("codegen", "numpy"):
-        _load_lazy_backend(name)
-    if name not in _BACKENDS and name == "numpy":
-        warnings.warn(
-            "numpy simulation backend unavailable (numpy is not "
-            "installed); falling back to the codegen backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return resolve_backend("codegen")
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown simulation backend {name!r}; "

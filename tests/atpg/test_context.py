@@ -44,9 +44,9 @@ class TestSharedArtifacts:
 
     def test_fault_simulators_cached_by_shape(self):
         ctx = AtpgContext(s27())
-        assert ctx.fault_simulator(64, 1) is ctx.fault_simulator(64, 1)
-        assert ctx.fault_simulator(64, 1) is not ctx.fault_simulator(32, 1)
-        assert ctx.verifier() is ctx.fault_simulator(1, 1)
+        assert ctx.fault_simulator(64) is ctx.fault_simulator(64)
+        assert ctx.fault_simulator(64) is not ctx.fault_simulator(32)
+        assert ctx.verifier() is ctx.fault_simulator(1)
 
     def test_rng_streams_are_deterministic_and_distinct(self):
         a, b = AtpgContext(s27(), seed=5), AtpgContext(s27(), seed=5)

@@ -4,7 +4,7 @@ The engine's unrolled view of a transition fault is an optimistic
 approximation, so every DETECTED here has survived true-semantics
 verification by fault simulation — which is what these tests lean on:
 the hybrid driver must reach nonzero launch/capture detections on real
-ISCAS89 circuits, the tests it emits must grade identically on all three
+ISCAS89 circuits, the tests it emits must grade identically on both
 backends, and knowledge mined under stuck-at must never leak into a
 transition run.
 """
@@ -19,14 +19,7 @@ from repro.hybrid.passes import gahitec_schedule
 from repro.knowledge import KnowledgeError, StateKnowledge, save_knowledge
 from repro.simulation.fault_sim import FaultSimulator
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-GRADING_BACKENDS = ["event", "codegen"] + (["numpy"] if HAVE_NUMPY else [])
+GRADING_BACKENDS = ["event", "codegen"]
 
 
 def transition_run(circuit, fault_count=24, seed=1):

@@ -32,6 +32,12 @@ class TestValidation:
         with pytest.raises(CampaignError):
             spec(justify_depth=0)
 
+    @pytest.mark.parametrize("backend", ["numpy", "bogus"])
+    def test_unknown_backend_rejected(self, backend):
+        # "numpy" named a removed backend: old specs fail here, up front
+        with pytest.raises(CampaignError, match="unknown simulation backend"):
+            spec(backend=backend)
+
     def test_list_circuits_become_tuple(self):
         assert spec(circuits=["s27", "s298"]).circuits == ("s27", "s298")
 

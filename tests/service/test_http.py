@@ -229,6 +229,10 @@ class TestServiceEndToEnd:
                     {"spec": dict(SPEC, circuits=["no-such"]) },
                 )
                 assert status == 400
+                status, body = await svc.request(
+                    "POST", "/jobs", {"spec": dict(SPEC, backend="numpy")}
+                )
+                assert status == 400 and "numpy" in body["error"]
                 status, _ = await svc.request(
                     "GET", "/jobs/ffff/report/diff"
                 )

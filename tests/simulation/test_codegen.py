@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
-from repro.circuits import s27
+from repro.circuits import iscas89, s27
 from repro.faults.model import Fault, full_fault_list
 from repro.simulation.codegen import (
     CodegenFrameSimulator,
@@ -237,6 +237,90 @@ class TestFaultEquivalence:
         assert r_ev.signatures == r_cg.signatures
 
 
+def _run_both(circuit, vectors, faults, width, **kwargs):
+    """Fault-simulate on event and codegen, with carried states captured."""
+    runs = {}
+    for backend in ("event", "codegen"):
+        states = {}
+        sim = FaultSimulator(circuit, width=width, backend=backend)
+        res = sim.run(vectors, faults, fault_states=states, **kwargs)
+        runs[backend] = (res, states)
+    return runs
+
+
+def _assert_equivalent(runs):
+    (ref, ref_states), (got, got_states) = runs["event"], runs["codegen"]
+    assert got.detected == ref.detected
+    assert list(got.detected) == list(ref.detected)  # insertion order too
+    assert got.fault_states == ref.fault_states
+    assert got.good_outputs == ref.good_outputs
+    assert got.good_state == ref.good_state
+    assert got_states == ref_states
+
+
+class TestWidthsAndIncrementalRegimes:
+    """Word widths from one slot to many words, early stop, carried state."""
+
+    @pytest.mark.parametrize("width", [1, 64, 256, 1024])
+    def test_s27_all_widths(self, width):
+        circuit = s27()
+        rng = random.Random(width)
+        vectors = [
+            [rng.choice([0, 1, X]) for _ in circuit.inputs] for _ in range(20)
+        ]
+        _assert_equivalent(_run_both(circuit, vectors, full_fault_list(circuit),
+                                     width, stop_on_all_detected=False))
+
+    def test_early_stop_equivalence(self):
+        circuit = s27()
+        rng = random.Random(5)
+        vectors = [
+            [rng.getrandbits(1) for _ in circuit.inputs] for _ in range(40)
+        ]
+        _assert_equivalent(_run_both(circuit, vectors, full_fault_list(circuit),
+                                     64, stop_on_all_detected=True))
+
+    def test_incremental_carried_states(self):
+        # three blocks with faulty-machine states carried between calls,
+        # the regime the driver's validation and campaign merges run
+        circuit = iscas89("s298")
+        faults = full_fault_list(circuit)[:80]
+        rng = random.Random(9)
+        blocks = [
+            [[rng.getrandbits(1) for _ in circuit.inputs] for _ in range(8)]
+            for _ in range(3)
+        ]
+        runs = {}
+        for backend in ("event", "codegen"):
+            sim = FaultSimulator(circuit, width=64, backend=backend)
+            remaining = list(faults)
+            states: dict = {}
+            good = [X] * len(compile_circuit(circuit).ff_out)
+            detected = {}
+            for block in blocks:
+                res = sim.run(block, remaining, good_state=good,
+                              fault_states=states)
+                detected.update(res.detected)
+                remaining = [f for f in remaining if f not in res.detected]
+                good = res.good_state
+            runs[backend] = (detected, states, good)
+        assert runs["codegen"] == runs["event"]
+
+    def test_grade_blocks_consistency(self):
+        circuit = s27()
+        rng = random.Random(6)
+        blocks = [
+            [[rng.getrandbits(1) for _ in circuit.inputs] for _ in range(6)]
+            for _ in range(4)
+        ]
+        graded = {}
+        for backend in ("event", "codegen"):
+            sim = FaultSimulator(circuit, width=32, backend=backend)
+            r = sim.grade_blocks(blocks, full_fault_list(circuit))
+            graded[backend] = (r.kept, r.dropped, r.detected, r.per_block_new)
+        assert graded["codegen"] == graded["event"]
+
+
 class TestKernelCache:
     def test_same_shape_shares_kernel(self):
         circuit = s27()
@@ -305,83 +389,21 @@ class TestBackendRegistry:
         assert type(sim) is FrameSimulator
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            resolve_backend("vhdl")
-
-
-class TestShardedRun:
-    def _run(self, jobs, backend="codegen", width=4, **kwargs):
-        circuit = s27()
-        faults = full_fault_list(circuit)
-        rng = random.Random(7)
-        vectors = [
-            [rng.getrandbits(1) for _ in circuit.inputs] for _ in range(15)
-        ]
-        states = {}
-        sim = FaultSimulator(circuit, width=width, backend=backend, jobs=jobs)
-        result = sim.run(vectors, faults, fault_states=states, **kwargs)
-        return result, states
-
-    @pytest.mark.parametrize("backend", ["event", "codegen"])
-    def test_sharded_matches_sequential(self, backend):
-        r1, s1 = self._run(jobs=1, backend=backend)
-        r4, s4 = self._run(jobs=4, backend=backend)
-        assert r1.detected == r4.detected
-        assert list(r1.detected) == list(r4.detected)  # merge order too
-        assert r1.fault_states == r4.fault_states
-        assert s1 == s4
-        assert r1.good_outputs == r4.good_outputs
-        assert r1.good_state == r4.good_state
-
-    def test_sharded_signatures_match(self):
-        r1, _ = self._run(jobs=1, record_signatures=True)
-        r3, _ = self._run(jobs=3, record_signatures=True)
-        assert r1.signatures == r3.signatures
-
-    def test_fallback_without_fork(self, monkeypatch):
-        from repro.simulation import fault_sim as fs
-
-        monkeypatch.setattr(fs, "_fork_available", lambda: False)
-        r1, s1 = self._run(jobs=1)
-        r4, s4 = self._run(jobs=4)  # silently degrades to in-process
-        assert r1.detected == r4.detected
-        assert s1 == s4
-
-    def test_jobs_one_never_forks(self, monkeypatch):
-        from repro.simulation import fault_sim as fs
-
-        def boom(*_a, **_k):
-            raise AssertionError("sharded path used with jobs=1")
-
-        monkeypatch.setattr(fs.FaultSimulator, "_run_sharded", boom)
-        result, _ = self._run(jobs=1)
-        assert result.detected
-
-    def test_per_call_jobs_override(self):
-        circuit = s27()
-        faults = full_fault_list(circuit)
-        vectors = [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]]
-        sim = FaultSimulator(circuit, width=4, jobs=1)
-        r_seq = sim.run(vectors, faults)
-        r_par = sim.run(vectors, faults, jobs=2)
-        assert r_seq.detected == r_par.detected
-
-    def test_split_chunks(self):
-        from repro.simulation.fault_sim import _split_chunks
-
-        assert _split_chunks([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
-        assert _split_chunks([1, 2], 8) == [[1], [2]]
-        assert _split_chunks([1], 1) == [[1]]
+        # "numpy" named a backend that was removed; it is rejected, not
+        # aliased
+        for name in ("vhdl", "numpy"):
+            with pytest.raises(ValueError, match="unknown simulation backend"):
+                resolve_backend(name)
 
 
 class TestCliPlumbing:
-    def test_atpg_backend_and_jobs_flags(self, tmp_path, capsys):
+    def test_atpg_backend_flag(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "vec.txt"
         rc = main([
             "atpg", "s27", "--passes", "1", "--seq-len", "4",
-            "--time-scale", "0.01", "--backend", "codegen", "--jobs", "2",
+            "--time-scale", "0.01", "--backend", "codegen",
             "-o", str(out),
         ])
         assert rc == 0

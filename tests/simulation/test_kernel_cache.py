@@ -1,6 +1,6 @@
 """The persistent kernel cache: hits, integrity, and telemetry.
 
-Exercises the disk layer shared by both compiling backends: a cold
+Exercises the disk layer behind the codegen backend: a cold
 process writes entries, a warm process (simulated with fresh compiled
 circuits) loads them with **zero** recompilation, and a corrupted or
 truncated entry is detected, discarded and transparently rebuilt — the
@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.campaign import CampaignRunner, CampaignSpec
 from repro.circuits import s27
 from repro.faults.model import full_fault_list
 from repro.simulation import kernel_cache
@@ -18,14 +19,6 @@ from repro.simulation.codegen import COMPILE_STATS, kernel_for
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.fault_sim import FaultSimulator
 from repro.telemetry import TelemetryRecorder
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
@@ -137,47 +130,13 @@ class TestCodegenDiskCache:
         assert COMPILE_STATS["kernels"] == before
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-class TestNumpyProgramDiskCache:
-    def test_warm_build_skipped(self, cache_dir):
-        from repro.simulation.numpy_backend import PROGRAM_STATS, program_for
-
-        before = PROGRAM_STATS["programs"]
-        program_for(compile_circuit(s27()))
-        assert PROGRAM_STATS["programs"] == before + 1
-        before = PROGRAM_STATS["programs"]
-        program_for(compile_circuit(s27()))  # fresh cc -> disk hit
-        assert PROGRAM_STATS["programs"] == before
-
-    def test_corrupt_program_rebuilds(self, cache_dir):
-        from repro.simulation.numpy_backend import PROGRAM_STATS, program_for
-
-        program_for(compile_circuit(s27()))
-        for path in _entry_files(cache_dir):
-            blob = open(path, "rb").read()
-            open(path, "wb").write(blob[:50])
-        before = PROGRAM_STATS["programs"]
-        corrupt = kernel_cache.CACHE_STATS["corrupt"]
-        program_for(compile_circuit(s27()))
-        assert PROGRAM_STATS["programs"] == before + 1
-        assert kernel_cache.CACHE_STATS["corrupt"] == corrupt + 1
-
-    def test_cached_program_results_identical(self, cache_dir):
-        import random
-
-        circuit = s27()
-        faults = full_fault_list(circuit)
-        rng = random.Random(3)
-        vectors = [
-            [rng.getrandbits(1) for _ in circuit.inputs] for _ in range(12)
-        ]
-        runs = []
-        for _ in range(2):  # second run loads the program from disk
-            res = FaultSimulator(
-                compile_circuit(circuit), width=32, backend="numpy"
-            ).run(vectors, faults, stop_on_all_detected=False)
-            runs.append((res.detected, res.good_state, res.fault_states))
-        assert runs[0] == runs[1]
+class TestCampaignWorkers:
+    def test_kernel_cache_populated(self, cache_dir, tmp_path):
+        spec = CampaignSpec(circuits=("s27",), name="cg-cache", seed=7,
+                            shard_size=8, passes=2, backend="codegen")
+        result = CampaignRunner(spec, str(tmp_path / "c.jsonl")).run()
+        assert result.items_failed == 0
+        assert _entry_files(cache_dir)  # kernels persisted for warm workers
 
 
 class TestTelemetryCounters:

@@ -2,7 +2,7 @@
 
 The event interpreter is the oracle for the launch/capture semantics
 (slow-to-rise keeps a 0 one extra frame, slow-to-fall keeps a 1); the
-codegen and numpy backends must agree with it bit for bit, including on
+codegen backend must agree with it bit for bit, including on
 mixed stuck-at + transition fault universes.  The persistent kernel
 cache must treat the two models as different kernels: a stuck-at-warmed
 cache misses (never corrupt-loads) under transition injection.
@@ -23,14 +23,7 @@ from repro.simulation.fault_sim import FaultSimulator, injection_for
 
 from ..conftest import random_circuits
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-BACKENDS = ["event", "codegen"] + (["numpy"] if HAVE_NUMPY else [])
+BACKENDS = ["event", "codegen"]
 
 
 def buf_circuit() -> Circuit:
@@ -172,7 +165,7 @@ def assert_results_equal(a, b, label):
 
 
 class TestBackendEquivalence:
-    """Event interpreter as oracle; codegen and numpy must match it."""
+    """Event interpreter as oracle; codegen must match it."""
 
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_s27_transition_universe(self, backend):
