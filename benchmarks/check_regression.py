@@ -38,7 +38,9 @@ run):
 * real-ATPG 4-worker speedup must clear ``--min-real-speedup`` (default
   2.5) — but only when the fresh file's recorded ``cores`` is at least
   4.  Real items are CPU-bound: on a smaller host the floor is
-  physically unreachable and the gate prints SKIP instead of failing.
+  physically unreachable, so the gate prints UNMEASURED and a GitHub
+  ``::warning::`` annotation naming the recorded core count.  The exit
+  status stays 0, because the committed file was recorded on one core.
 
 When the fresh file carries a ``service`` section (written by
 ``benchmarks/test_service_load.py``), the service-load floors apply too:
@@ -250,7 +252,12 @@ def compare_campaign(
     else:
         print(
             f"  real-ATPG 4-worker speedup: {real_speedup:.2f}x "
-            f"(SKIP: floor needs >=4 cores, file was recorded on {cores})"
+            f"(UNMEASURED: floor needs >=4 cores, file was recorded on {cores})"
+        )
+        print(
+            "::warning::real-ATPG 4-worker scaling floor UNMEASURED: "
+            f"BENCH_campaign.json was recorded on {cores} core(s), "
+            "the floor needs at least 4"
         )
 
     failures.extend(check_service(new, min_service_clients))

@@ -149,6 +149,8 @@ class PodemEngine:
         self.backtracks = 0
         self.window_hit = False
         self._stack: List[_Decision] = []
+        #: all-X model requirement minimisation runs on, built on first use
+        self._scratch: Optional[UnrolledModel] = None
 
     # ------------------------------------------------------------------
     # public API
@@ -206,7 +208,7 @@ class PodemEngine:
             if self.backtracks > limits.max_backtracks or limits.expired():
                 self.status = SearchStatus.LIMIT
                 return False
-            if self._goal_reached():
+            if self._goal_reached(self.model):
                 self.status = SearchStatus.SUCCESS
                 return True
             objective = self._objective()
@@ -231,10 +233,10 @@ class PodemEngine:
             undo = self._assign_decision(frame, idx, value)
             self._stack.append(_Decision((frame, idx), value, False, undo))
 
-    def _goal_reached(self) -> bool:
+    def _goal_reached(self, model: UnrolledModel) -> bool:
         if self.fault is not None:
-            return self.model.detected_at(self.observe_ppo) is not None
-        return all(self.model.good(0, d) == v for d, v in self._targets)
+            return model.detected_at(self.observe_ppo) is not None
+        return all(model.good(0, d) == v for d, v in self._targets)
 
     def _objective(self) -> Optional[Tuple[int, int, int]]:
         """Next (frame, net index, good value) goal, or None at a dead end."""
@@ -437,31 +439,34 @@ class PodemEngine:
 
         PODEM's backtrace decides *some* sufficient assignment; a decided
         pseudo primary input is not necessarily a *necessary* one (an AND
-        gate needs only one controlling input).  Each requirement is
-        tentatively replaced by X on a scratch model; if the goal — fault
-        detection, or the justification targets — still holds, it is
-        dropped for good.  Smaller requirements are strictly easier for
-        every justifier, and minimal requirements are what keep the
-        reverse-time justification search from missing reachable options.
+        gate needs only one controlling input).  A scratch model takes the
+        solution's PI vectors and the whole requirement; each requirement
+        in turn is then released to X, and if the goal — fault detection,
+        or the justification targets — still holds, it is dropped for
+        good, otherwise the release is undone.  Smaller requirements are
+        strictly easier for every justifier, and minimal requirements are
+        what keep the reverse-time justification search from missing
+        reachable options.  The scratch model is left all-X again.
         """
-        kept = dict(required)
-        for name in list(required):
-            trial = {k: v for k, v in kept.items() if k != name}
-            if self._goal_with(vectors, trial):
-                kept = trial
-        return kept
-
-    def _goal_with(self, vectors: List[List[int]], state: Dict[str, int]) -> bool:
-        """Check the search goal on a fresh model under given assignments."""
-        scratch = UnrolledModel(self.cc, self.fault, self.model.num_frames)
+        if self._scratch is None:
+            self._scratch = UnrolledModel(
+                self.cc, self.fault, self.model.num_frames
+            )
+        scratch = self._scratch
+        undo: List[UndoRecord] = []
         for frame, vec in enumerate(vectors):
             for pin, idx in enumerate(self.cc.pi):
-                if vec[pin] != X and scratch.good(frame, idx) == X:
-                    scratch.assign(frame, idx, vec[pin])
-        for name, value in state.items():
-            idx = self.cc.index[name]
-            if scratch.good(0, idx) == X:
-                scratch.assign(0, idx, value)
-        if self.fault is not None:
-            return scratch.detected_at(self.observe_ppo) is not None
-        return all(scratch.good(0, d) == v for d, v in self._targets)
+                if vec[pin] != X:
+                    undo += scratch.assign(frame, idx, vec[pin])
+        for name, value in required.items():
+            undo += scratch.assign(0, self.cc.index[name], value)
+        kept = dict(required)
+        for name in required:
+            release = scratch.assign(0, self.cc.index[name], X)
+            if self._goal_reached(scratch):
+                del kept[name]
+                undo += release
+            else:
+                scratch.unassign(release)
+        scratch.unassign(undo)
+        return kept

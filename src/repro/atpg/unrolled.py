@@ -41,6 +41,38 @@ def _stuck_mask(value: PackedValue, stuck: int) -> PackedValue:
     return p1 & ~0b10 & MASK2, p0 | 0b10
 
 
+#: Name of the per-CompiledCircuit attribute caching fault-free baselines.
+_BASELINE_ATTR = "_unrolled_baselines"
+
+#: Per-frame value rows (``v1``, ``v0``) of a whole window.
+Rows = Tuple[List[List[int]], List[List[int]]]
+
+
+def _init_sweep(cc: CompiledCircuit, num_frames: int) -> Rows:
+    """Fault-free evaluation of the all-X window, frame by frame."""
+    v1 = [[XX[0]] * cc.num_nets for _ in range(num_frames)]
+    v0 = [[XX[1]] * cc.num_nets for _ in range(num_frames)]
+    for frame in range(num_frames):
+        r1, r0 = v1[frame], v0[frame]
+        if frame:
+            for out_idx, in_idx in zip(cc.ff_out, cc.ff_in):
+                r1[out_idx] = v1[frame - 1][in_idx]
+                r0[out_idx] = v0[frame - 1][in_idx]
+        for gate in cc.gates:
+            r1[gate.out], r0[gate.out] = _eval_ints(
+                gate.code, gate.fanin, r1, r0, MASK2
+            )
+    return v1, v0
+
+
+def _baseline(cc: CompiledCircuit, num_frames: int) -> Rows:
+    """The :func:`_init_sweep` rows of ``cc``, cached on it; callers copy."""
+    cache: Dict[int, Rows] = vars(cc).setdefault(_BASELINE_ATTR, {})
+    if num_frames not in cache:
+        cache[num_frames] = _init_sweep(cc, num_frames)
+    return cache[num_frames]
+
+
 class UnrolledModel:
     """Nine-valued good/faulty simulation over an unrolled frame window.
 
@@ -92,13 +124,23 @@ class UnrolledModel:
                     self._pin_gate = cc.gate_of[cc.index[fault.gate]]
                     self._pin = fault.pin
 
-        n = cc.num_nets
-        self.v1: List[List[int]] = [[XX[0]] * n for _ in range(num_frames)]
-        self.v0: List[List[int]] = [[XX[1]] * n for _ in range(num_frames)]
+        base1, base0 = _baseline(cc, num_frames)
+        self.v1: List[List[int]] = [list(row) for row in base1]
+        self.v0: List[List[int]] = [list(row) for row in base0]
         self._pending: List[List[Set[int]]] = [
             [set() for _ in range(cc.num_levels + 1)] for _ in range(num_frames)
         ]
-        self._init_sweep()
+        if fault is not None:
+            # the injection becomes events on the fault-free baseline, so
+            # only the site's cone is re-evaluated (DFF branches: _latch)
+            for frame in range(self._inject_from, num_frames):
+                if self._stem_idx is not None:
+                    site = self._stem_idx
+                    self._write(frame, site, self.value(frame, site), [])
+                elif self._pin_gate is not None:
+                    level = cc.gates[self._pin_gate].level
+                    self._pending[frame][level].add(self._pin_gate)
+            self._settle(0, [])
 
     # ------------------------------------------------------------------
     # value access
@@ -134,11 +176,13 @@ class UnrolledModel:
     # assignment / propagation / undo
     # ------------------------------------------------------------------
     def assign(self, frame: int, idx: int, scalar: int) -> List[UndoRecord]:
-        """Assign a 0/1 value to a leaf and propagate; returns the undo log.
+        """Assign 0, 1 or X to a leaf and propagate; returns the undo log.
 
-        Leaf values are identical in the good and faulty circuits (inputs
-        are never faulted differently; a stuck PI is handled by the
-        injection masking below).
+        Assigning X releases the leaf: every net then holds the value it
+        would have had if the leaf had never been assigned, whatever order
+        leaves were assigned in.  Leaf values are identical in the good
+        and faulty circuits (inputs are never faulted differently; a stuck
+        PI is handled by the injection masking below).
         """
         if not self.is_leaf(frame, idx):
             raise ValueError(
@@ -207,33 +251,6 @@ class UnrolledModel:
             if ff_pos == self._ff_pos and frame + 1 >= self._inject_from:
                 val = _stuck_mask(val, self._stuck)
             self._write(frame + 1, out_idx, val, undo)
-
-    def _init_sweep(self) -> None:
-        """Full initial evaluation (applies injections to the all-X state)."""
-        cc = self.cc
-        scratch: List[UndoRecord] = []  # discarded: this *is* the baseline
-        for frame in range(self.num_frames):
-            active = frame >= self._inject_from
-            if (
-                active
-                and self._stem_idx is not None
-                and cc.is_source(self._stem_idx)
-            ):
-                p1, p0 = _stuck_mask(self.value(frame, self._stem_idx), self._stuck)
-                self.v1[frame][self._stem_idx] = p1
-                self.v0[frame][self._stem_idx] = p0
-            for pos, gate in enumerate(cc.gates):
-                vals = self.effective_inputs(frame, pos)
-                out = eval_packed(gate.gtype, vals, MASK2)
-                if self._stem_idx == gate.out and active:
-                    out = _stuck_mask(out, self._stuck)
-                self.v1[frame][gate.out] = out[0]
-                self.v0[frame][gate.out] = out[1]
-            if frame + 1 < self.num_frames:
-                self._latch(frame, scratch)
-        for frame_buckets in self._pending:
-            for bucket in frame_buckets:
-                bucket.clear()
 
     # ------------------------------------------------------------------
     # ATPG queries

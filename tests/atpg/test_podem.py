@@ -1,8 +1,10 @@
 """Tests for the PODEM search engine (DETECT and JUSTIFY modes)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.atpg.podem import Limits, PodemEngine, SearchStatus
+from repro.atpg.unrolled import UnrolledModel
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.circuits import (
@@ -13,14 +15,105 @@ from repro.circuits import (
     untestable_stem,
 )
 from repro.faults.collapse import collapse_faults
-from repro.faults.model import Fault
+from repro.faults.model import Fault, full_fault_list
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, pack_const, unpack
 from repro.simulation.fault_sim import FaultSimulator
 
+from ..conftest import random_circuits
+
 
 def limits(backtracks=10_000):
     return Limits(max_backtracks=backtracks)
+
+
+def reference_minimize(engine, targets, vectors, required):
+    """Greedy requirement minimisation, rebuilding the model per trial."""
+    cc = engine.cc
+    d_inputs = [
+        (cc.ff_in[cc.ff_out.index(cc.index[name])], value)
+        for name, value in (targets or {}).items()
+    ]
+
+    def goal_with(state):
+        model = UnrolledModel(cc, engine.fault, engine.model.num_frames)
+        for frame, vec in enumerate(vectors):
+            for pin, idx in enumerate(cc.pi):
+                if vec[pin] != X and model.good(frame, idx) == X:
+                    model.assign(frame, idx, vec[pin])
+        for name, value in state.items():
+            idx = cc.index[name]
+            if model.good(0, idx) == X:
+                model.assign(0, idx, value)
+        if engine.fault is not None:
+            return model.detected_at(engine.observe_ppo) is not None
+        return all(model.good(0, d) == v for d, v in d_inputs)
+
+    kept = dict(required)
+    for name in list(required):
+        trial = {k: v for k, v in kept.items() if k != name}
+        if goal_with(trial):
+            kept = trial
+    return kept
+
+
+def check_minimisation(engine, targets=None, count=3, backtracks=10_000):
+    """Pin each solution's requirement to the reference; return the count.
+
+    After every solution the engine's scratch model must be all-X again,
+    equal to a freshly built model.
+    """
+    seen = 0
+    for sol in engine.solutions(limits(backtracks)):
+        # the search model still holds the solution while it is yielded
+        raw = engine.model.required_state()
+        expected = reference_minimize(engine, targets, sol.vectors, raw)
+        assert list(sol.required_state.items()) == list(expected.items())
+        if engine._scratch is not None:
+            fresh = UnrolledModel(engine.cc, engine.fault, engine.model.num_frames)
+            assert engine._scratch.v1 == fresh.v1
+            assert engine._scratch.v0 == fresh.v0
+        seen += 1
+        if seen >= count:
+            break
+    return seen
+
+
+class TestRequirementMinimisation:
+    def test_first_solutions_of_every_s27_fault(self):
+        cc = compile_circuit(s27())
+        minimised = 0
+        for fault in collapse_faults(s27()):
+            for frames in (1, 2, 3):
+                engine = PodemEngine(cc, fault=fault, num_frames=frames)
+                check_minimisation(engine)
+                minimised += engine._scratch is not None
+        assert minimised  # the minimiser really ran
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_detect_mode_matches_rebuild_reference(self, data):
+        circuit = data.draw(random_circuits())
+        cc = compile_circuit(circuit)
+        model_name = data.draw(st.sampled_from(["stuck_at", "transition"]))
+        fault = data.draw(st.sampled_from(full_fault_list(circuit, model_name)))
+        engine = PodemEngine(
+            cc, fault=fault, num_frames=data.draw(st.integers(1, 3)),
+            observe_ppo=data.draw(st.booleans()),
+        )
+        check_minimisation(engine, count=4, backtracks=200)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_justify_mode_matches_rebuild_reference(self, data):
+        circuit = data.draw(random_circuits(max_ff=4).filter(lambda c: c.flops))
+        cc = compile_circuit(circuit)
+        names = data.draw(
+            st.lists(st.sampled_from(circuit.flops), min_size=1, unique=True)
+        )
+        targets = {name: data.draw(st.integers(0, 1)) for name in names}
+        engine = PodemEngine(cc, targets=targets)
+        check_minimisation(engine, targets, count=4, backtracks=200)
 
 
 class TestDetectMode:

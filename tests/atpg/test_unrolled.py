@@ -3,16 +3,75 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atpg.unrolled import UnrolledModel
-from repro.atpg.values import D, DBAR, XX, good_of, is_d, make9
+from repro.atpg.unrolled import (
+    _BASELINE_ATTR,
+    UnrolledModel,
+    _baseline,
+    _stuck_mask,
+)
+from repro.atpg.values import D, DBAR, MASK2, XX, faulty_of, good_of, is_d, make9
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.circuits import s27, two_stage_pipeline
-from repro.faults.model import Fault
+from repro.faults.model import Fault, full_fault_list
 from repro.simulation.compiled import compile_circuit
-from repro.simulation.encoding import X
+from repro.simulation.encoding import X, eval_packed, pack_const, unpack
+from repro.simulation.fault_sim import injection_for
+from repro.simulation.logic_sim import FrameSimulator
 
 from ..conftest import random_circuits
+
+MODELS = ("stuck_at", "transition")
+
+
+def full_sweep(cc, fault, num_frames):
+    """Reference construction: one full injected sweep of every frame.
+
+    This is how models were built before the fault-free baseline was
+    cached; a fresh model must hold exactly these rows.
+    """
+    model = UnrolledModel(cc, fault, num_frames)  # for the injection handles
+    model.v1 = [[XX[0]] * cc.num_nets for _ in range(num_frames)]
+    model.v0 = [[XX[1]] * cc.num_nets for _ in range(num_frames)]
+    stem = model._stem_idx
+    for frame in range(num_frames):
+        active = frame >= model._inject_from
+        if active and stem is not None and cc.is_source(stem):
+            p1, p0 = _stuck_mask(model.value(frame, stem), model._stuck)
+            model.v1[frame][stem] = p1
+            model.v0[frame][stem] = p0
+        for pos, gate in enumerate(cc.gates):
+            out = eval_packed(gate.gtype, model.effective_inputs(frame, pos), MASK2)
+            if stem == gate.out and active:
+                out = _stuck_mask(out, model._stuck)
+            model.v1[frame][gate.out], model.v0[frame][gate.out] = out
+        if frame + 1 < num_frames:
+            model._latch(frame, [])
+    return model.v1, model.v0
+
+
+def injection_kind(circuit, fault):
+    if not fault.is_branch:
+        if fault.net in circuit.inputs:
+            return "pi stem"
+        if fault.net in circuit.flops:
+            return "ff-output stem"
+        return "gate-output stem"
+    if circuit.gates[fault.gate].gtype is GateType.DFF:
+        return "dff branch"
+    return "gate-pin branch"
+
+
+def const_circuit():
+    """A constant feeding a flip-flop: the all-X baseline is not all X."""
+    c = Circuit("const")
+    c.add_input("a")
+    c.add_gate("zero", GateType.CONST0, [])
+    c.add_gate("q", GateType.DFF, ["zero"])
+    c.add_gate("y", GateType.BUF, ["q"])
+    c.add_gate("k", GateType.AND, ["a", "y"])
+    c.add_output("k")
+    return c
 
 
 class TestBasics:
@@ -167,3 +226,147 @@ class TestQueries:
         vectors = model.extract_vectors(1)
         assert vectors[0][0] == 1 and vectors[1][3] == 0
         assert vectors[0][1] == X
+
+
+class TestBaselineConstruction:
+    """A model copies the cached fault-free rows and settles its injection."""
+
+    def check_all_faults(self, circuit, frames_range=range(1, 5)):
+        cc = compile_circuit(circuit)
+        kinds = set()
+        for model in MODELS:
+            for fault in full_fault_list(circuit, model):
+                kinds.add(injection_kind(circuit, fault))
+                for frames in frames_range:
+                    built = UnrolledModel(cc, fault, frames)
+                    assert (built.v1, built.v0) == full_sweep(cc, fault, frames), (
+                        f"{fault} at {frames} frames"
+                    )
+        for frames in frames_range:
+            built = UnrolledModel(cc, None, frames)
+            assert (built.v1, built.v0) == full_sweep(cc, None, frames)
+        return kinds
+
+    def test_every_s27_fault_matches_full_sweep(self):
+        kinds = self.check_all_faults(s27())
+        assert kinds == {
+            "pi stem", "ff-output stem", "gate-output stem",
+            "gate-pin branch", "dff branch",
+        }
+
+    def test_constant_circuit_matches_full_sweep(self):
+        self.check_all_faults(const_circuit())
+
+    @settings(max_examples=25, deadline=None)
+    @given(circuit=random_circuits(max_pi=3, max_ff=3, max_gates=8))
+    def test_random_circuit_faults_match_full_sweep(self, circuit):
+        self.check_all_faults(circuit)
+
+    def test_cache_is_keyed_per_circuit_and_window(self):
+        first, second = compile_circuit(s27()), compile_circuit(const_circuit())
+        for frames in (1, 3):
+            UnrolledModel(first, None, frames)
+        UnrolledModel(second, Fault("a", 0), 2)
+        assert sorted(getattr(first, _BASELINE_ATTR)) == [1, 3]
+        assert sorted(getattr(second, _BASELINE_ATTR)) == [2]
+        assert _baseline(first, 3) is _baseline(first, 3)
+        # a constant latches in frame 1: the rows really differ per window
+        q = second.index["q"]
+        rows1, rows0 = _baseline(second, 2)
+        assert good_of((rows1[0][q], rows0[0][q])) == X
+        assert good_of((rows1[1][q], rows0[1][q])) == 0
+
+    def test_cache_survives_models_being_used(self):
+        circuit = s27()
+        cc = compile_circuit(circuit)
+        frames = 3
+        fresh = full_sweep(cc, None, frames)
+        leaves = [(f, i) for f in range(frames) for i in cc.pi]
+        leaves += [(0, i) for i in cc.ff_out]
+        for n, fault in enumerate([None] + full_fault_list(circuit)[:20]):
+            model = UnrolledModel(cc, fault, frames)
+            undos = [
+                model.assign(f, i, (n + k) % 2)
+                for k, (f, i) in enumerate(leaves[n % 3::2])
+            ]
+            model.assign(*leaves[0], X)
+            for undo in reversed(undos[: len(undos) // 2]):
+                model.unassign(undo)
+        assert _baseline(cc, frames) == fresh
+
+
+def simulate(cc, injections, state, vectors):
+    """Per-frame scalar value of every net, from the event simulator."""
+    sim = FrameSimulator(cc, width=1, injections=injections)
+    sim.set_state([pack_const(v, 1) for v in state])
+    rows = []
+    for vec in vectors:
+        sim.apply_inputs([pack_const(v, 1) for v in vec])
+        sim.settle()
+        rows.append([unpack((sim.v1[i], sim.v0[i]), 1)[0] for i in range(cc.num_nets)])
+        sim.clock()
+    return rows
+
+
+class TestAgainstEventSimulator:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_full_assignment_matches_frame_simulator(self, data):
+        circuit = data.draw(random_circuits())
+        cc = compile_circuit(circuit)
+        frames = data.draw(st.integers(1, 3))
+        model_name = data.draw(st.sampled_from(MODELS))
+        fault = data.draw(st.sampled_from(full_fault_list(circuit, model_name)))
+        bits = st.integers(0, 1)
+        vectors = [[data.draw(bits) for _ in cc.pi] for _ in range(frames)]
+        state = [data.draw(bits) for _ in cc.ff_out]
+
+        model = UnrolledModel(cc, fault, frames)
+        for frame, vec in enumerate(vectors):
+            for idx, v in zip(cc.pi, vec):
+                model.assign(frame, idx, v)
+        for idx, v in zip(cc.ff_out, state):
+            model.assign(0, idx, v)
+
+        nets = range(cc.num_nets)
+        good = simulate(cc, [], state, vectors)
+        faulty_plane = [
+            [faulty_of(model.value(f, i)) for i in nets] for f in range(frames)
+        ]
+        for frame in range(frames):
+            assert [model.good(frame, i) for i in nets] == good[frame]
+        if model_name == "stuck_at":
+            assert faulty_plane == simulate(
+                cc, [injection_for(cc, fault, 1)], state, vectors
+            )
+        else:
+            # the launch frame is 1: frame 0 carries no fault effect
+            assert faulty_plane[0] == good[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_assignment_order_and_releases_do_not_matter(self, data):
+        """Shuffled assigns, and extra leaves released to X, change nothing."""
+        circuit = data.draw(random_circuits())
+        cc = compile_circuit(circuit)
+        frames = data.draw(st.integers(1, 3))
+        model_name = data.draw(st.sampled_from(MODELS))
+        fault = data.draw(
+            st.none() | st.sampled_from(full_fault_list(circuit, model_name))
+        )
+        leaves = [(f, i) for f in range(frames) for i in cc.pi]
+        leaves += [(0, i) for i in cc.ff_out]
+        values = {leaf: data.draw(st.integers(0, 1)) for leaf in leaves}
+        keep = [leaf for leaf in leaves if data.draw(st.booleans())]
+        extra = [leaf for leaf in leaves if leaf not in keep and data.draw(st.booleans())]
+
+        reference = UnrolledModel(cc, fault, frames)
+        for leaf in keep:
+            reference.assign(*leaf, values[leaf])
+        model = UnrolledModel(cc, fault, frames)
+        for leaf in data.draw(st.permutations(keep + extra)):
+            model.assign(*leaf, values[leaf])
+        for leaf in data.draw(st.permutations(extra)):
+            model.assign(*leaf, X)
+        assert model.v1 == reference.v1
+        assert model.v0 == reference.v0
