@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.atpg.context import AtpgContext
 from repro.circuits import iscas89
 from repro.ga import GAJustifyParams, GAStateJustifier
 
@@ -33,9 +34,10 @@ CIRCUITS = ["s298", "s344"]
 
 def run_weighting(circuit, tasks, weights, seq_len) -> int:
     good_w, faulty_w = weights
+    ctx = AtpgContext(circuit)
     successes = 0
     for seed in SEEDS:
-        justifier = GAStateJustifier(circuit, rng=random.Random(seed))
+        justifier = GAStateJustifier(ctx, rng=random.Random(seed))
         for task in tasks:
             params = GAJustifyParams(
                 seq_len=seq_len,

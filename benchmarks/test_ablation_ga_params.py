@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.atpg.context import AtpgContext
 from repro.circuits import iscas89
 from repro.ga import GAJustifyParams, GAStateJustifier
 
@@ -43,6 +44,7 @@ def test_ga_parameter_escalation(benchmark, name):
     circuit = iscas89(name)
     tasks = harvest_tasks(circuit, max_tasks=25)
     assert tasks
+    ctx = AtpgContext(circuit)
     configs = configurations(circuit.sequential_depth)
     results = {}
 
@@ -50,7 +52,7 @@ def test_ga_parameter_escalation(benchmark, name):
         for label, params in configs.items():
             wins = 0
             for seed in SEEDS:
-                justifier = GAStateJustifier(circuit, rng=random.Random(seed))
+                justifier = GAStateJustifier(ctx, rng=random.Random(seed))
                 for task in tasks:
                     res = justifier.justify(
                         task.required_dict, params, fault=task.fault

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.atpg.context import AtpgContext
 from repro.atpg.hitec import FlowCounters, SequentialTestGenerator
 from repro.atpg.podem import Limits
 from repro.circuits import iscas89
@@ -30,7 +31,7 @@ def trace_flow(name: str, max_faults: int = 80) -> FlowCounters:
     cc = compile_circuit(circuit)
     gen = SequentialTestGenerator(cc, max_frames=8)
     justifier_rng = random.Random(0)
-    ga = GAStateJustifier(cc, rng=justifier_rng)
+    ga = GAStateJustifier(AtpgContext(cc), rng=justifier_rng)
     params = GAJustifyParams(seq_len=4 * circuit.sequential_depth or 8,
                              population_size=64, generations=4)
 

@@ -16,6 +16,7 @@ import random
 import time
 
 from repro import Limits, justify_state
+from repro.atpg.context import AtpgContext
 from repro.circuits import counter
 from repro.ga import GAJustifyParams, GAStateJustifier
 from repro.simulation import FrameSimulator, compile_circuit, pack_const, unpack
@@ -34,6 +35,7 @@ def main() -> None:
     width = 4
     circuit = counter(width)
     cc = compile_circuit(circuit)
+    ctx = AtpgContext(cc)
     print(f"Circuit: {width}-bit clearable counter {circuit.stats()}\n")
 
     for target in (3, 9, 13):
@@ -41,7 +43,7 @@ def main() -> None:
         print(f"Target state: count = {target}  ({required})")
 
         t0 = time.perf_counter()
-        ga = GAStateJustifier(circuit, rng=random.Random(0))
+        ga = GAStateJustifier(ctx, rng=random.Random(0))
         ga_res = ga.justify(
             required,
             GAJustifyParams(seq_len=2 * target + 4, population_size=64,

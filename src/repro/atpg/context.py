@@ -60,8 +60,9 @@ class AtpgContext:
             omitted).
         constraints: environment input constraints (``None`` or a trivial
             constraint set both normalise to unconstrained).
-        backend: simulation backend for every simulator the context
-            builds (``None`` defers to ``REPRO_SIM_BACKEND``).
+        backend: simulation backend for every simulator built on the
+            context (``None`` defers to ``REPRO_SIM_BACKEND``, then to
+            ``event``, except GA fitness, which defaults to ``codegen``).
         telemetry: shared metrics recorder (defaults to the no-op).
         clock: injectable wall-clock source for every deadline derived
             from this context.

@@ -501,7 +501,8 @@ def _add_sim_options(p: argparse.ArgumentParser) -> None:
     """Simulation-backend options shared by the simulating commands."""
     p.add_argument("--backend", metavar="NAME", default=None,
                    help="simulation backend, 'event' or 'codegen' (default: "
-                        "$REPRO_SIM_BACKEND or 'event'; 'codegen' compiles "
+                        "$REPRO_SIM_BACKEND, else 'event' for fault grading "
+                        "and 'codegen' for GA fitness; 'codegen' compiles "
                         "per-circuit kernels)")
     p.add_argument("--kernel-cache", metavar="DIR", default=None,
                    help="persist compiled kernels under DIR so warm "
@@ -638,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the HITEC baseline instead of GA-HITEC")
     cp.add_argument("--backend", metavar="NAME", default=None,
                     help="simulation backend, 'event' or 'codegen' "
-                         "(default: $REPRO_SIM_BACKEND or 'event')")
+                         "(default: $REPRO_SIM_BACKEND, else 'event' for "
+                         "fault grading and 'codegen' for GA fitness)")
     cp.add_argument("--kernel-cache", metavar="DIR", default=None,
                     help="persist compiled kernels under DIR (workers "
                          "inherit it via $REPRO_KERNEL_CACHE)")

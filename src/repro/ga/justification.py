@@ -26,17 +26,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..atpg.constraints import InputConstraints, UNCONSTRAINED
 from ..atpg.context import AtpgContext
 from ..atpg.justify import JustifyResult, JustifyStatus
-from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..knowledge import StateKnowledge
-from ..simulation.compiled import CompiledCircuit, compile_circuit
-from ..simulation.encoding import X, full_mask, pack, pack_const
+from ..simulation.encoding import X, PackedValue, full_mask, pack_const
 from ..simulation.fault_sim import injection_for
-from ..simulation.logic_sim import make_simulator, resolve_backend
-from ..telemetry import NULL_RECORDER, Recorder
+from ..simulation.logic_sim import FrameSimulator, make_simulator, resolve_backend
 from .engine import GAParams, GeneticAlgorithm
 
 #: Fitness weights for the good and faulty circuit goals (paper: 9/10, 1/10).
@@ -69,16 +65,13 @@ class GAStateJustifier:
     """Evolves input sequences that drive the circuit into a required state.
 
     Args:
-        circuit: an :class:`~repro.atpg.context.AtpgContext`, or (legacy
-            shim) a circuit / compiled form plus the keyword arguments
-            below, which are folded into a private context.
+        ctx: the shared per-circuit state: compiled circuit, input
+            constraints, telemetry and the optional knowledge store.  Its
+            ``backend`` picks the fitness simulators; ``None`` defers to
+            ``REPRO_SIM_BACKEND``, then to ``codegen``.  Fitness reruns one
+            injection shape for every batch of an attempt, so one compiled
+            kernel pair serves them all; fault grading keeps ``event``.
         rng: random source shared across attempts (seed for reproducibility).
-        constraints: environment input constraints applied by construction
-            (legacy shim; lives on the context).
-        backend: frame-simulator backend for fitness evaluation (``"event"``
-            or ``"codegen"``); ``None`` defers to ``REPRO_SIM_BACKEND``
-            (legacy shim; lives on the context).
-        telemetry: metrics recorder (legacy shim; lives on the context).
 
     When the context carries a :class:`~repro.knowledge.StateKnowledge`
     store, part of the initial GA population is seeded from its pool of
@@ -86,27 +79,15 @@ class GAStateJustifier:
     successful all-X-start justifications are recorded back.
     """
 
-    def __init__(
-        self,
-        circuit: "Circuit | CompiledCircuit | AtpgContext",
-        rng: Optional[random.Random] = None,
-        constraints: Optional[InputConstraints] = None,
-        backend: Optional[str] = None,
-        telemetry: Optional[Recorder] = None,
-    ):
-        self.ctx = AtpgContext.ensure(
-            circuit,
-            constraints=constraints,
-            backend=backend,
-            telemetry=telemetry,
-        )
-        self.cc = self.ctx.cc
+    def __init__(self, ctx: AtpgContext, rng: Optional[random.Random] = None):
+        self.ctx = ctx
+        self.cc = ctx.cc
         self.rng = rng or random.Random()
-        self.telemetry = self.ctx.telemetry
-        self.backend = resolve_backend(self.ctx.backend)
+        self.telemetry = ctx.telemetry
+        self.backend = resolve_backend(ctx.backend, default="codegen")
         self.n_pi = len(self.cc.pi)
         self.n_ff = len(self.cc.ff_out)
-        self.constraints = self.ctx.constraints
+        self.constraints = ctx.constraints
         # pin categories for constrained sequence decoding
         name_of = {i: self.cc.net_names[idx] for i, idx in enumerate(self.cc.pi)}
         self._fixed_pins: Dict[int, int] = {
@@ -284,7 +265,11 @@ class GAStateJustifier:
 
 
 class _SequenceEvaluator:
-    """Bit-parallel fitness evaluation of one population."""
+    """Bit-parallel fitness evaluation of one population.
+
+    One good/faulty simulator pair per batch width serves every batch of
+    the attempt; each batch resets it to the attempt's start states.
+    """
 
     def __init__(
         self,
@@ -307,6 +292,7 @@ class _SequenceEvaluator:
         self.req_faulty = [X] * justifier.n_ff
         for name, val in required_faulty.items():
             self.req_faulty[cc.ff_out.index(cc.index[name])] = val
+        self._sims: Dict[int, Tuple[FrameSimulator, FrameSimulator]] = {}
 
     def evaluate(
         self, genomes: Sequence[int]
@@ -324,76 +310,97 @@ class _SequenceEvaluator:
         return fitnesses, None
 
     # ------------------------------------------------------------------
+    def _simulators(self, w: int) -> Tuple[FrameSimulator, FrameSimulator]:
+        """The width-``w`` good/faulty pair, at the attempt's start states."""
+        sims = self._sims.get(w)
+        if sims is None:
+            j = self.j
+            injections = (
+                [injection_for(j.cc, self.fault, full_mask(w))] if self.fault else []
+            )
+            sims = (
+                make_simulator(j.cc, width=w, backend=j.backend),
+                make_simulator(j.cc, width=w, injections=injections,
+                               backend=j.backend),
+            )
+            self._sims[w] = sims
+        else:
+            for sim in sims:
+                sim.reset()
+        # the faulty circuit starts all-unknown (paper, Section IV-A)
+        sims[0].set_state([pack_const(v, w) for v in self.start_good])
+        return sims
+
     def _evaluate_batch(
         self, batch: Sequence[int]
     ) -> Tuple[List[float], Optional[List[List[int]]]]:
         j = self.j
-        cc = j.cc
         w = len(batch)
         mask = full_mask(w)
-        good_sim = make_simulator(cc, width=w, backend=j.backend)
-        good_sim.set_state([pack_const(v, w) for v in self.start_good])
-        injections = (
-            [injection_for(cc, self.fault, mask)] if self.fault else []
-        )
-        faulty_sim = make_simulator(cc, width=w, injections=injections,
-                                    backend=j.backend)
-        # faulty circuit starts all-unknown (paper, Section IV-A)
-
+        good_sim, faulty_sim = self._simulators(w)
         seq_len = max(1, self.params.seq_len)
         n_pi = j.n_pi
-        fixed = j._fixed_pins
+        words = _transpose(batch, max(1, seq_len * n_pi))
+        fixed = {pin: pack_const(val, w) for pin, val in j._fixed_pins.items()}
         hold = j._hold_pins
         for v in range(seq_len):
-            vector = []
             base = v * n_pi
+            vector = []
             for pin in range(n_pi):
                 if pin in fixed:
-                    vector.append(pack_const(fixed[pin], w))
+                    vector.append(fixed[pin])
                     continue
-                bit = pin if pin in hold else base + pin
-                p1 = 0
-                for slot, genome in enumerate(batch):
-                    p1 |= ((genome >> bit) & 1) << slot
-                vector.append((p1, (~p1) & mask))
+                p1 = words[pin if pin in hold else base + pin]
+                vector.append((p1, ~p1 & mask))
             good_sim.step(vector)
             faulty_sim.step(vector)
-            good_match = self._match_counts(good_sim.get_state(), self.req_good, w)
-            faulty_match = self._match_counts(
-                faulty_sim.get_state(), self.req_faulty, w
-            )
-            for slot in range(w):
-                if (
-                    good_match[slot] == j.n_ff
-                    and faulty_match[slot] == j.n_ff
-                ):
-                    return (
-                        [0.0] * w,
-                        j.decode(batch[slot], seq_len, v + 1),
-                    )
-        fitnesses = [
-            self.params.good_weight * good_match[slot]
-            + self.params.faulty_weight * faulty_match[slot]
-            for slot in range(w)
-        ]
-        return fitnesses, None
+            good_state = good_sim.get_state()
+            hit = _match_mask(good_state, self.req_good, mask)
+            if hit:
+                hit = _match_mask(faulty_sim.get_state(), self.req_faulty, hit)
+                if hit:
+                    slot = (hit & -hit).bit_length() - 1
+                    return [0.0] * w, j.decode(batch[slot], seq_len, v + 1)
+        good_match = _match_counts(good_state, self.req_good, w)
+        faulty_match = _match_counts(faulty_sim.get_state(), self.req_faulty, w)
+        return [
+            self.params.good_weight * g + self.params.faulty_weight * f
+            for g, f in zip(good_match, faulty_match)
+        ], None
 
-    @staticmethod
-    def _match_counts(
-        state: Sequence[Tuple[int, int]], required: Sequence[int], w: int
-    ) -> List[int]:
-        """Per-slot count of flip-flops satisfying the requirement."""
-        counts = [0] * w
-        for (p1, p0), want in zip(state, required):
-            if want == X:
-                for slot in range(w):
-                    counts[slot] += 1
-                continue
-            if want == 1:
-                ok = p1 & ~p0
-            else:
-                ok = p0 & ~p1
-            for slot in range(w):
-                if ok & (1 << slot):
-                    counts[slot] += 1
-        return counts
+
+def _transpose(genomes: Sequence[int], n_bits: int) -> List[int]:
+    """Word ``b`` holds bit ``b`` of every genome, genome ``i`` in slot ``i``."""
+    rows = "".join(format(g, f"0{n_bits}b")[-n_bits:] for g in reversed(genomes))
+    last = n_bits - 1
+    return [int(rows[last - b :: n_bits], 2) for b in range(n_bits)]
+
+
+def _matches(value: PackedValue, want: int) -> int:
+    """Slots whose flip-flop value is exactly the wanted 0/1."""
+    p1, p0 = value
+    return p1 & ~p0 if want == 1 else p0 & ~p1
+
+
+def _match_mask(
+    state: Sequence[PackedValue], required: Sequence[int], mask: int
+) -> int:
+    """Slots of ``mask`` where every cared flip-flop matches."""
+    for value, want in zip(state, required):
+        if want != X:
+            mask &= _matches(value, want)
+    return mask
+
+
+def _match_counts(
+    state: Sequence[PackedValue], required: Sequence[int], w: int
+) -> List[int]:
+    """Per-slot count of flip-flops satisfying the requirement."""
+    rows = "".join(
+        format(_matches(value, want), f"0{w}b")
+        for value, want in zip(state, required)
+        if want != X
+    )
+    dont_care = sum(1 for want in required if want == X)
+    last = w - 1
+    return [dont_care + rows[last - slot :: w].count("1") for slot in range(w)]

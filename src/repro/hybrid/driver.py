@@ -89,7 +89,8 @@ class HybridTestGenerator:
             search, during don't-care fill, and re-checked at validation.
         backend: simulation backend for every simulator the driver builds
             (``"event"`` or ``"codegen"``); ``None`` defers to the
-            ``REPRO_SIM_BACKEND`` environment variable.
+            ``REPRO_SIM_BACKEND`` environment variable, then runs fault
+            grading on ``event`` and GA fitness on ``codegen``.
         telemetry: metrics/trace recorder shared by every component the
             driver builds; defaults to the shared no-op recorder.
         clock: wall-clock source for every deadline and duration the

@@ -59,14 +59,17 @@ def available_backends() -> List[str]:
     return sorted(_BACKENDS)
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
+def resolve_backend(
+    backend: Optional[str] = None, default: str = DEFAULT_BACKEND
+) -> str:
     """Resolve a backend choice to a registered name.
 
     ``None`` falls back to the :data:`BACKEND_ENV` environment variable,
-    then to :data:`DEFAULT_BACKEND`.  An unregistered name raises
+    then to ``default`` (:data:`DEFAULT_BACKEND` unless a caller with its
+    own default passes one).  An unregistered name raises
     :class:`ValueError`.
     """
-    name = backend or os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+    name = backend or os.environ.get(BACKEND_ENV) or default
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown simulation backend {name!r}; "

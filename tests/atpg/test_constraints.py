@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.atpg.constraints import UNCONSTRAINED, InputConstraints
+from repro.atpg.context import AtpgContext
 from repro.atpg.justify import justify_state
 from repro.atpg.podem import Limits, PodemEngine, SearchStatus
 from repro.circuits import s27
@@ -94,7 +95,8 @@ class TestGAWithConstraints:
     def test_decoded_sequences_satisfy_constraints(self):
         circuit = s27()
         cons = InputConstraints(fixed={"G3": 0}, hold={"G1"})
-        j = GAStateJustifier(circuit, rng=random.Random(0), constraints=cons)
+        j = GAStateJustifier(AtpgContext(circuit, constraints=cons),
+                             rng=random.Random(0))
         for genome in (0, 0xFFFF_FFFF, 0x1234_5678):
             vectors = j.decode(genome, seq_len=4, n_vectors=4)
             assert cons.satisfied_by(circuit, vectors)
@@ -102,7 +104,8 @@ class TestGAWithConstraints:
     def test_justification_result_satisfies_constraints(self):
         circuit = s27()
         cons = InputConstraints(hold={"G0"})
-        j = GAStateJustifier(circuit, rng=random.Random(1), constraints=cons)
+        j = GAStateJustifier(AtpgContext(circuit, constraints=cons),
+                             rng=random.Random(1))
         res = j.justify({"G5": 0}, GAJustifyParams(seq_len=6,
                                                    population_size=32))
         if res.success and res.vectors:

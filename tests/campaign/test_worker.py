@@ -13,7 +13,7 @@ def spec(**overrides):
     return CampaignSpec(**base)
 
 
-_TIME_KEYS = {"cpu_time_s", "wall_time_s", "time_s"}
+_TIME_KEYS = {"cpu_time_s", "wall_time_s", "time_s", "kernel_compile_s"}
 
 
 def _strip_times(value):

@@ -20,7 +20,7 @@ SPEC = {
 }
 
 #: Host/run-dependent report fields the equivalence check must ignore.
-VOLATILE_FIELDS = ("wall_time_s", "cpu_time_s", "jobs")
+VOLATILE_FIELDS = ("wall_time_s", "cpu_time_s", "kernel_compile_s", "jobs")
 
 
 class TestRouter:

@@ -377,6 +377,13 @@ class TestBackendRegistry:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert resolve_backend(None) == "event"
 
+    def test_resolve_caller_default(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        assert resolve_backend(None, default="codegen") == "codegen"
+        assert resolve_backend("event", default="codegen") == "event"
+        monkeypatch.setenv(BACKEND_ENV, "event")
+        assert resolve_backend(None, default="codegen") == "event"
+
     def test_resolve_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "codegen")
         assert resolve_backend(None) == "codegen"
