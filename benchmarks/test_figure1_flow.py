@@ -29,9 +29,10 @@ import random
 def trace_flow(name: str, max_faults: int = 80) -> FlowCounters:
     circuit = iscas89(name)
     cc = compile_circuit(circuit)
-    gen = SequentialTestGenerator(cc, max_frames=8)
+    ctx = AtpgContext(cc)
+    gen = SequentialTestGenerator(ctx, max_frames=8)
     justifier_rng = random.Random(0)
-    ga = GAStateJustifier(AtpgContext(cc), rng=justifier_rng)
+    ga = GAStateJustifier(ctx, rng=justifier_rng)
     params = GAJustifyParams(seq_len=4 * circuit.sequential_depth or 8,
                              population_size=64, generations=4)
 

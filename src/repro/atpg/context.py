@@ -16,9 +16,8 @@ instances.  :class:`AtpgContext` owns all of that once per circuit:
 * the telemetry recorder and the injectable wall clock;
 * the optional cross-fault :class:`~repro.knowledge.StateKnowledge` store.
 
-Engines take a context (or build one through :meth:`AtpgContext.ensure`,
-which also accepts the legacy ``circuit``/``testability`` keyword style,
-kept as thin deprecated shims).
+Engines take a context; callers holding only a circuit build one with
+``AtpgContext(circuit)``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from ..telemetry import NULL_RECORDER, Recorder
 from .constraints import InputConstraints, UNCONSTRAINED
 from .scoap import Testability, compute_testability
 
-#: Anything the legacy engine constructors accepted as "the circuit".
+#: Anything a context accepts as "the circuit".
 CircuitLike = Union[Circuit, CompiledCircuit]
 
 
@@ -101,32 +100,6 @@ class AtpgContext:
         self._testability = testability
         self._faults: Optional[List[Fault]] = None
         self._simulators: Dict[int, FaultSimulator] = {}
-
-    # -- construction helpers ------------------------------------------
-    @classmethod
-    def ensure(
-        cls,
-        circuit: "CircuitLike | AtpgContext",
-        **kwargs: object,
-    ) -> "AtpgContext":
-        """Coerce a circuit / compiled circuit / context into a context.
-
-        This is the deprecation shim behind every legacy engine
-        signature: passing an existing context returns it unchanged
-        (keyword overrides are rejected to avoid silently forking shared
-        state); anything else builds a fresh context from the legacy
-        keywords.
-        """
-        if isinstance(circuit, AtpgContext):
-            overrides = {k: v for k, v in kwargs.items() if v is not None}
-            if overrides:
-                raise ValueError(
-                    "cannot override context attributes "
-                    f"({', '.join(sorted(overrides))}) when passing an "
-                    "AtpgContext; build a new context instead"
-                )
-            return circuit
-        return cls(circuit, **kwargs)  # type: ignore[arg-type]
 
     # -- lazy shared artifacts -----------------------------------------
     @property

@@ -20,10 +20,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..circuit.netlist import Circuit
 from ..faults.model import Fault, resolve_fault_model
 from ..knowledge import StateKnowledge
-from ..simulation.compiled import CompiledCircuit
 from ..simulation.encoding import X
 from ..simulation.fault_sim import FaultSimulator
 from ..telemetry import Recorder
@@ -96,22 +94,16 @@ class SequentialTestGenerator:
     """Deterministic excitation/propagation with pluggable justification.
 
     Args:
-        circuit: an :class:`~repro.atpg.context.AtpgContext`, or (legacy
-            shim) a circuit / compiled circuit plus the keyword arguments
-            below, which are folded into a private context.
+        ctx: the shared per-circuit :class:`~repro.atpg.context.AtpgContext`
+            (compiled circuit, SCOAP measures, input constraints, backend,
+            telemetry and knowledge store).
         max_frames: largest forward propagation window to try.
         max_solutions: propagation alternatives to offer the justifier.
-        testability: shared SCOAP measures (legacy shim; lives on the
-            context).
-        constraints: environment-imposed input constraints applied to the
-            excitation/propagation vectors (legacy shim; lives on the
-            context).
         verify: confirm every candidate by fault simulation before
             reporting DETECTED (rejects the rare optimistic candidate
             whose frame-0 faulty state differs from the good state the
             justifier produced); unverified candidates count as
             justification failures and the search continues.
-        backend / telemetry: legacy shims; live on the context.
 
     When the context carries a :class:`~repro.knowledge.StateKnowledge`
     store, known-justified frame-0 states short-circuit the justifier
@@ -123,22 +115,12 @@ class SequentialTestGenerator:
 
     def __init__(
         self,
-        circuit: "Circuit | CompiledCircuit | AtpgContext",
+        ctx: AtpgContext,
         max_frames: int = 8,
         max_solutions: int = 8,
-        testability: Optional[Testability] = None,
-        constraints: Optional[InputConstraints] = None,
         verify: bool = True,
-        backend: Optional[str] = None,
-        telemetry: Optional[Recorder] = None,
     ):
-        self.ctx = AtpgContext.ensure(
-            circuit,
-            testability=testability,
-            constraints=constraints,
-            backend=backend,
-            telemetry=telemetry,
-        )
+        self.ctx = ctx
         self.cc = self.ctx.cc
         self.max_frames = max(1, max_frames)
         self.max_solutions = max(1, max_solutions)

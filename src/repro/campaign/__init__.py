@@ -10,9 +10,8 @@ computes SCOAP, collapses faults, and warms simulation kernels *before*
 forking (:mod:`~repro.campaign.warm`), so workers inherit everything
 copy-on-write — and dispatch is lease-based work stealing: small
 adaptive batches per worker, revoked and reassigned when a worker runs
-dry.  With ``knowledge_broadcast`` on, workers additionally share proven
-justification facts through a live side channel
-(:mod:`repro.knowledge.broadcast`).  Every state transition lands in an
+dry.  Every item runs with its own isolated knowledge store, so results
+do not depend on the worker count.  Every state transition lands in an
 append-only JSONL journal, so a campaign killed at any instant resumes
 to the same final test set and coverage an uninterrupted run would have
 produced.  The merge stage re-fault-simulates all accepted sequences

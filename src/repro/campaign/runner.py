@@ -253,11 +253,6 @@ class CampaignRunner:
         stem, _ = os.path.splitext(self.journal_path)
         return f"{stem}.knowledge.json"
 
-    def broadcast_dir(self) -> str:
-        """Side-channel directory: the journal's stem plus ``.bcast``."""
-        stem, _ = os.path.splitext(self.journal_path)
-        return f"{stem}.bcast"
-
     @classmethod
     def resume(
         cls, journal_path: str, workers: int = 1, **kwargs
@@ -446,9 +441,6 @@ class CampaignRunner:
         ctx = _fork_context()
         assert ctx is not None
         result_q = ctx.Queue()
-        bcast_dir: Optional[str] = None
-        if self.spec.knowledge and self.spec.knowledge_broadcast:
-            bcast_dir = self.broadcast_dir()
         handles = [_WorkerHandle(wid) for wid in range(self.workers)]
 
         def spawn(handle: _WorkerHandle) -> None:
@@ -458,8 +450,7 @@ class CampaignRunner:
             handle.proc = ctx.Process(
                 target=worker_main,
                 args=(handle.wid, handle.task_q, result_q,
-                      self.spec.to_dict(), self.heartbeat_interval,
-                      bcast_dir),
+                      self.spec.to_dict(), self.heartbeat_interval),
                 daemon=True,
             )
             handle.proc.start()

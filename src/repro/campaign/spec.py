@@ -109,15 +109,6 @@ class CampaignSpec:
             semantics; serialized only when non-default, so stuck-at
             specs keep the hash (and journal identity) they had before
             the field existed.
-        knowledge_broadcast: live cross-worker fact sharing.  When on,
-            pooled workers publish proven justified/unjustifiable states
-            to a side channel next to the journal and fold peers' facts
-            into their own stores mid-run.  Facts are sound, so results
-            stay valid — but an item's trajectory then depends on fact
-            arrival timing, so broadcast campaigns trade the strict
-            bit-equality (across worker counts and resumes) of isolated
-            stores for wall-clock speed.  Off by default; lives in the
-            spec because it affects results.
     """
 
     circuits: Tuple[str, ...]
@@ -138,7 +129,6 @@ class CampaignSpec:
     synthetic_item_seconds: Optional[float] = None
     knowledge: bool = True
     knowledge_file: Optional[str] = None
-    knowledge_broadcast: bool = False
     policy_file: Optional[str] = None
     fault_model: str = "stuck_at"
 
@@ -153,6 +143,25 @@ class CampaignSpec:
             raise CampaignError("max_attempts must be at least 1")
         if self.justify_depth < 1:
             raise CampaignError("justify_depth must be at least 1")
+        if self.width < 1:
+            raise CampaignError("width must be at least 1")
+        if self.seq_len < 0:
+            raise CampaignError("seq_len must be at least 0")
+        if self.backtracks < 0:
+            raise CampaignError("backtracks must be at least 0")
+        # None stays legal for the optional numbers: it means "no limit"
+        # (or, for synthetic_item_seconds, "run real ATPG")
+        if self.time_scale is not None and self.time_scale <= 0:
+            raise CampaignError("time_scale must be positive")
+        if self.item_timeout_s is not None and self.item_timeout_s <= 0:
+            raise CampaignError("item_timeout_s must be positive")
+        if self.fault_limit is not None and self.fault_limit < 1:
+            raise CampaignError("fault_limit must be at least 1")
+        if (
+            self.synthetic_item_seconds is not None
+            and self.synthetic_item_seconds < 0
+        ):
+            raise CampaignError("synthetic_item_seconds must be at least 0")
         try:
             resolve_fault_model(self.fault_model)
         except FaultModelError as exc:
@@ -190,10 +199,9 @@ class CampaignSpec:
         data = asdict(self)
         data["circuits"] = list(self.circuits)
         data["schema"] = SPEC_SCHEMA
-        # serialized only when on: specs that never opt in keep the hash
-        # (and journal identity) they had before the field existed
-        if not self.knowledge_broadcast:
-            del data["knowledge_broadcast"]
+        # optional fields are serialized only when set: specs that leave
+        # them at the default keep the hash (and journal identity) they
+        # had before the field existed
         if self.policy_file is None:
             del data["policy_file"]
         if self.justify_depth == 16:

@@ -36,8 +36,6 @@ from ..clock import monotonic
 from ..hybrid.driver import HybridTestGenerator
 from ..circuits.resolve import resolve_circuit
 from ..knowledge import (
-    BroadcastKnowledge,
-    KnowledgeChannel,
     KnowledgeError,
     StateKnowledge,
     load_store_for,
@@ -83,15 +81,11 @@ def _item_knowledge(
     spec: CampaignSpec,
     circuit_name: str,
     warm_circuit: Optional[warm.CircuitWarmState],
-    channel: Optional[KnowledgeChannel],
 ) -> "bool | StateKnowledge":
     """The knowledge store one item should run with.
 
-    Isolated-store semantics (the default): each item owns a private
-    store, optionally preloaded from the spec's fixed sidecar, so reruns
-    and resumes reproduce results exactly.  With broadcast on and a
-    channel available, the private store additionally publishes novel
-    facts and folds peers' — sound, but timing-dependent.
+    Each item owns a private store, optionally preloaded from the spec's
+    fixed sidecar, so reruns and resumes reproduce results exactly.
     """
     if not spec.knowledge:
         return False
@@ -107,15 +101,6 @@ def _item_knowledge(
             )
         except (OSError, KnowledgeError):
             preloaded = None  # an accelerator, never a failed item
-    if channel is not None and spec.knowledge_broadcast:
-        store = BroadcastKnowledge(
-            circuit=circuit_name,
-            fingerprint=model_fingerprint("unconstrained", spec.fault_model),
-            channel=channel,
-        )
-        if preloaded is not None:
-            store.preload(preloaded)
-        return store
     if preloaded is not None:
         return preloaded
     return True
@@ -147,13 +132,8 @@ def run_item(
     spec: CampaignSpec,
     item: WorkItem,
     clock: Optional[Callable[[], float]] = None,
-    channel: Optional[KnowledgeChannel] = None,
 ) -> ItemOutcome:
     """Execute one work item; deterministic given the item's seed.
-
-    With ``channel`` set (pooled workers under ``knowledge_broadcast``),
-    the item's store also trades facts with peers — see
-    :mod:`repro.knowledge.broadcast` for the determinism tradeoff.
 
     Raises :class:`CampaignError` when the circuit's current fault list no
     longer matches the hash recorded when the campaign was planned (code
@@ -184,7 +164,7 @@ def run_item(
             f"{item.item_id}: fault shard drifted since the campaign was "
             f"planned (hash mismatch) — start a fresh campaign"
         )
-    knowledge = _item_knowledge(spec, circuit.name, warm_circuit, channel)
+    knowledge = _item_knowledge(spec, circuit.name, warm_circuit)
     policy = _item_policy(spec, warm_circuit)
     # policy-steered items carry a real recorder so the campaign report
     # rolls up the atpg.policy.* counters (reorders, skips, deferrals);
@@ -265,7 +245,6 @@ def worker_main(
     result_q,
     spec_data: Dict[str, Any],
     heartbeat_interval: float = 0.5,
-    broadcast_dir: Optional[str] = None,
 ) -> None:
     """Worker-process entry point: serve leases until poisoned.
 
@@ -285,9 +264,6 @@ def worker_main(
     * ``("released", worker_id, None, [item_id, ...])``
     """
     spec = CampaignSpec.from_dict(spec_data)
-    channel: Optional[KnowledgeChannel] = None
-    if broadcast_dir is not None and spec.knowledge_broadcast:
-        channel = KnowledgeChannel(broadcast_dir, f"w{worker_id}")
     backlog: Deque[Tuple[WorkItem, int]] = deque()
     poisoned = False
 
@@ -318,36 +294,32 @@ def worker_main(
             # must learn which items it may (not) reassign
             result_q.put(("released", worker_id, None, released))
 
-    try:
+    while True:
+        # absorb everything the parent queued (new leases, revokes)
         while True:
-            # absorb everything the parent queued (new leases, revokes)
-            while True:
-                try:
-                    ingest(task_q.get_nowait())
-                except Empty:
-                    break
-            if poisoned and not backlog:
-                return
-            if not backlog:
-                message = task_q.get()  # idle: block for the next grant
-                ingest(message)
-                continue
-            item, attempt = backlog.popleft()
-            result_q.put(("started", worker_id, item.item_id,
-                          (attempt, os.getpid())))
-            beacon = _Heartbeat(result_q, worker_id, item.item_id,
-                                heartbeat_interval)
-            beacon.start()
             try:
-                outcome = run_item(spec, item, channel=channel)
-                result_q.put(("done", worker_id, item.item_id,
-                              outcome.to_dict()))
-            except Exception as exc:  # noqa: BLE001 — report, don't die
-                result_q.put(("failed", worker_id, item.item_id,
-                              f"{type(exc).__name__}: {exc}"))
-            finally:
-                beacon.stop()
-                beacon.join(timeout=2.0)
-    finally:
-        if channel is not None:
-            channel.close()
+                ingest(task_q.get_nowait())
+            except Empty:
+                break
+        if poisoned and not backlog:
+            return
+        if not backlog:
+            message = task_q.get()  # idle: block for the next grant
+            ingest(message)
+            continue
+        item, attempt = backlog.popleft()
+        result_q.put(("started", worker_id, item.item_id,
+                      (attempt, os.getpid())))
+        beacon = _Heartbeat(result_q, worker_id, item.item_id,
+                            heartbeat_interval)
+        beacon.start()
+        try:
+            outcome = run_item(spec, item)
+            result_q.put(("done", worker_id, item.item_id,
+                          outcome.to_dict()))
+        except Exception as exc:  # noqa: BLE001 — report, don't die
+            result_q.put(("failed", worker_id, item.item_id,
+                          f"{type(exc).__name__}: {exc}"))
+        finally:
+            beacon.stop()
+            beacon.join(timeout=2.0)

@@ -304,7 +304,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         max_attempts=args.max_attempts,
         knowledge=not args.no_knowledge,
         knowledge_file=args.knowledge_from,
-        knowledge_broadcast=args.broadcast,
         policy_file=args.policy,
         fault_model=args.fault_model,
     )
@@ -655,9 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--knowledge-from", metavar="PATH",
                     help="preload each item's knowledge store from this "
                          "repro-knowledge/v1 sidecar")
-    cp.add_argument("--broadcast", action="store_true",
-                    help="share proven facts between workers live (faster "
-                         "at >1 workers; results become timing-dependent)")
     cp.add_argument("--policy", metavar="PATH", default=None,
                     help="repro-policy/v1 artifact applied to every item "
                          "(cheap-first order + predicted pass skips; the "

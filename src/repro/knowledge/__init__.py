@@ -10,17 +10,13 @@ Public surface:
 * :func:`~repro.knowledge.persist.save_knowledge` /
   :func:`~repro.knowledge.persist.load_knowledge` /
   :func:`~repro.knowledge.persist.load_store_for` — versioned
-  ``repro-knowledge/v1`` sidecar persistence;
-* :class:`~repro.knowledge.broadcast.KnowledgeChannel` /
-  :class:`~repro.knowledge.broadcast.BroadcastKnowledge` — the opt-in
-  live side channel campaign workers use to share proven facts mid-run.
+  ``repro-knowledge/v1`` sidecar persistence.
 
 See ``docs/KNOWLEDGE.md`` for the store semantics, the persistence
 format, the merge rules, and the soundness argument behind pruning on
 proven-unjustifiable states.
 """
 
-from .broadcast import BroadcastKnowledge, KnowledgeChannel
 from .persist import load_knowledge, load_store_for, save_knowledge
 from .store import (
     KNOWLEDGE_SCHEMA,
@@ -33,8 +29,6 @@ from .store import (
 
 __all__ = [
     "KNOWLEDGE_SCHEMA",
-    "BroadcastKnowledge",
-    "KnowledgeChannel",
     "KnowledgeError",
     "StateKnowledge",
     "constraints_fingerprint",

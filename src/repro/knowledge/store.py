@@ -127,8 +127,6 @@ class StateKnowledge:
             "records": 0,
             "podem_pruned": 0,
             "ga_seeded": 0,
-            "broadcast_published": 0,
-            "broadcast_folded": 0,
         }
 
     # -- queries -------------------------------------------------------
@@ -199,8 +197,7 @@ class StateKnowledge:
         """Record a sequence proven to justify ``required`` from all-X.
 
         Returns True when the store changed (a new fact, or a shorter
-        sequence for a known one) — broadcast wrappers key off this to
-        publish only novel facts.
+        sequence for a known one).
         """
         if not required:
             return False

@@ -1,6 +1,4 @@
-"""AtpgContext: shared per-circuit state, built once, coerced anywhere."""
-
-import pytest
+"""AtpgContext: shared per-circuit state, built once, shared by engines."""
 
 from repro.atpg.constraints import InputConstraints
 from repro.atpg.context import AtpgContext
@@ -20,17 +18,6 @@ class TestConstruction:
         cc = compile_circuit(s27())
         ctx = AtpgContext(cc)
         assert ctx.cc is cc
-
-    def test_ensure_passes_context_through(self):
-        ctx = AtpgContext(s27())
-        assert AtpgContext.ensure(ctx) is ctx
-        # None overrides are the legacy defaults: harmless
-        assert AtpgContext.ensure(ctx, testability=None) is ctx
-
-    def test_ensure_rejects_real_overrides_on_a_context(self):
-        ctx = AtpgContext(s27())
-        with pytest.raises(ValueError, match="cannot override"):
-            AtpgContext.ensure(ctx, seed=7)
 
 
 class TestSharedArtifacts:
@@ -83,8 +70,3 @@ class TestEngineSharing:
         assert seqgen.ctx is ctx
         assert ga.ctx is ctx
         assert seqgen.meas is ctx.testability
-
-    def test_legacy_circuit_argument_still_works(self):
-        seqgen = SequentialTestGenerator(s27())
-        assert isinstance(seqgen.ctx, AtpgContext)
-        assert seqgen.ctx.circuit.name == "s27"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.atpg.context import AtpgContext
 from repro.atpg.hitec import SequentialTestGenerator
 from repro.atpg.hitec import TestGenStatus as GenStatus
 from repro.atpg.justify import JustifyResult, JustifyStatus, justify_state
@@ -36,7 +37,7 @@ class TestGenerate:
     def test_all_s27_faults_detected(self):
         circuit = s27()
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=8)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=8)
         sim = FaultSimulator(cc)
         for fault in collapse_faults(circuit):
             res = gen.generate(fault, det_justifier(cc), Limits(20_000))
@@ -47,20 +48,20 @@ class TestGenerate:
 
     def test_untestable_faults_proven(self):
         cc = compile_circuit(redundant_and())
-        gen = SequentialTestGenerator(cc, max_frames=2)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=2)
         res = gen.generate(REDUNDANT_FAULT, det_justifier(cc), Limits(20_000))
         assert res.status is GenStatus.UNTESTABLE
 
         circuit, fault = untestable_stem()
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=2)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=2)
         res = gen.generate(fault, det_justifier(cc), Limits(20_000))
         assert res.status is GenStatus.UNTESTABLE
 
     def test_zero_budget_aborts(self):
         circuit = s27()
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=4)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=4)
         res = gen.generate(
             Fault("G10", 0), refusing_justifier, Limits(max_backtracks=0)
         )
@@ -69,7 +70,7 @@ class TestGenerate:
     def test_justification_prefix_recorded(self):
         circuit = two_stage_pipeline()
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=4)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=4)
         # a s-a-0 on the pipeline input: no state requirement at all
         res = gen.generate(Fault("a", 0), det_justifier(cc), Limits(20_000))
         assert res.status is GenStatus.DETECTED
@@ -78,7 +79,7 @@ class TestGenerate:
     def test_flow_counters_populated(self):
         circuit = s27()
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=8)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=8)
         total = dict(excite=0, sols=0, jcalls=0)
         for fault in collapse_faults(circuit):
             res = gen.generate(fault, det_justifier(cc), Limits(20_000))
@@ -92,7 +93,7 @@ class TestGenerate:
     def test_refusing_justifier_never_detects_state_dependent_faults(self):
         circuit = s27()
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=8)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=8)
         outcomes = set()
         for fault in collapse_faults(circuit):
             res = gen.generate(fault, refusing_justifier, Limits(5_000))

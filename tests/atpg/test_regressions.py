@@ -6,6 +6,7 @@ the fix can never silently regress.
 
 import pytest
 
+from repro.atpg.context import AtpgContext
 from repro.atpg.hitec import SequentialTestGenerator
 from repro.atpg.hitec import TestGenStatus as GenStatus
 from repro.atpg.justify import JustifyStatus, justify_state
@@ -46,7 +47,7 @@ class TestRequirementMinimisation:
     def test_faults_on_the_loop_are_detected(self):
         circuit = and_loop_circuit()
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=6)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=6)
         sim = FaultSimulator(cc)
 
         def justifier(required):

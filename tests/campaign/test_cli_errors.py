@@ -110,6 +110,23 @@ class TestRunErrors:
         assert_clean_failure(code, err)
         assert "resume" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fault-limit", "0", "fault_limit must be at least 1"),
+        ("--time-scale", "-1", "time_scale must be positive"),
+        ("--item-timeout", "0", "item_timeout_s must be positive"),
+        ("--backtracks", "-1", "backtracks must be at least 0"),
+        ("--seq-len", "-3", "seq_len must be at least 0"),
+    ])
+    def test_out_of_range_number(self, tmp_path, capsys, flag, value,
+                                 message):
+        code, _, err = run(capsys, [
+            "campaign", "run", "s27", flag, value,
+            "--journal", str(tmp_path / "j.jsonl"),
+        ])
+        assert_clean_failure(code, err)
+        assert message in err
+        assert not (tmp_path / "j.jsonl").exists()
+
     def test_unwritable_journal_path(self, tmp_path, capsys):
         code, _, err = run(capsys, [
             "campaign", "run", "s27",
@@ -184,3 +201,53 @@ class TestBackendErrors:
         ])
         assert_clean_failure(code, err)
         assert repr(REMOVED) in err
+
+
+class TestRemovedBroadcast:
+    """The live knowledge-broadcast knob was deleted, not aliased: old
+    command lines, spec files and journal headers naming it fail with one
+    line before any work."""
+
+    def test_flag_is_unrecognized(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "campaign", "run", "s27", "--broadcast",
+                "--journal", str(tmp_path / "j.jsonl"),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --broadcast" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "j.jsonl").exists()
+
+    def test_campaign_run_spec(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        data = CampaignSpec(circuits=("s27",)).to_dict()
+        data["knowledge_broadcast"] = True
+        spec_file.write_text(json.dumps(data))
+        code, _, err = run(capsys, [
+            "campaign", "run", "--spec", str(spec_file),
+            "--journal", str(tmp_path / "j.jsonl"),
+        ])
+        assert_clean_failure(code, err)
+        assert "unknown spec keys: knowledge_broadcast" in err
+        assert not (tmp_path / "j.jsonl").exists()
+
+    def test_campaign_resume_old_journal(self, tmp_path, capsys):
+        journal = tmp_path / "j.jsonl"
+        assert main([
+            "campaign", "run", "s27", "--shard-size", "8", "--passes", "1",
+            "--fault-limit", "4", "--journal", str(journal),
+        ]) == 0
+        capsys.readouterr()
+        # rewrite the header as a journal written with broadcast on
+        lines = journal.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["spec"]["knowledge_broadcast"] = True
+        lines[0] = json.dumps(header)
+        journal.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, [
+            "campaign", "resume", "--journal", str(journal),
+        ])
+        assert_clean_failure(code, err)
+        assert "unknown spec keys: knowledge_broadcast" in err

@@ -38,6 +38,35 @@ class TestValidation:
         with pytest.raises(CampaignError, match="unknown simulation backend"):
             spec(backend=backend)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("width", 0, "width must be at least 1"),
+        ("seq_len", -3, "seq_len must be at least 0"),
+        ("backtracks", -1, "backtracks must be at least 0"),
+        ("time_scale", 0, "time_scale must be positive"),
+        ("time_scale", -1, "time_scale must be positive"),
+        ("item_timeout_s", 0, "item_timeout_s must be positive"),
+        ("fault_limit", 0, "fault_limit must be at least 1"),
+        ("synthetic_item_seconds", -0.5,
+         "synthetic_item_seconds must be at least 0"),
+    ])
+    def test_out_of_range_numbers_rejected(self, field, value, message):
+        with pytest.raises(CampaignError, match=message):
+            spec(**{field: value})
+        # the JSON path (spec files, journal headers, POST /jobs) too
+        data = spec().to_dict()
+        data[field] = value
+        with pytest.raises(CampaignError, match=message):
+            CampaignSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", 1), ("backtracks", 0), ("fault_limit", 1),
+        ("synthetic_item_seconds", 0.0),
+    ])
+    def test_boundary_values_accepted(self, field, value):
+        # None, the default of every optional number, is accepted by
+        # every other test in this file
+        assert getattr(spec(**{field: value}), field) == value
+
     def test_list_circuits_become_tuple(self):
         assert spec(circuits=["s27", "s298"]).circuits == ("s27", "s298")
 
@@ -79,6 +108,14 @@ class TestHash:
     def test_changes_with_result_affecting_fields(self):
         assert spec(seed=1).spec_hash() != spec(seed=2).spec_hash()
         assert spec(shard_size=8).spec_hash() != spec(shard_size=9).spec_hash()
+
+    def test_pinned_hash_keeps_existing_journal_identities(self):
+        # journals and service job ids are keyed by this hash: a change
+        # would orphan every existing one
+        assert (
+            CampaignSpec(circuits=("s27",), seed=3).spec_hash()
+            == "44ba01da4f6681dc"
+        )
 
     def test_default_justify_depth_not_serialized(self):
         # specs predating the field keep their hash and journal identity

@@ -101,9 +101,9 @@ class TestPoolProtocol:
 class TestWorkerCountDeterminism:
     def test_final_report_identical_across_1_2_4_workers(self, tmp_path):
         """The headline invariant the steal protocol must preserve: with
-        isolated knowledge (broadcast off, the default), scheduling is
-        invisible — workers=1/2/4 end in the same vectors, detections,
-        and coverage."""
+        one isolated knowledge store per item, scheduling is invisible —
+        workers=1/2/4 end in the same vectors, detections, and
+        coverage."""
         results = {}
         for workers in (1, 2, 4):
             journal = str(tmp_path / f"w{workers}.jsonl")

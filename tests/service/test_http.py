@@ -233,6 +233,20 @@ class TestServiceEndToEnd:
                     "POST", "/jobs", {"spec": dict(SPEC, backend="numpy")}
                 )
                 assert status == 400 and "numpy" in body["error"]
+                # a removed knob is an unknown key, not an alias
+                status, body = await svc.request(
+                    "POST", "/jobs",
+                    {"spec": dict(SPEC, knowledge_broadcast=True)},
+                )
+                assert status == 400
+                assert "unknown spec keys: knowledge_broadcast" in (
+                    body["error"]
+                )
+                status, body = await svc.request(
+                    "POST", "/jobs", {"spec": dict(SPEC, width=0)}
+                )
+                assert status == 400
+                assert "width must be at least 1" in body["error"]
                 status, _ = await svc.request(
                     "GET", "/jobs/ffff/report/diff"
                 )

@@ -236,6 +236,34 @@ class TestRecovery:
         assert manager.jobs == {}
         assert telemetry.value("service.jobs.unreadable") == 1
 
+    def test_journal_naming_removed_knob_is_skipped(self, tmp_path):
+        # a journal written with the deleted live-broadcast knob on: its
+        # spec no longer parses, so recovery skips it and the service
+        # still starts
+        spec = drill_spec()
+        header_spec = dict(spec.to_dict(), knowledge_broadcast=True)
+        with Journal(str(tmp_path / "0123456789abcdef.jsonl")) as journal:
+            journal.append({
+                "type": "campaign",
+                "schema": "repro-campaign-journal/v1",
+                "name": spec.name, "spec": header_spec,
+                "spec_hash": "0123456789abcdef", "items": 1,
+            })
+        async def scenario():
+            telemetry = TelemetryRecorder()
+            manager = JobManager(str(tmp_path), telemetry=telemetry)
+            await manager.start()
+            try:
+                assert manager.jobs == {}
+                assert telemetry.value("service.jobs.unreadable") == 1
+                job, created = manager.submit(spec)
+                assert created
+                await wait_for(job, {DONE})
+            finally:
+                await manager.stop()
+
+        asyncio.run(scenario())
+
     def test_foreign_json_in_root_is_ignored(self, tmp_path):
         (tmp_path / "notes.txt").write_text("hello")
         (tmp_path / "report.json").write_text(json.dumps({"x": 1}))

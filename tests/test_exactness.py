@@ -20,6 +20,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.atpg.context import AtpgContext
 from repro.atpg.hitec import SequentialTestGenerator
 from repro.atpg.hitec import TestGenStatus as GenStatus
 from repro.atpg.justify import justify_state
@@ -92,7 +93,7 @@ def exact_detection_depth(circuit, fault, max_depth: int = 12):
 
 def run_engine(circuit, fault):
     cc = compile_circuit(circuit)
-    gen = SequentialTestGenerator(cc, max_frames=8, max_solutions=16)
+    gen = SequentialTestGenerator(AtpgContext(cc), max_frames=8, max_solutions=16)
 
     def justifier(required):
         return justify_state(cc, required, 10, Limits(20_000))

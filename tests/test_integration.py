@@ -22,6 +22,7 @@ from repro import (
     hitec_schedule,
     justify_state,
 )
+from repro.atpg.context import AtpgContext
 from repro.circuits import gray_fsm, iscas89, two_stage_pipeline
 from repro.simulation import FaultSimulator, X, compile_circuit
 
@@ -37,7 +38,7 @@ class TestAtpgSoundness:
     def test_random_circuits_generate_valid_tests(self, data):
         circuit = data.draw(random_circuits(max_pi=3, max_ff=3, max_gates=10))
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=6)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=6)
         sim = FaultSimulator(cc)
 
         def justifier(required):
@@ -61,7 +62,7 @@ class TestAtpgSoundness:
         """Faults proven untestable must resist long random sequences."""
         circuit = data.draw(random_circuits(max_pi=3, max_ff=2, max_gates=8))
         cc = compile_circuit(circuit)
-        gen = SequentialTestGenerator(cc, max_frames=6)
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=6)
         sim = FaultSimulator(cc)
 
         def justifier(required):
