@@ -229,7 +229,7 @@ def compare_campaign(
         failures.append(
             f"drill speedup {drill:.2f}x fell below the "
             f"{min_drill_speedup:.2f}x floor — orchestration overhead "
-            "(leases, journal, heartbeats) grew"
+            "(dispatch, journal, heartbeats) grew"
         )
 
     phases = real.get("phase_seconds", {}).get("4", {})

@@ -4,7 +4,7 @@ Two measurements, both written to ``BENCH_campaign.json``:
 
 * **drill mode**: every work item is replaced by a fixed-duration
   synthetic workload (``synthetic_item_seconds``), so the numbers isolate
-  the orchestration layer — leases, heartbeats, journaling, merge — from
+  the orchestration layer — dispatch, heartbeats, journaling, merge — from
   ATPG cost *and* from how many cores the runner happens to have (the
   sleeps overlap even on one core).  A 4-worker campaign must clear 2x
   over 1 worker, always.

@@ -8,13 +8,12 @@ worker processes with per-item timeouts, heartbeats, and bounded
 retries.  The pool is warm-forked — the parent compiles circuits,
 computes SCOAP, collapses faults, and warms simulation kernels *before*
 forking (:mod:`~repro.campaign.warm`), so workers inherit everything
-copy-on-write — and dispatch is lease-based work stealing: small
-adaptive batches per worker, revoked and reassigned when a worker runs
-dry.  Every item runs with its own isolated knowledge store, so results
-do not depend on the worker count.  Every state transition lands in an
-append-only JSONL journal, so a campaign killed at any instant resumes
-to the same final test set and coverage an uninterrupted run would have
-produced.  The merge stage re-fault-simulates all accepted sequences
+copy-on-write — and dispatch sends one item at a time: each worker has
+at most one unstarted item queued behind the one it runs.  Every item
+runs with its own isolated knowledge store, so results do not depend on
+the worker count.  Every state transition lands in an append-only JSONL
+journal, so a campaign killed at any instant resumes to the same final
+test set and coverage an uninterrupted run would have produced.  The merge stage re-fault-simulates all accepted sequences
 across shards, crediting incidental detections and dropping redundant
 sequences.
 """

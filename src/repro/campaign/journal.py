@@ -18,17 +18,15 @@ Event types (all carry ``ts``):
 ``heartbeat``       — a worker's liveness beacon for its running item.
 ``item_done``       — attempt finished; carries the full item payload.
 ``item_failed``     — attempt raised or timed out; carries the error.
-``item_interrupted``— a worker held the item (running or leased) when it
-                      died or was revoked; the item was requeued without
-                      consuming an attempt.
-``lease``           — the runner granted a worker a batch of items.
-``steal``           — a worker honoured a revoke; the named items went
-                      back to the shared queue for reassignment.
+``item_interrupted``— a worker held the item (running or queued) when it
+                      died; the item was requeued without consuming an
+                      attempt.
 ``merged``          — the merge stage ran; carries the campaign summary.
 
-``lease`` and ``steal`` are diagnostic: replay reconstructs state from
-the ``item_*`` events alone (unknown or extra event types are ignored),
-so journals from older runners resume under newer ones and vice versa.
+Replay reconstructs state from the ``item_*`` events alone and ignores
+unknown or extra event types, so journals from older runners resume
+under newer ones and vice versa; older runners also wrote ``lease`` and
+``steal`` events, which replay ignores.
 """
 
 from __future__ import annotations

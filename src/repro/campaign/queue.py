@@ -156,22 +156,24 @@ class WorkQueue:
                 )
         return None
 
-    def take_many(self, limit: int) -> List[WorkItem]:
-        """Claim up to ``limit`` pending items (a lease grant)."""
-        items: List[WorkItem] = []
-        while len(items) < limit:
-            item = self.take()
-            if item is None:
-                break
-            items.append(item)
-        return items
-
     def attempt_of(self, item_id: str) -> int:
         return self._slots[item_id].attempt
 
     # -- transitions ---------------------------------------------------
     def mark_done(self, item_id: str) -> None:
-        self._slots[item_id].state = ItemState.DONE
+        """Mark an item completed, by this run or by a replayed journal.
+
+        A replayed item may still be pending, so it also leaves the
+        pending queue and is never dispatched.
+        """
+        slot = self._slots.get(item_id)
+        if slot is None:
+            raise CampaignError(f"journal references unknown item {item_id}")
+        slot.state = ItemState.DONE
+        try:
+            self._pending.remove(item_id)
+        except ValueError:
+            pass
 
     def mark_failed(self, item_id: str, error: str) -> bool:
         """Record a failed attempt; True when the item will be retried."""
@@ -210,37 +212,15 @@ class WorkQueue:
             except ValueError:
                 pass
 
-    def restore_done(self, item_id: str) -> None:
-        """Mark an item completed by a previous run (journal replay)."""
-        slot = self._slots.get(item_id)
-        if slot is None:
-            raise CampaignError(f"journal references unknown item {item_id}")
-        slot.state = ItemState.DONE
-        try:
-            self._pending.remove(item_id)
-        except ValueError:
-            pass
-
     # -- queries -------------------------------------------------------
     def state_of(self, item_id: str) -> ItemState:
         return self._slots[item_id].state
-
-    def item(self, item_id: str) -> WorkItem:
-        return self._slots[item_id].item
 
     def counts(self) -> Dict[str, int]:
         out = {state.value: 0 for state in ItemState}
         for slot in self._slots.values():
             out[slot.state.value] += 1
         return out
-
-    def pending(self) -> int:
-        """Items currently claimable (the lease-sizing signal)."""
-        return sum(
-            1
-            for slot in self._slots.values()
-            if slot.state is ItemState.PENDING
-        )
 
     def finished(self) -> bool:
         return all(

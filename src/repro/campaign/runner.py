@@ -8,21 +8,20 @@ worker processes that inherit the warm state copy-on-write.  Every state
 transition is journaled durably and the campaign finishes with the merge
 stage.
 
-Dispatch is lease-based work stealing, not static sharding: the parent
-grants each worker a small batch of items (a *lease*, sized to the
-remaining backlog), tops the lease up whenever a worker's unstarted
-backlog runs dry, and — once the shared queue is empty — revokes
-unstarted backlog from a loaded worker to feed an idle one.  A revoke is
-only honoured by the worker itself (it answers with the exact items it
-released, and the parent reassigns only those), so an item can never run
-twice concurrently by protocol; the journal's first-wins rule covers the
-crash races that remain.  With per-fault items (``shard_size=1``, the
-default) one hard fault can no longer straggle a whole shard.
+Dispatch is one item at a time from one shared queue, not static
+sharding: the parent keeps exactly one unstarted item queued at each
+live worker and sends the next one as soon as the worker reports it
+started the queued one, so a worker never waits on the parent between
+items.  A worker holds at most its running item plus one queued item, so
+the tail imbalance is at most one item.  With per-fault items
+(``shard_size=1``, the default) one hard fault cannot straggle a whole
+shard.
 
 The parent never trusts a worker: liveness is tracked through heartbeats
-and ``is_alive``, a dead worker's in-flight *and leased* items are
-requeued (without consuming an attempt, so results stay deterministic)
-and the worker is respawned with a fresh task queue.
+and ``is_alive``.  A hung worker is killed and its running item fails;
+a dead worker's running and queued items are requeued (without
+consuming an attempt, so results stay deterministic) and the worker is
+respawned with a fresh task queue.
 
 Crash model:
 
@@ -40,7 +39,6 @@ Crash model:
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 from queue import Empty
@@ -63,40 +61,24 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
 
 
 class _WorkerHandle:
-    """Parent-side view of one pooled worker and its lease."""
+    """Parent-side view of one pooled worker and the items it holds."""
 
     def __init__(self, wid: int) -> None:
         self.wid = wid
         self.proc: Optional[multiprocessing.process.BaseProcess] = None
         self.task_q: Any = None
-        #: leased, not yet started: item id -> (item, attempt)
-        self.backlog: Dict[str, Tuple[WorkItem, int]] = {}
-        #: the item the worker said it started, if any
+        #: the item the worker said it started, if any: (item, attempt)
         self.running: Optional[Tuple[WorkItem, int]] = None
-        #: item ids with an outstanding (unanswered) revoke
-        self.revoking: set = set()
+        #: sent to the worker, not yet started: (item, attempt)
+        self.queued: Optional[Tuple[WorkItem, int]] = None
         self.last_beat: float = 0.0
 
-    @property
-    def stealable(self) -> List[str]:
-        """Backlog ids not already being revoked, steal-victim order."""
-        return [i for i in self.backlog if i not in self.revoking]
-
-    def drop(self, item_id: str) -> None:
-        self.backlog.pop(item_id, None)
-        self.revoking.discard(item_id)
-        if self.running is not None and self.running[0].item_id == item_id:
-            self.running = None
-
-    def unsettled(self) -> List[Tuple[WorkItem, int]]:
-        """Everything the worker holds (for requeue when it dies)."""
-        held = list(self.backlog.values())
-        if self.running is not None:
-            held.append(self.running)
-        return held
-
-    def idle(self) -> bool:
-        return self.running is None and not self.backlog
+    def held(self) -> List[Tuple[WorkItem, int]]:
+        """Everything the worker holds (requeued when it dies)."""
+        return [
+            entry for entry in (self.running, self.queued)
+            if entry is not None
+        ]
 
 
 class CampaignRunner:
@@ -127,8 +109,6 @@ class CampaignRunner:
 
     #: replacement workers spawned per original worker before giving up
     MAX_RESPAWNS_PER_WORKER = 4
-    #: cap on items granted in one lease
-    LEASE_MAX = 8
 
     def __init__(
         self,
@@ -201,7 +181,7 @@ class CampaignRunner:
             queue = WorkQueue(items, self.spec.max_attempts)
             if restored is not None:
                 for item_id, payload in restored.done.items():
-                    queue.restore_done(item_id)
+                    queue.mark_done(item_id)
                     payloads[item_id] = payload
                 for item_id, attempts in restored.attempts.items():
                     if item_id not in restored.done:
@@ -381,7 +361,7 @@ class CampaignRunner:
             "type": "item_done", "item": item_id,
             "attempt": attempt, "payload": payload,
         })
-        queue.restore_done(item_id)
+        queue.mark_done(item_id)
 
     def _fail(
         self,
@@ -426,11 +406,6 @@ class CampaignRunner:
                          queue, payloads, journal)
 
     # -- pooled execution ----------------------------------------------
-    def _lease_size(self, queue: WorkQueue) -> int:
-        """Adaptive lease: small near the end so stealing stays cheap."""
-        fair = queue.pending() // (2 * self.workers)
-        return max(1, min(self.LEASE_MAX, fair))
-
     def _run_pool(
         self,
         queue: WorkQueue,
@@ -444,7 +419,7 @@ class CampaignRunner:
         handles = [_WorkerHandle(wid) for wid in range(self.workers)]
 
         def spawn(handle: _WorkerHandle) -> None:
-            # a fresh task queue per (re)spawn: leases granted to a dead
+            # a fresh task queue per (re)spawn: items sent to a dead
             # worker can never be replayed by its replacement
             handle.task_q = ctx.Queue()
             handle.proc = ctx.Process(
@@ -465,64 +440,46 @@ class CampaignRunner:
         try:
             while True:
                 self._check_cancelled(journal)
-                # grant a lease to every live worker whose unstarted
-                # backlog ran dry (prefetch: the grant overlaps the item
-                # the worker is still solving)
+                # keep one unstarted item queued at every live worker, so
+                # it never waits on the parent between items
                 for handle in handles:
-                    if handle.backlog or not handle.proc.is_alive():
+                    if handle.queued is not None or not handle.proc.is_alive():
                         continue
-                    granted = queue.take_many(self._lease_size(queue))
-                    if not granted:
+                    item = queue.take()
+                    if item is None:
                         break
-                    lease = [
-                        (item, queue.attempt_of(item.item_id))
-                        for item in granted
-                    ]
-                    for item, attempt in lease:
-                        handle.backlog[item.item_id] = (item, attempt)
-                    handle.last_beat = self.clock()
-                    handle.task_q.put(("lease", lease))
-                    journal.append({
-                        "type": "lease", "worker": handle.wid,
-                        "items": [item.item_id for item, _ in lease],
-                    })
-                self._steal(handles, queue, journal)
-                if queue.finished() and all(h.idle() for h in handles):
+                    handle.queued = (item, queue.attempt_of(item.item_id))
+                    handle.task_q.put(handle.queued)
+                if queue.finished() and not any(h.held() for h in handles):
                     break
                 self._drain(result_q, handles, queue, payloads, journal)
                 now = self.clock()
                 for handle in handles:
                     if handle.proc.is_alive():
                         if (
-                            handle.running is not None
-                            and self.hang_timeout_s is not None
-                            and now - handle.last_beat > self.hang_timeout_s
+                            handle.running is None
+                            or self.hang_timeout_s is None
+                            or now - handle.last_beat <= self.hang_timeout_s
                         ):
-                            # hung worker: kill it, fail the running item
-                            # (consumes an attempt), requeue its backlog
-                            handle.proc.kill()
-                            handle.proc.join(timeout=5.0)
-                            item, attempt = handle.running
-                            self._fail(item.item_id, attempt, "hung",
-                                       queue, journal)
-                            handle.running = None
-                            self._requeue_backlog(handle, queue, journal)
-                        else:
                             continue
-                    else:
-                        # crashed worker: requeue everything it held
-                        # without burning attempts, so reruns reproduce
-                        # the same results
-                        for item, attempt in handle.unsettled():
-                            journal.append({
-                                "type": "item_interrupted",
-                                "item": item.item_id,
-                                "attempt": attempt, "worker": handle.wid,
-                            })
-                            queue.mark_interrupted(item.item_id)
+                        # hung worker: kill it and fail its running item
+                        # (consumes an attempt); its queued item is
+                        # requeued below, as a crashed worker's would be
+                        handle.proc.kill()
+                        handle.proc.join(timeout=5.0)
+                        item, attempt = handle.running
+                        self._fail(item.item_id, attempt, "hung",
+                                   queue, journal)
                         handle.running = None
-                        handle.backlog.clear()
-                        handle.revoking.clear()
+                    # dead worker: requeue everything it held without
+                    # burning attempts, so reruns reproduce the same results
+                    for item, attempt in handle.held():
+                        journal.append({
+                            "type": "item_interrupted", "item": item.item_id,
+                            "attempt": attempt, "worker": handle.wid,
+                        })
+                        queue.mark_interrupted(item.item_id)
+                    handle.running = handle.queued = None
                     if queue.finished():
                         continue  # nothing left for a replacement to do
                     respawns += 1
@@ -549,58 +506,6 @@ class CampaignRunner:
                     if handle.proc.is_alive():
                         handle.proc.kill()
 
-    def _requeue_backlog(
-        self, handle: _WorkerHandle, queue: WorkQueue, journal: Journal
-    ) -> None:
-        """Return a dead worker's unstarted lease to the shared queue."""
-        for item, attempt in handle.backlog.values():
-            journal.append({
-                "type": "item_interrupted", "item": item.item_id,
-                "attempt": attempt, "worker": handle.wid,
-            })
-            queue.mark_interrupted(item.item_id)
-        handle.backlog.clear()
-        handle.revoking.clear()
-
-    def _steal(
-        self,
-        handles: List[_WorkerHandle],
-        queue: WorkQueue,
-        journal: Journal,
-    ) -> None:
-        """Revoke backlog from loaded workers to feed starving ones.
-
-        Only fires once the shared queue is dry — before that, a starving
-        worker simply gets a lease.  The revoke is a *request*: items the
-        victim already started are kept, and the parent reassigns only
-        what the victim's ``released`` reply names.
-        """
-        if queue.pending() > 0:
-            return
-        starving = sum(
-            1
-            for h in handles
-            if h.idle() and h.proc is not None and h.proc.is_alive()
-        )
-        if starving == 0:
-            return
-        for victim in sorted(
-            handles, key=lambda h: len(h.backlog), reverse=True
-        ):
-            if starving <= 0:
-                break
-            if victim.proc is None or not victim.proc.is_alive():
-                continue
-            stealable = victim.stealable
-            if not stealable:
-                continue
-            # take the tail half: the head is what the victim runs next
-            count = min(int(math.ceil(len(stealable) / 2)), starving)
-            wanted = stealable[-count:]
-            victim.revoking.update(wanted)
-            victim.task_q.put(("revoke", wanted))
-            starving -= count
-
     def _drain(
         self,
         result_q,
@@ -624,44 +529,25 @@ class CampaignRunner:
             handle.last_beat = self.clock()
             if kind == "started":
                 attempt, pid = data
-                held = handle.backlog.pop(item_id, None)
-                handle.revoking.discard(item_id)
-                if held is not None:
-                    handle.running = held
+                if (
+                    handle.queued is not None
+                    and handle.queued[0].item_id == item_id
+                ):
+                    handle.running, handle.queued = handle.queued, None
                 journal.append({
                     "type": "item_started", "item": item_id,
                     "attempt": attempt, "pid": pid, "worker": wid,
                 })
             elif kind == "heartbeat":
                 pass  # liveness only; not journaled (fsync traffic)
-            elif kind == "done":
+            elif kind in ("done", "failed"):
                 running = handle.running
-                attempt = (
-                    running[1]
-                    if running and running[0].item_id == item_id
-                    else 1
-                )
-                self._settle(item_id, attempt, data, queue, payloads,
-                             journal)
-                handle.drop(item_id)
-            elif kind == "failed":
-                running = handle.running
-                attempt = (
-                    running[1]
-                    if running and running[0].item_id == item_id
-                    else 1
-                )
-                if queue.state_of(item_id) is not ItemState.DONE:
+                ours = running is not None and running[0].item_id == item_id
+                attempt = running[1] if ours else 1
+                if kind == "done":
+                    self._settle(item_id, attempt, data, queue, payloads,
+                                 journal)
+                elif queue.state_of(item_id) is not ItemState.DONE:
                     self._fail(item_id, attempt, data, queue, journal)
-                handle.drop(item_id)
-            elif kind == "released":
-                released = [i for i in data if i in handle.backlog]
-                handle.revoking.difference_update(data)
-                for released_id in released:
-                    handle.backlog.pop(released_id, None)
-                    queue.mark_interrupted(released_id)
-                if released:
-                    journal.append({
-                        "type": "steal", "worker": wid,
-                        "items": released,
-                    })
+                if ours:
+                    handle.running = None

@@ -55,10 +55,10 @@ class CampaignSpec:
         name: campaign label, recorded in journals and reports.
         seed: base seed; per-item seeds derive from it deterministically.
         shard_size: maximum collapsed faults per work item.  Defaults to
-            1 — per-fault items — so the pool's work-stealing dispatch
-            can rebalance at the granularity where one hard fault cannot
-            straggle a whole shard.  Larger shards only make sense when
-            journal size matters more than load balance.
+            1 — per-fault items — so the pool, which hands out one item
+            at a time, balances at the granularity where one hard fault
+            cannot straggle a whole shard.  Larger shards only make sense
+            when journal size matters more than load balance.
         passes: number of schedule passes per item.
         seq_len: GA sequence length ``x`` (0 = per-circuit default,
             ``4 * sequential_depth`` clamped to at least 4).

@@ -1,4 +1,4 @@
-"""Campaign worker processes: leased, heartbeat-emitting item execution.
+"""Campaign worker processes: heartbeat-emitting item execution.
 
 :func:`run_item` is the single place a work item turns into ATPG results —
 the runner calls it inline in single-worker mode and
@@ -10,16 +10,12 @@ deadline; the worker's heartbeat thread keeps beaconing while the (single
 threaded, GIL-holding) ATPG loop runs, so the parent can tell a slow item
 from a dead process.
 
-Pooled workers speak the lease protocol: the parent grants small batches
-of items (``("lease", [(item, attempt), ...])``), the worker holds them in
-a local backlog and runs them in order, and the parent may claw unstarted
-backlog back (``("revoke", [item_ids])``) to feed an idle peer — the
-worker answers with a ``released`` message naming exactly the items it
-gave up, and those are the only items the parent may reassign.  Every
-artifact an item needs (compiled circuit, SCOAP, collapsed faults, the
-knowledge preload) is served from the parent's pre-fork warm state
-(:mod:`repro.campaign.warm`) when present, so a per-fault item pays only
-for solving.
+Pooled workers run the ``(item, attempt)`` pairs their task queue hands
+them, in order, until they read ``None``; the parent keeps at most one
+unstarted pair queued per worker.  Every artifact an item needs (compiled
+circuit, SCOAP, collapsed faults, the knowledge preload) is served from
+the parent's pre-fork warm state (:mod:`repro.campaign.warm`) when
+present, so a per-fault item pays only for solving.
 """
 
 from __future__ import annotations
@@ -27,10 +23,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field
-from queue import Empty
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..clock import monotonic
 from ..hybrid.driver import HybridTestGenerator
@@ -246,14 +240,12 @@ def worker_main(
     spec_data: Dict[str, Any],
     heartbeat_interval: float = 0.5,
 ) -> None:
-    """Worker-process entry point: serve leases until poisoned.
+    """Worker-process entry point: run queued items until poisoned.
 
     Messages from the parent (all on ``task_q``):
 
-    * ``("lease", [(item, attempt), ...])`` — append to the backlog.
-    * ``("revoke", [item_id, ...])`` — give back any of these items that
-      have not started; always answered with one ``released`` message.
-    * ``None`` — drain nothing further and exit.
+    * ``(item, attempt)`` — run this item next.
+    * ``None`` — exit.
 
     Messages back to the parent (all on ``result_q``):
 
@@ -261,53 +253,13 @@ def worker_main(
     * ``("heartbeat", worker_id, item_id, None)``
     * ``("done", worker_id, item_id, payload_dict)``
     * ``("failed", worker_id, item_id, error_string)``
-    * ``("released", worker_id, None, [item_id, ...])``
     """
     spec = CampaignSpec.from_dict(spec_data)
-    backlog: Deque[Tuple[WorkItem, int]] = deque()
-    poisoned = False
-
-    def ingest(message: Any) -> None:
-        nonlocal poisoned
-        if message is None:
-            poisoned = True
-            return
-        kind, payload = message
-        if kind == "lease":
-            backlog.extend(payload)
-        elif kind == "revoke":
-            wanted = set(payload)
-            released = [
-                item.item_id
-                for item, _ in backlog
-                if item.item_id in wanted
-            ]
-            if released:
-                kept = [
-                    entry
-                    for entry in backlog
-                    if entry[0].item_id not in set(released)
-                ]
-                backlog.clear()
-                backlog.extend(kept)
-            # always answer, even empty: the parent's steal bookkeeping
-            # must learn which items it may (not) reassign
-            result_q.put(("released", worker_id, None, released))
-
     while True:
-        # absorb everything the parent queued (new leases, revokes)
-        while True:
-            try:
-                ingest(task_q.get_nowait())
-            except Empty:
-                break
-        if poisoned and not backlog:
+        task = task_q.get()
+        if task is None:
             return
-        if not backlog:
-            message = task_q.get()  # idle: block for the next grant
-            ingest(message)
-            continue
-        item, attempt = backlog.popleft()
+        item, attempt = task
         result_q.put(("started", worker_id, item.item_id,
                       (attempt, os.getpid())))
         beacon = _Heartbeat(result_q, worker_id, item.item_id,

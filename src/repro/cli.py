@@ -622,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--seed", type=int, default=0)
     cp.add_argument("--shard-size", type=int, default=1,
                     help="max faults per work item (default 1: per-fault "
-                         "items, the work-stealing pool's native grain)")
+                         "items, one at a time to each worker)")
     cp.add_argument("--passes", type=int, default=3)
     cp.add_argument("--seq-len", type=int, default=0,
                     help="GA sequence length x (default: 4 x seq. depth)")

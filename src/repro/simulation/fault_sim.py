@@ -99,11 +99,6 @@ class FaultSimResult:
     signatures: Dict[Fault, "frozenset"] = field(default_factory=dict)
 
 
-def _broadcast_vector(vector: Vector, width: int) -> List[Tuple[int, int]]:
-    """Replicate one scalar PI vector across all slots."""
-    return [pack_const(v, width) for v in vector]
-
-
 def _pack_frames(
     vectors: Sequence[Vector], width: int
 ) -> List[List[PackedValue]]:

@@ -1,0 +1,139 @@
+"""Campaign pool invariants: one-item dispatch, worker death, determinism.
+
+The pool must never lose or double-credit a fault — under normal
+completion, under worker death, and under resume — and the final merged
+report must be identical no matter how many workers the items were
+spread across.
+"""
+
+import json
+import os
+
+import repro.campaign.worker as campaign_worker
+from repro.campaign import (
+    CampaignRunner,
+    CampaignSpec,
+    build_items,
+    read_events,
+)
+
+
+def spec(**overrides):
+    base = dict(circuits=("s27",), name="pool", seed=3, shard_size=1,
+                passes=1, fault_limit=10)
+    base.update(overrides)
+    return CampaignSpec(**base)
+
+
+class TestPoolProtocol:
+    def test_no_item_lost_or_double_credited(self, tmp_path):
+        """Every catalogue item lands exactly one ``item_done`` when
+        more workers than one share the queue."""
+        s = spec(fault_limit=None)  # all 26 per-fault items
+        journal = str(tmp_path / "pool.jsonl")
+        result = CampaignRunner(s, journal, workers=3).run()
+        events = read_events(journal)
+        done = [e["item"] for e in events if e["type"] == "item_done"]
+        catalogue = [i.item_id for i in build_items(s)]
+        assert sorted(done) == sorted(catalogue)  # none lost, none twice
+        assert result.items_done == len(catalogue)
+        assert result.items_failed == 0
+
+    def test_worker_dying_mid_item_is_requeued_and_respawned(
+        self, tmp_path, monkeypatch
+    ):
+        """One pooled worker exits in the middle of ``s27/004``.  The
+        runner requeues what it held without consuming an attempt,
+        respawns it, and the merged result equals the 1-worker run."""
+        reference = CampaignRunner(
+            spec(), str(tmp_path / "ref.jsonl"), workers=1
+        ).run()
+        real_run_item = campaign_worker.run_item
+        marker = tmp_path / "died"
+
+        def dying_run_item(item_spec, item, clock=None):
+            # forked workers inherit this patched global; the marker
+            # file makes the death happen once across processes
+            if item.item_id == "s27/004" and not marker.exists():
+                marker.touch()
+                os._exit(1)
+            return real_run_item(item_spec, item, clock)
+
+        monkeypatch.setattr(campaign_worker, "run_item", dying_run_item)
+        journal = str(tmp_path / "dying.jsonl")
+        result = CampaignRunner(spec(), journal, workers=2).run()
+        events = read_events(journal)
+
+        def of(kind):
+            return [e for e in events if e["type"] == kind]
+
+        interrupted = of("item_interrupted")
+        assert "s27/004" in {e["item"] for e in interrupted}
+        assert all(e["attempt"] == 1 for e in interrupted)
+        assert all(e["attempt"] == 1 for e in of("item_done"))
+        done = sorted(e["item"] for e in of("item_done"))
+        assert done == sorted(i.item_id for i in build_items(spec()))
+        assert of("item_failed") == []
+        assert len({e["pid"] for e in of("item_started")}) > 2
+        assert (result.circuits["s27"].vectors
+                == reference.circuits["s27"].vectors)
+        assert (result.circuits["s27"].detected
+                == reference.circuits["s27"].detected)
+
+
+class TestWorkerCountDeterminism:
+    def test_final_report_identical_across_1_2_4_workers(self, tmp_path):
+        """The headline invariant the pool must preserve: with one
+        isolated knowledge store per item, scheduling is invisible —
+        workers=1/2/4 end in the same vectors, detections, and
+        coverage."""
+        results = {}
+        for workers in (1, 2, 4):
+            journal = str(tmp_path / f"w{workers}.jsonl")
+            results[workers] = CampaignRunner(
+                spec(), journal, workers=workers
+            ).run()
+        reference = results[1]
+        for workers in (2, 4):
+            result = results[workers]
+            assert (result.circuits["s27"].vectors
+                    == reference.circuits["s27"].vectors), workers
+            assert (result.circuits["s27"].detected
+                    == reference.circuits["s27"].detected), workers
+            assert result.fault_coverage == reference.fault_coverage
+
+    def test_resume_of_pooled_run_matches_pooled_reference(self, tmp_path):
+        """Truncating a pooled journal mid-flight and resuming
+        reproduces the uninterrupted result.  The cut journal carries a
+        ``lease`` event, as older runners wrote one, with no terminal
+        item events for its items, as a SIGKILL would leave it."""
+        ref_journal = str(tmp_path / "ref.jsonl")
+        reference = CampaignRunner(spec(), ref_journal, workers=2).run()
+        events = read_events(ref_journal)
+        catalogue = [i.item_id for i in build_items(spec())]
+        partial = tmp_path / "partial.jsonl"
+        with open(partial, "w") as handle:
+            for event in events:
+                if event["type"] in ("campaign", "items"):
+                    handle.write(json.dumps(event) + "\n")
+            lease = {"type": "lease", "worker": 0, "items": catalogue[:4]}
+            handle.write(json.dumps(lease) + "\n")
+            for event in [e for e in events
+                          if e["type"] == "item_done"][:3]:
+                handle.write(json.dumps(event) + "\n")
+        resumed = CampaignRunner.resume(str(partial), workers=2)
+        assert (resumed.circuits["s27"].vectors
+                == reference.circuits["s27"].vectors)
+        assert (resumed.circuits["s27"].detected
+                == reference.circuits["s27"].detected)
+        assert resumed.fault_coverage == reference.fault_coverage
+
+    def test_phase_times_reported(self, tmp_path):
+        journal = str(tmp_path / "phases.jsonl")
+        result = CampaignRunner(spec(), journal, workers=2).run()
+        assert set(result.phase_times) == {
+            "warm_s", "fork_s", "solve_s", "merge_s"
+        }
+        assert all(v >= 0.0 for v in result.phase_times.values())
+        merged = [e for e in read_events(journal) if e["type"] == "merged"]
+        assert merged[0]["summary"]["phase_times"]["fork_s"] >= 0.0

@@ -122,9 +122,9 @@ class TestWorkQueue:
             seen[item.item_id] = item
         assert seen[first.item_id].seed == first.seed
 
-    def test_restore_done_removes_from_pending(self):
+    def test_mark_done_removes_from_pending(self):
         items, queue = self.make()
-        queue.restore_done(items[0].item_id)
+        queue.mark_done(items[0].item_id)
         taken = []
         while True:
             item = queue.take()
@@ -144,7 +144,7 @@ class TestWorkQueue:
     def test_restore_unknown_item_rejected(self):
         _, queue = self.make()
         with pytest.raises(CampaignError):
-            queue.restore_done("nope/000")
+            queue.mark_done("nope/000")
         with pytest.raises(CampaignError):
             queue.restore_attempts("nope/000", 1)
 

@@ -83,6 +83,26 @@ class TestPooledRun:
                   if e["type"] == "item_failed"}
         assert errors == {"hung"}
 
+    def test_hung_workers_queued_item_keeps_its_attempt(self, tmp_path):
+        """A hung worker's running item fails, but the item queued behind
+        it is requeued through the crash path at the same attempt."""
+        s = spec(synthetic_item_seconds=2.0, fault_limit=3, shard_size=1,
+                 max_attempts=1)
+        journal = str(tmp_path / "hang.jsonl")
+        runner = CampaignRunner(s, journal, workers=2,
+                                heartbeat_interval=30.0, hang_timeout_s=0.2)
+        result = runner.run()
+        assert result.items_failed == 3
+        events = read_events(journal)
+        failed = {e["item"]: e for e in events if e["type"] == "item_failed"}
+        assert len(failed) == 3
+        assert {e["error"] for e in failed.values()} == {"hung"}
+        interrupted = [e for e in events if e["type"] == "item_interrupted"]
+        assert interrupted
+        for event in interrupted:
+            assert event["attempt"] == 1
+            assert failed[event["item"]]["attempt"] == 1
+
 
 class TestResume:
     def test_resume_equals_uninterrupted_run(self, tmp_path):

@@ -75,9 +75,10 @@ class TestInFlightCampaign:
         assert status["done"] == 1
 
     def test_open_leases_do_not_count_as_in_flight(self, tmp_path):
-        # a lease grants items to a worker; until the worker *starts* one
-        # it is pending, not in flight — a killed pool must not report
-        # leased-but-never-started items as running
+        # older runners journaled a lease granting items to a worker;
+        # until the worker *starts* one it is pending, not in flight — a
+        # killed pool must not report leased-but-never-started items as
+        # running
         s = spec()
         journal = start_journal(tmp_path / "pool.jsonl", s)
         journal.append({"type": "lease", "worker": 0,
