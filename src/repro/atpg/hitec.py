@@ -21,15 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..faults.model import Fault, resolve_fault_model
-from ..knowledge import StateKnowledge
 from ..simulation.encoding import X
-from ..simulation.fault_sim import FaultSimulator
-from ..telemetry import Recorder
-from .constraints import InputConstraints
 from .context import AtpgContext
 from .justify import JustifyResult, JustifyStatus
 from .podem import Limits, PodemEngine, SearchStatus, Solution
-from .scoap import Testability
 
 
 class TestGenStatus(enum.Enum):
@@ -99,11 +94,12 @@ class SequentialTestGenerator:
             telemetry and knowledge store).
         max_frames: largest forward propagation window to try.
         max_solutions: propagation alternatives to offer the justifier.
-        verify: confirm every candidate by fault simulation before
-            reporting DETECTED (rejects the rare optimistic candidate
-            whose frame-0 faulty state differs from the good state the
-            justifier produced); unverified candidates count as
-            justification failures and the search continues.
+
+    Every candidate is confirmed by fault simulation before it is reported
+    DETECTED.  That rejects the rare optimistic candidate whose frame-0
+    faulty state differs from the good state the justifier produced; a
+    rejected candidate counts as a justification failure and the search
+    continues.
 
     When the context carries a :class:`~repro.knowledge.StateKnowledge`
     store, known-justified frame-0 states short-circuit the justifier
@@ -118,35 +114,11 @@ class SequentialTestGenerator:
         ctx: AtpgContext,
         max_frames: int = 8,
         max_solutions: int = 8,
-        verify: bool = True,
     ):
         self.ctx = ctx
         self.cc = self.ctx.cc
         self.max_frames = max(1, max_frames)
         self.max_solutions = max(1, max_solutions)
-        self.verify = verify
-
-    # Shared artifacts live on the context; these aliases keep the
-    # pre-context attribute surface working.
-    @property
-    def meas(self) -> Testability:
-        return self.ctx.testability
-
-    @property
-    def constraints(self) -> Optional[InputConstraints]:
-        return self.ctx.active_constraints
-
-    @property
-    def telemetry(self) -> Recorder:
-        return self.ctx.telemetry
-
-    @property
-    def knowledge(self) -> Optional[StateKnowledge]:
-        return self.ctx.knowledge
-
-    @property
-    def _verifier(self) -> FaultSimulator:
-        return self.ctx.verifier()
 
     def generate(
         self,
@@ -168,13 +140,13 @@ class SequentialTestGenerator:
             limits: search budget.
             start_good_state / start_fault_state: the states the test will
                 actually be applied from (defaults: all-unknown) — used to
-                verify candidates when ``verify`` is on.
+                confirm candidates.
         """
-        with self.telemetry.span("atpg.fault"):
+        tel = self.ctx.telemetry
+        with tel.span("atpg.fault"):
             result = self._generate(
                 fault, justifier, limits, start_good_state, start_fault_state
             )
-        tel = self.telemetry
         c = result.counters
         tel.count("atpg.faults_targeted")
         tel.count(f"atpg.status.{result.status.value}")
@@ -220,25 +192,22 @@ class SequentialTestGenerator:
                 break
             engine = PodemEngine(
                 self.cc, fault=fault, num_frames=frames,
-                testability=self.meas, constraints=self.constraints,
+                testability=self.ctx.testability,
+                constraints=self.ctx.active_constraints,
             )
             counters.excite_attempts += 1
             solutions_tried = 0
             truncated = False
             solutions = engine.solutions(limits)
             while True:
-                with self.telemetry.span("atpg.propagate"):
+                with self.ctx.telemetry.span("atpg.propagate"):
                     sol = next(solutions, None)
                 if sol is None:
                     break
                 counters.propagation_solutions += 1
                 solutions_tried += 1
                 result, jstatus = self._try_justify(sol, justifier, counters)
-                if (
-                    result is not None
-                    and self.verify
-                    and not self._confirm(result)
-                ):
+                if result is not None and not self._confirm(result):
                     counters.verification_rejects += 1
                     justify_all_exhausted = False
                     result = None
@@ -301,7 +270,7 @@ class SequentialTestGenerator:
                 ),
                 JustifyStatus.JUSTIFIED,
             )
-        know = self.knowledge
+        know = self.ctx.knowledge
         if know is not None:
             # Absolute unjustifiability proofs only: the generator does
             # not know the justifier's frame budget, and a depth-bounded
@@ -315,13 +284,13 @@ class SequentialTestGenerator:
                     sequence=list(seq) + list(sol.vectors),
                     justification_frames=len(seq),
                 )
-                if not self.verify or self._confirm(candidate):
+                if self._confirm(candidate):
                     counters.justify_successes += 1
                     return candidate, JustifyStatus.JUSTIFIED
                 # stale sidecar entry: fall through to the real justifier
                 know.stats["stale_hits"] += 1
         counters.justify_calls += 1
-        with self.telemetry.span("atpg.justify"):
+        with self.ctx.telemetry.span("atpg.justify"):
             jres = justifier(required)
         if jres.success:
             counters.justify_successes += 1
@@ -339,8 +308,9 @@ class SequentialTestGenerator:
     def _fill(self, sequence: List[List[int]]) -> List[List[int]]:
         """Resolve don't-cares deterministically (constraints-aware)."""
         filled = [[0 if v == X else v for v in vec] for vec in sequence]
-        if self.constraints is not None:
-            self.constraints.apply_to_vectors(self.cc.circuit, filled)
+        constraints = self.ctx.active_constraints
+        if constraints is not None:
+            constraints.apply_to_vectors(self.cc.circuit, filled)
         return filled
 
     def _confirm(self, result: TestGenResult) -> bool:
@@ -351,7 +321,7 @@ class SequentialTestGenerator:
             if self._start_fault is not None
             else None
         )
-        outcome = self._verifier.run(
+        outcome = self.ctx.verifier().run(
             filled,
             [self._fault],
             good_state=self._start_good,

@@ -21,8 +21,8 @@ propagation paths when a required state proves unjustifiable (the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..circuit.gates import CONTROLLING_VALUE, INVERSION, GateType
 from ..clock import monotonic
@@ -33,7 +33,7 @@ from ..simulation.encoding import X
 from .constraints import InputConstraints
 from .scoap import Testability, compute_testability
 from .unrolled import Leaf, UndoRecord, UnrolledModel
-from .values import good_of, has_x, is_d
+from .values import good_of, is_d
 
 
 class SearchStatus(enum.Enum):
@@ -149,8 +149,6 @@ class PodemEngine:
         self.backtracks = 0
         self.window_hit = False
         self._stack: List[_Decision] = []
-        #: all-X model requirement minimisation runs on, built on first use
-        self._scratch: Optional[UnrolledModel] = None
 
     # ------------------------------------------------------------------
     # public API
@@ -161,11 +159,7 @@ class PodemEngine:
         After exhausting the iterator, inspect :attr:`status` — it
         distinguishes a proven-exhausted space from a budget abort.
         """
-        self.status = SearchStatus.EXHAUSTED
-        while True:
-            found = self._search(limits)
-            if not found:
-                return
+        while self._search(limits):
             sol = self._extract()
             if (
                 self.knowledge is not None
@@ -176,22 +170,12 @@ class PodemEngine:
                 # dead branch: this assignment needs a provably unreachable
                 # previous-frame state, so enumerate the next one instead
                 self.knowledge.stats["podem_pruned"] += 1
-                if not self._backtrack():
-                    self.status = (
-                        SearchStatus.WINDOW if self.window_hit
-                        else SearchStatus.EXHAUSTED
-                    )
-                    return
-                continue
-            yield sol
+            else:
+                yield sol
             # treat the solution as a dead end to enumerate the next one;
             # window pressure recorded on other branches must survive, or
             # the caller would wrongly stop growing the frame window
             if not self._backtrack():
-                self.status = (
-                    SearchStatus.WINDOW if self.window_hit
-                    else SearchStatus.EXHAUSTED
-                )
                 return
 
     def run(self, limits: Limits) -> Optional[Solution]:
@@ -208,35 +192,23 @@ class PodemEngine:
             if self.backtracks > limits.max_backtracks or limits.expired():
                 self.status = SearchStatus.LIMIT
                 return False
-            if self._goal_reached(self.model):
+            if self._goal_reached():
                 self.status = SearchStatus.SUCCESS
                 return True
             objective = self._objective()
-            if objective is None:
-                if not self._backtrack():
-                    self.status = (
-                        SearchStatus.WINDOW if self.window_hit
-                        else SearchStatus.EXHAUSTED
-                    )
-                    return False
-                continue
-            leaf_assign = self._backtrace(*objective)
+            leaf_assign = None if objective is None else self._backtrace(*objective)
             if leaf_assign is None:
                 if not self._backtrack():
-                    self.status = (
-                        SearchStatus.WINDOW if self.window_hit
-                        else SearchStatus.EXHAUSTED
-                    )
                     return False
                 continue
             (frame, idx), value = leaf_assign
             undo = self._assign_decision(frame, idx, value)
             self._stack.append(_Decision((frame, idx), value, False, undo))
 
-    def _goal_reached(self, model: UnrolledModel) -> bool:
+    def _goal_reached(self) -> bool:
         if self.fault is not None:
-            return model.detected_at(self.observe_ppo) is not None
-        return all(model.good(0, d) == v for d, v in self._targets)
+            return self.model.detected_at(self.observe_ppo) is not None
+        return all(self.model.good(0, d) == v for d, v in self._targets)
 
     def _objective(self) -> Optional[Tuple[int, int, int]]:
         """Next (frame, net index, good value) goal, or None at a dead end."""
@@ -400,7 +372,12 @@ class PodemEngine:
         return undo
 
     def _backtrack(self) -> bool:
-        """Reverse the most recent untried decision; False when exhausted."""
+        """Reverse the most recent untried decision.
+
+        Returns False once every decision has been tried both ways, after
+        setting :attr:`status`: WINDOW when the frame window was binding on
+        some branch, else EXHAUSTED.
+        """
         while self._stack:
             dec = self._stack.pop()
             self.model.unassign(dec.undo)
@@ -410,6 +387,9 @@ class PodemEngine:
                 undo = self._assign_decision(dec.leaf[0], dec.leaf[1], value)
                 self._stack.append(_Decision(dec.leaf, value, True, undo))
                 return True
+        self.status = (
+            SearchStatus.WINDOW if self.window_hit else SearchStatus.EXHAUSTED
+        )
         return False
 
     # ------------------------------------------------------------------
@@ -439,34 +419,31 @@ class PodemEngine:
 
         PODEM's backtrace decides *some* sufficient assignment; a decided
         pseudo primary input is not necessarily a *necessary* one (an AND
-        gate needs only one controlling input).  A scratch model takes the
-        solution's PI vectors and the whole requirement; each requirement
-        in turn is then released to X, and if the goal — fault detection,
-        or the justification targets — still holds, it is dropped for
-        good, otherwise the release is undone.  Smaller requirements are
+        gate needs only one controlling input).  This runs on the search
+        model in place.  The PIs of frames past ``vectors`` are released
+        first, so the model holds exactly the solution's leaves: its PI
+        vectors and the whole requirement.  Each requirement in turn is
+        then released to X, and if the goal — fault detection, or the
+        justification targets — still holds, it is dropped for good,
+        otherwise the release is undone.  Smaller requirements are
         strictly easier for every justifier, and minimal requirements are
         what keep the reverse-time justification search from missing
-        reachable options.  The scratch model is left all-X again.
+        reachable options.  Every release is undone at the end, so the
+        search resumes from the solution it yielded.
         """
-        if self._scratch is None:
-            self._scratch = UnrolledModel(
-                self.cc, self.fault, self.model.num_frames
-            )
-        scratch = self._scratch
+        model = self.model
         undo: List[UndoRecord] = []
-        for frame, vec in enumerate(vectors):
-            for pin, idx in enumerate(self.cc.pi):
-                if vec[pin] != X:
-                    undo += scratch.assign(frame, idx, vec[pin])
-        for name, value in required.items():
-            undo += scratch.assign(0, self.cc.index[name], value)
+        for frame in range(len(vectors), model.num_frames):
+            for idx in self.cc.pi:
+                if model.good(frame, idx) != X:
+                    undo += model.assign(frame, idx, X)
         kept = dict(required)
         for name in required:
-            release = scratch.assign(0, self.cc.index[name], X)
-            if self._goal_reached(scratch):
+            release = model.assign(0, self.cc.index[name], X)
+            if self._goal_reached():
                 del kept[name]
                 undo += release
             else:
-                scratch.unassign(release)
-        scratch.unassign(undo)
+                model.unassign(release)
+        model.unassign(undo)
         return kept

@@ -16,7 +16,6 @@ The model supports the exact operations PODEM needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import GateType
@@ -24,7 +23,7 @@ from ..faults.model import DEFAULT_FAULT_MODEL, Fault, resolve_fault_model
 from ..simulation.compiled import CompiledCircuit
 from ..simulation.encoding import PackedValue, X, eval_packed
 from ..simulation.logic_sim import _eval_ints
-from .values import MASK2, XX, faulty_of, good_of, has_x, is_d, make9
+from .values import MASK2, XX, good_of, has_x, is_d, make9
 
 #: A leaf the search may decide on: (frame, net index).
 Leaf = Tuple[int, int]
@@ -194,13 +193,14 @@ class UnrolledModel:
         return undo
 
     def unassign(self, undo: List[UndoRecord]) -> None:
-        """Revert a previous :meth:`assign` using its undo log."""
+        """Revert a previous :meth:`assign` using its undo log.
+
+        Only values need restoring: every :meth:`_settle` drains the
+        pending buckets it fills, so they are empty between calls.
+        """
         for frame, idx, p1, p0 in reversed(undo):
             self.v1[frame][idx] = p1
             self.v0[frame][idx] = p0
-        for frame_buckets in self._pending:
-            for bucket in frame_buckets:
-                bucket.clear()
 
     def _write(
         self, frame: int, idx: int, value: PackedValue, undo: List[UndoRecord]
@@ -359,8 +359,10 @@ class UnrolledModel:
             return False, False
         cc = self.cc
         po_set = set(cc.po)
-        last = self.num_frames - 1
-        ff_in_pos = {idx: pos for pos, idx in enumerate(cc.ff_in)}
+        # one D-input net may feed several flip-flops: cross into each
+        ff_outs: Dict[int, List[int]] = {}
+        for in_idx, out_idx in zip(cc.ff_in, cc.ff_out):
+            ff_outs.setdefault(in_idx, []).append(out_idx)
         seen: Set[Tuple[int, int]] = set()
         stack: List[Tuple[int, int]] = [
             (frame, cc.gates[pos].out) for frame, pos in frontier
@@ -376,10 +378,10 @@ class UnrolledModel:
                 continue
             if idx in po_set:
                 return True, edge
-            if idx in ff_in_pos:
+            if idx in ff_outs:
                 if frame + 1 < self.num_frames:
-                    stack.append((frame + 1, cc.ff_out[ff_in_pos[idx]]))
-                elif frame == last:
+                    stack.extend((frame + 1, out) for out in ff_outs[idx])
+                else:
                     edge = True
             for pos in cc.fanout_gates[idx]:
                 out = cc.gates[pos].out

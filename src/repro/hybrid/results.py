@@ -3,8 +3,10 @@
 Mirrors the paper's Table II/III columns: after each pass we record the
 cumulative number of detected faults (**Det**), generated test vectors
 (**Vec**), elapsed time (**Time**), and identified untestable faults
-(**Unt**), plus reproduction-only diagnostics (per-pass new detections,
-justification outcomes, Figure-1 flow counters).
+(**Unt**), plus reproduction-only diagnostics (per-pass new detections
+and justification outcomes).  The Figure-1 flow counters live on each
+fault's :class:`~repro.atpg.hitec.TestGenResult` and in the ``atpg.*``
+telemetry counters.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..atpg.hitec import FlowCounters
 from ..faults.model import Fault
 from ..telemetry import RunReport
 
@@ -74,7 +75,6 @@ class RunResult:
         blocks: starting offset in ``test_set`` of each accepted test
             sequence, in emission order (useful for compaction and for
             checking per-sequence constraints).
-        flow: aggregated Figure-1 flow counters.
         report: structured telemetry report for the campaign (per-pass and
             per-fault detail, metrics snapshot, total wall/CPU time).
         deadline_expired: the run stopped early because the driver's
@@ -92,7 +92,6 @@ class RunResult:
     detected: Dict[Fault, int] = field(default_factory=dict)
     untestable: List[Fault] = field(default_factory=list)
     blocks: List[int] = field(default_factory=list)
-    flow: FlowCounters = field(default_factory=FlowCounters)
     report: Optional[RunReport] = None
     deadline_expired: bool = False
     knowledge_stats: Dict[str, int] = field(default_factory=dict)

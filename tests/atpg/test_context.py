@@ -69,4 +69,3 @@ class TestEngineSharing:
         ga = GAStateJustifier(ctx)
         assert seqgen.ctx is ctx
         assert ga.ctx is ctx
-        assert seqgen.meas is ctx.testability

@@ -57,26 +57,53 @@ def reference_minimize(engine, targets, vectors, required):
     return kept
 
 
-def check_minimisation(engine, targets=None, count=3, backtracks=10_000):
-    """Pin each solution's requirement to the reference; return the count.
+def values(model):
+    """A copy of a model's value rows."""
+    return [list(r) for r in model.v1], [list(r) for r in model.v0]
 
-    After every solution the engine's scratch model must be all-X again,
-    equal to a freshly built model.
+
+def check_minimisation(engine, targets=None, count=3, backtracks=10_000):
+    """Pin each solution's requirement to the reference; count minimisations.
+
+    A spy wraps the engine's minimiser, which runs on the search model in
+    place: every call must leave that model's values exactly as it found
+    them.  Returns the number of minimiser calls.
     """
+    minimise = engine._minimize_requirement
+    calls = 0
+
+    def spy(vectors, required):
+        nonlocal calls
+        before = values(engine.model)
+        kept = minimise(vectors, required)
+        assert values(engine.model) == before
+        calls += 1
+        return kept
+
+    engine._minimize_requirement = spy
     seen = 0
     for sol in engine.solutions(limits(backtracks)):
         # the search model still holds the solution while it is yielded
         raw = engine.model.required_state()
         expected = reference_minimize(engine, targets, sol.vectors, raw)
         assert list(sol.required_state.items()) == list(expected.items())
-        if engine._scratch is not None:
-            fresh = UnrolledModel(engine.cc, engine.fault, engine.model.num_frames)
-            assert engine._scratch.v1 == fresh.v1
-            assert engine._scratch.v0 == fresh.v0
         seen += 1
         if seen >= count:
             break
-    return seen
+    return calls
+
+
+def later_frame_circuit():
+    """y = AND(a, q), z = AND(a, c), q = DFF(y); outputs y and z."""
+    c = Circuit("later_frame")
+    c.add_input("a")
+    c.add_input("c")
+    c.add_gate("y", GateType.AND, ["a", "q"])
+    c.add_gate("z", GateType.AND, ["a", "c"])
+    c.add_gate("q", GateType.DFF, ["y"])
+    c.add_output("y")
+    c.add_output("z")
+    return c
 
 
 class TestRequirementMinimisation:
@@ -86,9 +113,25 @@ class TestRequirementMinimisation:
         for fault in collapse_faults(s27()):
             for frames in (1, 2, 3):
                 engine = PodemEngine(cc, fault=fault, num_frames=frames)
-                check_minimisation(engine)
-                minimised += engine._scratch is not None
+                minimised += check_minimisation(engine)
         assert minimised  # the minimiser really ran
+
+    def test_later_frame_inputs_are_released_first(self):
+        """A detection the solution's vectors do not reach must not count.
+
+        With ``q`` = 1, ``a`` s-a-0 shows at ``y`` in frame 0.  The search
+        model also holds ``a`` = ``c`` = 1 in frame 1, where ``z`` detects
+        the fault without ``q``; those inputs lie past the solution's one
+        vector, so the requirement on ``q`` must stay.
+        """
+        cc = compile_circuit(later_frame_circuit())
+        engine = PodemEngine(cc, fault=Fault("a", 0), num_frames=2)
+        model = engine.model
+        for frame, name in ((0, "a"), (0, "q"), (1, "a"), (1, "c")):
+            model.assign(frame, cc.index[name], 1)
+        before = values(model)
+        assert engine._minimize_requirement([[1, X]], {"q": 1}) == {"q": 1}
+        assert values(model) == before
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -11,6 +11,7 @@ from repro.atpg.hitec import SequentialTestGenerator
 from repro.atpg.hitec import TestGenStatus as GenStatus
 from repro.atpg.justify import JustifyStatus, justify_state
 from repro.atpg.podem import Limits, PodemEngine
+from repro.atpg.unrolled import UnrolledModel
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
@@ -110,3 +111,47 @@ class TestObservePpo:
         sol = seeing.run(Limits(1000))
         assert sol is not None
         assert sol.vectors[0] == [1, 1]
+
+
+def shared_d_circuit() -> Circuit:
+    """g0 = AND(pi0, ff0), g3 = NAND(pi0, ff0); ff0 and ff1 both latch g3.
+
+    ff1 is declared last and drives nothing, so an X-path check that
+    crosses from a D-input net into one flip-flop only lands on ff1 and
+    never reaches the PO through ff0.
+    """
+    c = Circuit("shared_d")
+    c.add_input("pi0")
+    c.add_gate("g0", GateType.AND, ["pi0", "ff0"])
+    c.add_gate("g3", GateType.NAND, ["pi0", "ff0"])
+    c.add_gate("ff0", GateType.DFF, ["g3"])
+    c.add_gate("ff1", GateType.DFF, ["g3"])
+    c.add_output("g0")
+    return c
+
+
+class TestSharedDInput:
+    """One net feeding two flip-flops must not hide a path (bug #4)."""
+
+    def test_feedback_branch_faults_are_detected(self):
+        cc = compile_circuit(shared_d_circuit())
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=6)
+        sim = FaultSimulator(cc)
+
+        def justifier(required):
+            return justify_state(cc, required, 8, Limits(5000))
+
+        for stuck in (0, 1):
+            fault = Fault("ff0", stuck, gate="g3", pin=1)
+            res = gen.generate(fault, justifier, Limits(5000))
+            assert res.status is GenStatus.DETECTED, str(fault)
+            vectors = [[0 if v == X else v for v in vec] for vec in res.sequence]
+            assert fault in sim.run(vectors, [fault]).detected
+
+    def test_x_path_crosses_into_every_flip_flop(self):
+        cc = compile_circuit(shared_d_circuit())
+        model = UnrolledModel(cc, Fault("ff0", 0, gate="g3", pin=1), num_frames=2)
+        model.assign(0, cc.index["ff0"], 1)
+        frontier = model.d_frontier()
+        assert frontier
+        assert model.x_path_info(frontier)[0]

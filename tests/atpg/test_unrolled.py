@@ -118,9 +118,24 @@ class TestUndo:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_unassign_restores_exact_state(self, data):
+        """Undo restores every value; the pending buckets stay empty.
+
+        ``unassign`` touches values only, which is sound because every
+        settle drains the buckets it fills: none may hold a gate after
+        construction, an assign or an unassign.
+        """
         circuit = data.draw(random_circuits(max_pi=3, max_ff=2, max_gates=8))
         cc = compile_circuit(circuit)
-        model = UnrolledModel(cc, None, num_frames=2)
+        model_name = data.draw(st.sampled_from(MODELS))
+        fault = data.draw(
+            st.none() | st.sampled_from(full_fault_list(circuit, model_name))
+        )
+        model = UnrolledModel(cc, fault, num_frames=2)
+
+        def assert_buckets_empty():
+            assert not any(bucket for row in model._pending for bucket in row)
+
+        assert_buckets_empty()
         snapshot = ([list(f) for f in model.v1], [list(f) for f in model.v0])
         leaves = [(f, i) for f in range(2) for i in cc.pi]
         leaves += [(0, i) for i in cc.ff_out]
@@ -131,8 +146,10 @@ class TestUndo:
             if model.good(frame, idx) != X:
                 continue
             undos.append(model.assign(frame, idx, data.draw(st.integers(0, 1))))
+            assert_buckets_empty()
         for undo in reversed(undos):
             model.unassign(undo)
+            assert_buckets_empty()
         assert model.v1 == snapshot[0]
         assert model.v0 == snapshot[1]
 

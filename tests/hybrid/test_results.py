@@ -1,6 +1,5 @@
 """Tests for result records and paper-style formatting."""
 
-from repro.atpg.hitec import FlowCounters
 from repro.hybrid.results import PassStats, RunResult, format_time
 
 
@@ -51,6 +50,3 @@ class TestRunResult:
         assert lines[0].startswith("s298")
         assert "pass 1" in lines[1] and "pass 2" in lines[2]
         assert "coverage" in lines[-1]
-
-    def test_flow_counters_default(self):
-        assert self._result().flow == FlowCounters()
