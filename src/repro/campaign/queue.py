@@ -65,20 +65,7 @@ class WorkItem:
 
 
 def shard_faults(spec: CampaignSpec, circuit_name: str) -> List[Fault]:
-    """The circuit's target fault list in canonical (sorted) order.
-
-    Served from the campaign's warm-fork state when one is active for
-    exactly this spec (the registry is spec-hash checked), so pooled
-    workers never re-resolve or re-collapse; the cold path computes the
-    identical list from scratch.
-    """
-    from . import warm  # late import: warm builds on this module
-
-    warm_state = warm.active_for(spec)
-    if warm_state is not None:
-        circuit_state = warm_state.get(circuit_name)
-        if circuit_state is not None:
-            return list(circuit_state.faults)
+    """The circuit's target fault list in canonical (sorted) order."""
     faults = collapse_faults(resolve_circuit(circuit_name), spec.fault_model)
     if spec.fault_limit is not None:
         faults = faults[: spec.fault_limit]

@@ -46,15 +46,20 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clock import monotonic
 from ..knowledge import save_knowledge
-from . import warm
 from .journal import JOURNAL_SCHEMA, Journal, JournalState
 from .merge import CampaignResult, merge_campaign
 from .queue import ItemState, WorkItem, WorkQueue, build_items
 from .spec import CampaignCancelled, CampaignError, CampaignSpec
+from .warm import CampaignWarmState
 from .worker import run_item, worker_main
 
 
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
+    """The ``fork`` context, or ``None`` where it is missing (run inline).
+
+    Only ``fork`` lets workers inherit the warm state copy-on-write: the
+    arguments of a forked ``Process`` are never pickled.
+    """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return None
@@ -136,21 +141,27 @@ class CampaignRunner:
         wall0 = self.clock()
         phase_times: Dict[str, float] = {}
         items = build_items(self.spec)
+        restored: Optional[JournalState] = None
+        if resume:
+            restored = self._validate_resume(items)
+        elif (
+            os.path.exists(self.journal_path)
+            and os.path.getsize(self.journal_path) > 0
+        ):
+            raise CampaignError(
+                f"journal {self.journal_path} already exists — "
+                f"use `repro campaign resume` to continue it"
+            )
+        # warm fork: build every per-circuit artifact once, in the
+        # parent, before any worker exists — children inherit it COW.
+        # It comes before the first journal write, so a spec whose
+        # inputs cannot load leaves no journal behind.
+        t0 = self.clock()
+        warm_state = CampaignWarmState.build(self.spec, cache=self.warm_cache)
+        phase_times["warm_s"] = self.clock() - t0
         payloads: Dict[str, Dict[str, Any]] = {}
-        journal = Journal(self.journal_path)
-        try:
-            restored: Optional[JournalState] = None
-            if resume:
-                restored = self._validate_resume(items)
-            else:
-                if (
-                    os.path.exists(self.journal_path)
-                    and os.path.getsize(self.journal_path) > 0
-                ):
-                    raise CampaignError(
-                        f"journal {self.journal_path} already exists — "
-                        f"use `repro campaign resume` to continue it"
-                    )
+        with Journal(self.journal_path) as journal:
+            if restored is None:
                 journal.append({
                     "type": "campaign",
                     "schema": JOURNAL_SCHEMA,
@@ -167,13 +178,6 @@ class CampaignRunner:
                         for i in items
                     ],
                 })
-            # warm fork: build every per-circuit artifact once, in the
-            # parent, before any worker exists — children inherit it COW
-            t0 = self.clock()
-            warm_state = warm.CampaignWarmState.build(
-                self.spec, cache=self.warm_cache
-            )
-            phase_times["warm_s"] = self.clock() - t0
             # dispatch order is an execution detail (items are isolated
             # and the merge sorts by item id), so the policy's cheap-
             # first ordering applies to fresh runs and resumes alike
@@ -186,19 +190,19 @@ class CampaignRunner:
                 for item_id, attempts in restored.attempts.items():
                     if item_id not in restored.done:
                         queue.restore_attempts(item_id, attempts)
-            with warm.activate(warm_state):
-                t0 = self.clock()
-                if self.workers == 1 or _fork_context() is None:
-                    phase_times["fork_s"] = 0.0
-                    self._run_inline(queue, payloads, journal)
-                else:
-                    self._run_pool(queue, payloads, journal, phase_times)
-                phase_times["solve_s"] = (
-                    self.clock() - t0 - phase_times["fork_s"]
+            t0 = self.clock()
+            ctx = _fork_context() if self.workers > 1 else None
+            if ctx is None:
+                phase_times["fork_s"] = 0.0
+                self._run_inline(queue, payloads, journal, warm_state)
+            else:
+                self._run_pool(
+                    ctx, queue, payloads, journal, phase_times, warm_state
                 )
-                t0 = self.clock()
-                result = merge_campaign(self.spec, payloads)
-                phase_times["merge_s"] = self.clock() - t0
+            phase_times["solve_s"] = self.clock() - t0 - phase_times["fork_s"]
+            t0 = self.clock()
+            result = merge_campaign(self.spec, payloads)
+            phase_times["merge_s"] = self.clock() - t0
             result.items_failed = len(queue.failed_items())
             result.wall_time_s = self.clock() - wall0
             result.phase_times = phase_times
@@ -225,8 +229,6 @@ class CampaignRunner:
                 "summary": result.summary_dict(),
             })
             return result
-        finally:
-            journal.close()
 
     def knowledge_path(self) -> str:
         """Sidecar path: the journal's stem plus ``.knowledge.json``."""
@@ -296,7 +298,7 @@ class CampaignRunner:
     def _policy_order(
         self,
         items: List[WorkItem],
-        warm_state: "warm.CampaignWarmState",
+        warm_state: CampaignWarmState,
     ) -> List[WorkItem]:
         """Order the catalogue cheap-first under the spec's policy.
 
@@ -383,6 +385,7 @@ class CampaignRunner:
         queue: WorkQueue,
         payloads: Dict[str, Dict[str, Any]],
         journal: Journal,
+        warm_state: CampaignWarmState,
     ) -> None:
         while True:
             self._check_cancelled(journal)
@@ -395,7 +398,7 @@ class CampaignRunner:
                 "attempt": attempt, "pid": os.getpid(), "worker": 0,
             })
             try:
-                outcome = run_item(self.spec, item)
+                outcome = run_item(self.spec, item, warm_state)
             except CampaignError:
                 raise
             except Exception as exc:  # noqa: BLE001 — retry policy
@@ -408,13 +411,13 @@ class CampaignRunner:
     # -- pooled execution ----------------------------------------------
     def _run_pool(
         self,
+        ctx: multiprocessing.context.BaseContext,
         queue: WorkQueue,
         payloads: Dict[str, Dict[str, Any]],
         journal: Journal,
         phase_times: Dict[str, float],
+        warm_state: CampaignWarmState,
     ) -> None:
-        ctx = _fork_context()
-        assert ctx is not None
         result_q = ctx.Queue()
         handles = [_WorkerHandle(wid) for wid in range(self.workers)]
 
@@ -424,8 +427,8 @@ class CampaignRunner:
             handle.task_q = ctx.Queue()
             handle.proc = ctx.Process(
                 target=worker_main,
-                args=(handle.wid, handle.task_q, result_q,
-                      self.spec.to_dict(), self.heartbeat_interval),
+                args=(handle.wid, handle.task_q, result_q, self.spec,
+                      warm_state, self.heartbeat_interval),
                 daemon=True,
             )
             handle.proc.start()

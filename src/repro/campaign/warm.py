@@ -1,40 +1,34 @@
 """Warm-fork state: build per-circuit ATPG artifacts once, before forking.
 
-A cold campaign worker re-derives everything per item: resolve the
-circuit, compile it, compute SCOAP testability, collapse the fault
-universe, and (under the codegen backend) compile simulation kernels.
-For per-fault work items that fixed cost dwarfs the ATPG itself.  The
-warm-fork protocol moves all of it into the *parent* before any worker
-exists:
-
-1. the runner calls :meth:`CampaignWarmState.build` — one pass over the
-   spec's circuits that resolves, compiles, computes testability,
-   collapses faults, parses the knowledge preload sidecar, and runs one
-   fault-free frame so the backend's kernels are compiled;
-2. the runner enters :func:`activate`, installing the state in this
-   module's registry, **then** forks its workers — children inherit the
-   registry (and every compiled artifact it references) copy-on-write;
-3. :func:`~repro.campaign.queue.shard_faults` and
-   :func:`~repro.campaign.worker.run_item` consult :func:`active` and
-   skip straight to solving when the warm state covers their circuit.
+Per-fault work items must not re-derive their circuit's fixed artifacts:
+resolve and compile the circuit, compute SCOAP testability, collapse the
+fault universe, parse the knowledge preload, build the policy plan, and
+(under the codegen backend) compile simulation kernels.  For per-fault
+items that fixed cost dwarfs the ATPG itself.  So
+:class:`~repro.campaign.runner.CampaignRunner` calls
+:meth:`CampaignWarmState.build` once, in the parent, and passes the
+state to every item it runs inline and to every worker it forks
+(:func:`~repro.campaign.worker.worker_main`); forked children inherit
+the state, and every compiled artifact it references, copy-on-write.
+:func:`~repro.campaign.worker.run_item` reads everything it needs from
+the state it is handed and derives nothing itself, and this is the only
+campaign module that loads a knowledge sidecar or a policy artifact.
 
 Keeping the *same* ``Circuit`` object alive matters more than it looks:
 :func:`~repro.simulation.compiled.compile_circuit` caches by object
 identity, so every downstream layer that accepts a ``Circuit`` (the
-driver, the merge stage's grader) transparently reuses the warm compile
+driver, its fault simulators) transparently reuses the warm compile
 without any plumbing.
 
-The warm state is purely an accelerator: every artifact it holds is a
-deterministic function of the spec, so an item computes identical results
-with or without it (``run_item`` inline, in a cold worker, and in a warm
-worker all agree bit for bit).
+Every artifact the state holds is a deterministic function of the spec,
+so an item's result depends only on the spec and the item, never on
+which process built the state.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..atpg.scoap import Testability, compute_testability
 from ..circuit.netlist import Circuit
@@ -122,10 +116,7 @@ def circuit_warm_key(spec: CampaignSpec, name: str) -> Optional[str]:
 class CampaignWarmState:
     """Per-circuit warm artifacts for one campaign spec."""
 
-    def __init__(
-        self, spec_hash: str, circuits: Dict[str, CircuitWarmState]
-    ) -> None:
-        self.spec_hash = spec_hash
+    def __init__(self, circuits: Dict[str, CircuitWarmState]) -> None:
         self.circuits = circuits
 
     @classmethod
@@ -148,7 +139,7 @@ class CampaignWarmState:
         """
         circuits: Dict[str, CircuitWarmState] = {}
         if spec.synthetic_item_seconds is not None:
-            return cls(spec.spec_hash(), circuits)
+            return cls(circuits)
         policy: Optional[FaultPolicy] = None
         if spec.policy_file:
             # unlike the knowledge preload, the policy affects results
@@ -203,40 +194,8 @@ class CampaignWarmState:
             circuits[name] = state
             if key is not None:
                 cache[key] = state
-        return cls(spec.spec_hash(), circuits)
+        return cls(circuits)
 
     def get(self, circuit_name: str) -> Optional[CircuitWarmState]:
         return self.circuits.get(circuit_name)
 
-
-#: The process's active warm state (inherited by forked workers).
-_ACTIVE: Optional[CampaignWarmState] = None
-
-
-def active_for(spec: CampaignSpec) -> Optional[CampaignWarmState]:
-    """The active warm state, iff it was built from exactly this spec.
-
-    The spec-hash check makes a stale registry impossible: warm artifacts
-    built for one campaign (e.g. a different ``fault_limit``) can never
-    leak into another's fault catalogue.
-    """
-    if _ACTIVE is not None and _ACTIVE.spec_hash == spec.spec_hash():
-        return _ACTIVE
-    return None
-
-
-@contextlib.contextmanager
-def activate(state: CampaignWarmState) -> Iterator[CampaignWarmState]:
-    """Install ``state`` as the process's warm registry for the block.
-
-    The runner enters this *before* forking workers, so children are born
-    with the registry populated; the previous registry is restored on
-    exit (supports nested campaigns in tests).
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = state
-    try:
-        yield state
-    finally:
-        _ACTIVE = previous

@@ -13,9 +13,10 @@ from a dead process.
 Pooled workers run the ``(item, attempt)`` pairs their task queue hands
 them, in order, until they read ``None``; the parent keeps at most one
 unstarted pair queued per worker.  Every artifact an item needs (compiled
-circuit, SCOAP, collapsed faults, the knowledge preload) is served from
-the parent's pre-fork warm state (:mod:`repro.campaign.warm`) when
-present, so a per-fault item pays only for solving.
+circuit, SCOAP, collapsed faults, the knowledge preload, the policy
+plan) comes from the :class:`~repro.campaign.warm.CampaignWarmState` the
+runner built before forking and passes to :func:`worker_main` and
+:func:`run_item`, so a per-fault item pays only for solving.
 """
 
 from __future__ import annotations
@@ -28,19 +29,11 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..clock import monotonic
 from ..hybrid.driver import HybridTestGenerator
-from ..circuits.resolve import resolve_circuit
-from ..knowledge import (
-    KnowledgeError,
-    StateKnowledge,
-    load_store_for,
-    model_fingerprint,
-)
-from ..policy.model import FaultPolicy, PolicyError
-from ..policy.schedule import PolicyPlan
+from ..knowledge import StateKnowledge
 from ..telemetry import TelemetryRecorder
-from . import warm
-from .queue import WorkItem, _hash_faults, shard_faults
+from .queue import WorkItem, _hash_faults
 from .spec import CampaignError, CampaignSpec
+from .warm import CampaignWarmState
 
 
 @dataclass
@@ -71,63 +64,19 @@ class ItemOutcome:
         return asdict(self)
 
 
-def _item_knowledge(
-    spec: CampaignSpec,
-    circuit_name: str,
-    warm_circuit: Optional[warm.CircuitWarmState],
-) -> "bool | StateKnowledge":
-    """The knowledge store one item should run with.
-
-    Each item owns a private store, optionally preloaded from the spec's
-    fixed sidecar, so reruns and resumes reproduce results exactly.
-    """
-    if not spec.knowledge:
-        return False
-    preloaded: Optional[StateKnowledge] = None
-    if warm_circuit is not None:
-        preloaded = warm_circuit.knowledge_store()
-    elif spec.knowledge_file:
-        try:
-            preloaded = load_store_for(
-                spec.knowledge_file,
-                circuit_name,
-                model_fingerprint("unconstrained", spec.fault_model),
-            )
-        except (OSError, KnowledgeError):
-            preloaded = None  # an accelerator, never a failed item
-    if preloaded is not None:
-        return preloaded
-    return True
-
-
-def _item_policy(
-    spec: CampaignSpec,
-    warm_circuit: Optional[warm.CircuitWarmState],
-) -> "PolicyPlan | FaultPolicy | None":
-    """The scheduling policy one item's driver should run under.
-
-    Warm items get the plan precomputed at warm-build time; cold items
-    load the artifact and let the driver build an identical plan (plan
-    construction is deterministic, so both paths agree bit for bit).
-    An unreadable artifact fails the item: the policy is named by the
-    spec and affects results, unlike the knowledge accelerator.
-    """
-    if not spec.policy_file:
-        return None
-    if warm_circuit is not None:
-        return warm_circuit.policy_plan
-    try:
-        return FaultPolicy.load(spec.policy_file)
-    except PolicyError as exc:
-        raise CampaignError(str(exc)) from exc
-
-
 def run_item(
     spec: CampaignSpec,
     item: WorkItem,
+    warm: CampaignWarmState,
     clock: Optional[Callable[[], float]] = None,
 ) -> ItemOutcome:
     """Execute one work item; deterministic given the item's seed.
+
+    ``warm`` is the campaign's warm state, built from ``spec``: the item
+    reads its circuit, fault shard, testability, knowledge preload and
+    policy plan from it.  Each item runs with a private knowledge store,
+    optionally preloaded from the spec's fixed sidecar, so reruns and
+    resumes reproduce results exactly.
 
     Raises :class:`CampaignError` when the circuit's current fault list no
     longer matches the hash recorded when the campaign was planned (code
@@ -145,27 +94,24 @@ def run_item(
             total_faults=item.count,
         )
     tick = clock or monotonic
-    warm_state = warm.active_for(spec)
-    warm_circuit = warm_state.get(item.circuit) if warm_state else None
-    if warm_circuit is not None:
-        circuit = warm_circuit.circuit
-    else:
-        circuit = resolve_circuit(item.circuit)
-    faults = shard_faults(spec, item.circuit)
-    shard = faults[item.start : item.start + item.count]
+    state = warm.circuits[item.circuit]
+    shard = state.faults[item.start : item.start + item.count]
     if _hash_faults(shard) != item.fault_hash:
         raise CampaignError(
             f"{item.item_id}: fault shard drifted since the campaign was "
             f"planned (hash mismatch) — start a fresh campaign"
         )
-    knowledge = _item_knowledge(spec, circuit.name, warm_circuit)
-    policy = _item_policy(spec, warm_circuit)
+    # an empty preloaded store is falsy, so test the preload with is None
+    preloaded = state.knowledge_store()
+    knowledge: "bool | StateKnowledge" = (
+        spec.knowledge if preloaded is None else preloaded
+    )
     # policy-steered items carry a real recorder so the campaign report
     # rolls up the atpg.policy.* counters (reorders, skips, deferrals);
     # plain items keep the no-op recorder and their payloads unchanged
     recorder = TelemetryRecorder() if spec.policy_file else None
     driver = HybridTestGenerator(
-        circuit,
+        state.circuit,
         seed=item.seed,
         width=spec.width,
         faults=shard,
@@ -173,10 +119,8 @@ def run_item(
         generator_name="HITEC" if spec.baseline else "GA-HITEC",
         clock=clock,
         knowledge=knowledge,
-        testability=(
-            warm_circuit.testability if warm_circuit is not None else None
-        ),
-        policy=policy,
+        testability=state.testability,
+        policy=state.policy_plan,
         telemetry=recorder,
         fault_model=spec.fault_model,
     )
@@ -185,7 +129,7 @@ def run_item(
         if spec.item_timeout_s is not None
         else None
     )
-    result = driver.run(spec.schedule_for(circuit), deadline=deadline)
+    result = driver.run(spec.schedule_for(state.circuit), deadline=deadline)
     return ItemOutcome(
         item_id=item.item_id,
         circuit=item.circuit,
@@ -237,10 +181,14 @@ def worker_main(
     worker_id: int,
     task_q,
     result_q,
-    spec_data: Dict[str, Any],
+    spec: CampaignSpec,
+    warm: CampaignWarmState,
     heartbeat_interval: float = 0.5,
 ) -> None:
     """Worker-process entry point: run queued items until poisoned.
+
+    The runner starts it in a forked child, so ``spec`` and ``warm`` are
+    the parent's objects, inherited rather than pickled.
 
     Messages from the parent (all on ``task_q``):
 
@@ -254,7 +202,6 @@ def worker_main(
     * ``("done", worker_id, item_id, payload_dict)``
     * ``("failed", worker_id, item_id, error_string)``
     """
-    spec = CampaignSpec.from_dict(spec_data)
     while True:
         task = task_q.get()
         if task is None:
@@ -266,7 +213,7 @@ def worker_main(
                             heartbeat_interval)
         beacon.start()
         try:
-            outcome = run_item(spec, item)
+            outcome = run_item(spec, item, warm)
             result_q.put(("done", worker_id, item.item_id,
                           outcome.to_dict()))
         except Exception as exc:  # noqa: BLE001 — report, don't die

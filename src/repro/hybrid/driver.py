@@ -295,7 +295,7 @@ class HybridTestGenerator:
                 if moved:
                     self.remaining = ordered
                     tel.count("atpg.policy.faults_reordered", moved)
-            tel.count("atpg.policy.deferred", self._plan.deferred_count())
+            tel.count("atpg.policy.deferred", self._plan.deferred_count(self.remaining))
 
         report = RunReport(
             circuit=self.circuit.name,

@@ -96,8 +96,10 @@ class PolicyPlan:
 
         return sorted(faults, key=key)
 
-    def deferred_count(self) -> int:
-        return sum(1 for plan in self.plans.values() if plan.deferred)
+    def deferred_count(self, faults: Sequence[Fault]) -> int:
+        """How many of ``faults`` the plan defers to the final pass."""
+        plans = (self.plans.get(str(fault)) for fault in faults)
+        return sum(1 for plan in plans if plan is not None and plan.deferred)
 
 
 def build_plan(

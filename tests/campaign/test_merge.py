@@ -2,6 +2,7 @@
 
 from repro.campaign import (
     CampaignSpec,
+    CampaignWarmState,
     build_items,
     merge_campaign,
     run_item,
@@ -16,8 +17,10 @@ def spec(**overrides):
 
 
 def payloads_for(s):
+    warm = CampaignWarmState.build(s)
     return {
-        item.item_id: run_item(s, item).to_dict() for item in build_items(s)
+        item.item_id: run_item(s, item, warm).to_dict()
+        for item in build_items(s)
     }
 
 

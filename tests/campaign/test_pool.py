@@ -16,6 +16,8 @@ from repro.campaign import (
     build_items,
     read_events,
 )
+from repro.policy.dataset import dataset_from_reports
+from repro.policy.model import train_policy
 
 
 def spec(**overrides):
@@ -23,6 +25,24 @@ def spec(**overrides):
                 passes=1, fault_limit=10)
     base.update(overrides)
     return CampaignSpec(**base)
+
+
+def without_timing(value):
+    """Drop wall-clock fields, and ``kernel_compiles``: every forked
+    worker fills its own kernel cache."""
+    if isinstance(value, dict):
+        return {
+            k: without_timing(v)
+            for k, v in value.items()
+            if not (
+                k.endswith("time_s")
+                or k.endswith(".seconds")
+                or k in ("kernel_compile_s", "kernel_compiles")
+            )
+        }
+    if isinstance(value, list):
+        return [without_timing(v) for v in value]
+    return value
 
 
 class TestPoolProtocol:
@@ -51,13 +71,13 @@ class TestPoolProtocol:
         real_run_item = campaign_worker.run_item
         marker = tmp_path / "died"
 
-        def dying_run_item(item_spec, item, clock=None):
+        def dying_run_item(item_spec, item, warm, clock=None):
             # forked workers inherit this patched global; the marker
             # file makes the death happen once across processes
             if item.item_id == "s27/004" and not marker.exists():
                 marker.touch()
                 os._exit(1)
-            return real_run_item(item_spec, item, clock)
+            return real_run_item(item_spec, item, warm, clock)
 
         monkeypatch.setattr(campaign_worker, "run_item", dying_run_item)
         journal = str(tmp_path / "dying.jsonl")
@@ -137,3 +157,36 @@ class TestWorkerCountDeterminism:
         assert all(v >= 0.0 for v in result.phase_times.values())
         merged = [e for e in read_events(journal) if e["type"] == "merged"]
         assert merged[0]["summary"]["phase_times"]["fork_s"] >= 0.0
+
+    def test_preload_and_policy_reach_forked_workers(self, tmp_path):
+        """A knowledge preload and a policy reach forked workers only
+        through the warm state the runner hands them, so the item
+        payloads at 2 workers must equal the inline ones."""
+        base = dict(circuits=("s27", "s298"), name="inputs", seed=3,
+                    fault_limit=30, passes=1)
+        prior = CampaignRunner(
+            CampaignSpec(**base), str(tmp_path / "prior.jsonl")
+        )
+        report = prior.run().report
+        policy_path = str(tmp_path / "policy.json")
+        train_policy(dataset_from_reports([report])).save(policy_path)
+        s = CampaignSpec(**base, knowledge_file=prior.knowledge_path(),
+                         policy_file=policy_path)
+        payloads = {}
+        for workers in (1, 2):
+            journal = str(tmp_path / f"w{workers}.jsonl")
+            CampaignRunner(s, journal, workers=workers).run()
+            payloads[workers] = {
+                e["item"]: without_timing(e["payload"])
+                for e in read_events(journal) if e["type"] == "item_done"
+            }
+        assert sorted(payloads[1]) == [i.item_id for i in build_items(s)]
+        assert payloads[2] == payloads[1]
+        seeded = dict.fromkeys(s.circuits, 0)
+        for payload in payloads[1].values():
+            seeded[payload["circuit"]] += payload["knowledge_stats"]["ga_seeded"]
+            # only a driver steered by a plan counts deferrals
+            counters = payload["report"]["metrics"]["counters"]
+            assert "atpg.policy.deferred" in counters
+        # the preload seeded GA runs on both circuits
+        assert all(seeded.values()), seeded

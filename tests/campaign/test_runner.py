@@ -1,9 +1,12 @@
 """CampaignRunner: inline and pooled execution, journaling, resume."""
 
 import json
+import threading
 
 import pytest
 
+import repro.campaign.queue as campaign_queue
+import repro.campaign.runner as campaign_runner
 from repro.campaign import (
     CampaignError,
     CampaignRunner,
@@ -48,6 +51,74 @@ class TestInlineRun:
         result, _ = run_campaign(tmp_path)
         assert result.report.jobs == 1
         assert result.report.wall_time_s == result.wall_time_s
+
+    def test_unloadable_policy_leaves_no_journal(self, tmp_path):
+        """The warm state is built before the first journal write, so a
+        spec whose inputs cannot load fails the same way every time."""
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        journal = tmp_path / "j.jsonl"
+        for _ in range(2):
+            with pytest.raises(CampaignError, match="invalid policy artifact"):
+                CampaignRunner(spec(policy_file=str(bad)), str(journal)).run()
+        assert not journal.exists()
+
+
+class TestConcurrentRunners:
+    def test_items_never_rebuild_their_fault_list(self, tmp_path, monkeypatch):
+        """Two runners in two threads of one process, as the service runs
+        its jobs.  Both reach their first item before either runs it; no
+        item may then collapse its circuit's faults again, because every
+        item reads its own runner's warm state."""
+        barrier = threading.Barrier(2, timeout=60)
+        local = threading.local()
+        collapsed_in_item = []
+        real_collapse = campaign_queue.collapse_faults
+        real_run_item = campaign_runner.run_item
+
+        def collapse_faults(*args, **kwargs):
+            if getattr(local, "in_item", False):
+                collapsed_in_item.append(threading.current_thread().name)
+            return real_collapse(*args, **kwargs)
+
+        def run_item(*args, **kwargs):
+            if not getattr(local, "started", False):
+                local.started = True
+                barrier.wait()
+            local.in_item = True
+            try:
+                return real_run_item(*args, **kwargs)
+            finally:
+                local.in_item = False
+
+        monkeypatch.setattr(campaign_queue, "collapse_faults", collapse_faults)
+        monkeypatch.setattr(campaign_runner, "run_item", run_item)
+        specs = {
+            "a": spec(fault_limit=8),
+            "b": spec(seed=4, fault_limit=16),
+        }
+        results = {}
+
+        def run(name):
+            results[name], _ = run_campaign(
+                tmp_path, specs[name], name=f"{name}.jsonl"
+            )
+
+        threads = [
+            threading.Thread(target=run, args=(name,), name=name)
+            for name in specs
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not barrier.broken
+        assert sorted(results) == ["a", "b"]
+        assert collapsed_in_item == []
+        for name, result in results.items():
+            assert result.items_failed == 0
+            assert result.circuits["s27"].total_faults == specs[name].fault_limit
 
 
 class TestTimeoutPolicy:

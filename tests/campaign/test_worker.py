@@ -4,7 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.campaign import CampaignError, CampaignSpec, build_items, run_item
+from repro.campaign import (
+    CampaignError,
+    CampaignSpec,
+    CampaignWarmState,
+    build_items,
+    run_item,
+)
 
 
 def spec(**overrides):
@@ -29,10 +35,14 @@ def _strip_times(value):
     return value
 
 
+def run(s, item, **kwargs):
+    return run_item(s, item, CampaignWarmState.build(s), **kwargs)
+
+
 class TestRunItem:
     def test_produces_detections_and_report(self):
         s = spec()
-        outcome = run_item(s, build_items(s)[0])
+        outcome = run(s, build_items(s)[0])
         assert outcome.total_faults == 8
         assert outcome.detected
         assert outcome.vectors and outcome.blocks[0] == 0
@@ -42,21 +52,21 @@ class TestRunItem:
     def test_same_item_same_payload(self):
         s = spec()
         item = build_items(s)[0]
-        a = _strip_times(run_item(s, item).to_dict())
-        b = _strip_times(run_item(s, item).to_dict())
+        a = _strip_times(run(s, item).to_dict())
+        b = _strip_times(run(s, item).to_dict())
         assert a == b
 
     def test_seed_changes_payload_fields(self):
         s = spec()
         item = build_items(s)[0]
         other = replace(item, seed=item.seed + 1)
-        assert run_item(s, item).seed != run_item(s, other).seed
+        assert run(s, item).seed != run(s, other).seed
 
     def test_fault_hash_drift_rejected(self):
         s = spec()
         item = replace(build_items(s)[0], fault_hash="0" * 12)
         with pytest.raises(CampaignError, match="drifted"):
-            run_item(s, item)
+            run(s, item)
 
     def test_timeout_with_fake_clock(self):
         s = spec(item_timeout_s=5.0)
@@ -67,11 +77,11 @@ class TestRunItem:
             ticks[0] += 3.0  # two reads cross the 5 s deadline
             return ticks[0]
 
-        outcome = run_item(s, item, clock=clock)
+        outcome = run(s, item, clock=clock)
         assert outcome.timed_out
 
     def test_synthetic_drill_mode_skips_atpg(self):
         s = spec(synthetic_item_seconds=0.0)
-        outcome = run_item(s, build_items(s)[0])
+        outcome = run(s, build_items(s)[0])
         assert outcome.vectors == [] and outcome.detected == []
         assert outcome.total_faults == 8

@@ -130,6 +130,24 @@ class TestEndToEnd:
         ]
         assert policy_keys
 
+    def test_each_deferred_fault_counts_once(self, tmp_path, policy_file):
+        """Items count deferrals among their own targets only, so a
+        policy that defers all 26 s27 faults reports 26 over 26 items,
+        not 26 per item."""
+        with open(policy_file) as handle:
+            data = json.load(handle)
+        data["options"]["defer_threshold"] = 1.5
+        defer_all = tmp_path / "defer_all.json"
+        defer_all.write_text(json.dumps(data))
+        spec = CampaignSpec(
+            circuits=("s27",), seed=3, shard_size=1,
+            policy_file=str(defer_all),
+        )
+        result = CampaignRunner(spec, str(tmp_path / "c.jsonl")).run()
+        assert result.items_done == 26
+        counters = result.report.metrics["counters"]
+        assert counters["atpg.policy.deferred"] == 26
+
     def test_missing_policy_file_fails_loudly(self, tmp_path):
         spec = CampaignSpec(
             circuits=("s27",),

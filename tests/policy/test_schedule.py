@@ -101,8 +101,13 @@ class TestPolicyPlan:
         ]
 
     def test_deferred_count(self):
+        a, b, c = (Fault(net=n, stuck=0) for n in ("a", "b", "c"))
         plan = self.plan({
-            "a": FaultPlan(3, deferred=True, order_key=0.0),
-            "b": FaultPlan(1, deferred=False, order_key=0.0),
+            str(a): FaultPlan(3, deferred=True, order_key=0.0),
+            str(b): FaultPlan(1, deferred=False, order_key=0.0),
+            str(c): FaultPlan(3, deferred=True, order_key=0.0),
         })
-        assert plan.deferred_count() == 1
+        assert plan.deferred_count([a, b, c]) == 2
+        # only the faults asked about count, never the whole plan
+        assert plan.deferred_count([a, b]) == 1
+        assert plan.deferred_count([b, Fault(net="z", stuck=1)]) == 0
