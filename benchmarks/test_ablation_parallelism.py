@@ -38,7 +38,7 @@ import pytest
 from repro.circuits import iscas89
 from repro.faults.collapse import collapse_faults
 from repro.simulation import kernel_cache
-from repro.simulation.codegen import COMPILE_STATS
+from repro.simulation.codegen import compile_stats
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.fault_sim import FaultSimulator
 
@@ -163,12 +163,12 @@ def _measure_cache_warmup(tmp_dir):
     """(cold compiles, warm compiles) with a persistent kernel cache."""
 
     def one_pass():
-        compiles0 = COMPILE_STATS["kernels"]
+        compiles0 = compile_stats()["kernels"]
         blocks, batches = _grade_workload()
         cc = compile_circuit(iscas89(CIRCUIT))
         sim = FaultSimulator(cc, width=GRADE_WIDTH, backend="codegen")
         sim.run(blocks[0], batches[0], stop_on_all_detected=False)
-        return int(COMPILE_STATS["kernels"] - compiles0)
+        return int(compile_stats()["kernels"] - compiles0)
 
     kernel_cache.configure(str(tmp_dir))
     try:

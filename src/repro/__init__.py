@@ -50,7 +50,6 @@ from .faults import Fault, collapse_faults, full_fault_list
 from .simulation import (
     FaultSimulator,
     FrameSimulator,
-    available_backends,
     fault_coverage,
     make_simulator,
 )
@@ -171,7 +170,6 @@ __all__ = [
     "collapse_faults",
     "div16",
     "evaluate_test_set",
-    "available_backends",
     "fault_coverage",
     "make_simulator",
     "full_fault_list",

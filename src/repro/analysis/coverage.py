@@ -53,7 +53,6 @@ def evaluate_test_set(
     vectors: Sequence[Sequence[int]],
     faults: Optional[Sequence[Fault]] = None,
     width: int = 64,
-    backend: Optional[str] = None,
     fault_model: str = "stuck_at",
 ) -> CoverageReport:
     """Fault-simulate ``vectors`` from the all-X state and report coverage.
@@ -66,7 +65,7 @@ def evaluate_test_set(
         if faults is not None
         else collapse_faults(circuit, fault_model)
     )
-    sim = FaultSimulator(circuit, width=width, backend=backend)
+    sim = FaultSimulator(circuit, width=width)
     result = sim.run(vectors, fault_list)
     return CoverageReport(
         total_faults=len(fault_list),
@@ -90,12 +89,10 @@ def random_baseline(
     faults: Optional[Sequence[Fault]] = None,
     seed: int = 0,
     width: int = 64,
-    backend: Optional[str] = None,
 ) -> CoverageReport:
     """Coverage of ``count`` random vectors — the weakest sensible baseline."""
     return evaluate_test_set(
-        circuit, random_vectors(circuit, count, seed), faults, width,
-        backend=backend,
+        circuit, random_vectors(circuit, count, seed), faults, width
     )
 
 

@@ -59,9 +59,6 @@ class AtpgContext:
             omitted).
         constraints: environment input constraints (``None`` or a trivial
             constraint set both normalise to unconstrained).
-        backend: simulation backend for every simulator built on the
-            context (``None`` defers to ``REPRO_SIM_BACKEND``, then to
-            ``event``, except GA fitness, which defaults to ``codegen``).
         telemetry: shared metrics recorder (defaults to the no-op).
         clock: injectable wall-clock source for every deadline derived
             from this context.
@@ -78,7 +75,6 @@ class AtpgContext:
         circuit: CircuitLike,
         testability: Optional[Testability] = None,
         constraints: Optional[InputConstraints] = None,
-        backend: Optional[str] = None,
         telemetry: Optional[Recorder] = None,
         clock: Optional[Callable[[], float]] = None,
         seed: int = 0,
@@ -91,7 +87,6 @@ class AtpgContext:
             self.cc = compile_circuit(circuit)
         self.circuit: Circuit = self.cc.circuit
         self.constraints: InputConstraints = constraints or UNCONSTRAINED
-        self.backend = backend
         self.telemetry: Recorder = telemetry or NULL_RECORDER
         self.clock: Callable[[], float] = clock or monotonic
         self.seed = seed
@@ -152,12 +147,7 @@ class AtpgContext:
         """A fault simulator for this circuit, cached by word width."""
         sim = self._simulators.get(width)
         if sim is None:
-            sim = FaultSimulator(
-                self.cc,
-                width=width,
-                backend=self.backend,
-                telemetry=self.telemetry,
-            )
+            sim = FaultSimulator(self.cc, width=width, telemetry=self.telemetry)
             self._simulators[width] = sim
         return sim
 

@@ -90,7 +90,7 @@ class SequentialTestGenerator:
 
     Args:
         ctx: the shared per-circuit :class:`~repro.atpg.context.AtpgContext`
-            (compiled circuit, SCOAP measures, input constraints, backend,
+            (compiled circuit, SCOAP measures, input constraints,
             telemetry and knowledge store).
         max_frames: largest forward propagation window to try.
         max_solutions: propagation alternatives to offer the justifier.

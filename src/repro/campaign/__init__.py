@@ -6,8 +6,8 @@ list is partitioned into per-fault items (or larger shards) with
 deterministic seeds, and items execute inline or across a pool of forked
 worker processes with per-item timeouts, heartbeats, and bounded
 retries.  The pool is warm-forked — the parent compiles circuits,
-computes SCOAP, collapses faults, and warms simulation kernels *before*
-forking (:mod:`~repro.campaign.warm`), so workers inherit everything
+computes SCOAP and collapses faults *before* forking
+(:mod:`~repro.campaign.warm`), so workers inherit everything
 copy-on-write — and dispatch sends one item at a time: each worker has
 at most one unstarted item queued behind the one it runs.  Every item
 runs with its own isolated knowledge store, so results do not depend on
@@ -23,6 +23,7 @@ from .journal import (
     Journal,
     JournalState,
     JournalTail,
+    knowledge_sidecar_path,
     read_events,
 )
 from .merge import CampaignResult, CircuitMergeResult, merge_campaign
@@ -65,6 +66,7 @@ __all__ = [
     "WorkQueue",
     "build_items",
     "derive_seed",
+    "knowledge_sidecar_path",
     "merge_campaign",
     "read_events",
     "run_item",

@@ -149,6 +149,11 @@ def read_events(path: str) -> List[Dict[str, Any]]:
     return JournalTail(path).poll()
 
 
+def knowledge_sidecar_path(journal_path: str) -> str:
+    """A campaign's merged knowledge: the journal's stem + ``.knowledge.json``."""
+    return os.path.splitext(journal_path)[0] + ".knowledge.json"
+
+
 @dataclass
 class JournalState:
     """Campaign state reconstructed by replaying a journal.

@@ -213,7 +213,6 @@ def merge_campaign(
             sim = FaultSimulator(
                 compile_circuit(circuit),
                 width=spec.width,
-                backend=spec.backend,
                 telemetry=telemetry,
             )
             grade = sim.grade_blocks(sequences, faults, drop_redundant=True)

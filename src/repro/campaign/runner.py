@@ -46,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clock import monotonic
 from ..knowledge import save_knowledge
-from .journal import JOURNAL_SCHEMA, Journal, JournalState
+from .journal import JOURNAL_SCHEMA, Journal, JournalState, knowledge_sidecar_path
 from .merge import CampaignResult, merge_campaign
 from .queue import ItemState, WorkItem, WorkQueue, build_items
 from .spec import CampaignCancelled, CampaignError, CampaignSpec
@@ -231,9 +231,8 @@ class CampaignRunner:
             return result
 
     def knowledge_path(self) -> str:
-        """Sidecar path: the journal's stem plus ``.knowledge.json``."""
-        stem, _ = os.path.splitext(self.journal_path)
-        return f"{stem}.knowledge.json"
+        """This campaign's knowledge sidecar (:func:`knowledge_sidecar_path`)."""
+        return knowledge_sidecar_path(self.journal_path)
 
     @classmethod
     def resume(

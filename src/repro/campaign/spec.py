@@ -27,7 +27,6 @@ from ..faults.model import (
     resolve_fault_model,
 )
 from ..hybrid.passes import PassConfig, gahitec_schedule, hitec_schedule
-from ..simulation.logic_sim import available_backends
 
 #: Identifier embedded in every serialized spec.
 SPEC_SCHEMA = "repro-campaign-spec/v1"
@@ -74,8 +73,6 @@ class CampaignSpec:
             existing specs keep their hash.
         baseline: run the deterministic HITEC baseline schedule instead of
             GA-HITEC.
-        backend: simulation backend for every item (``None`` = default);
-            must be a registered backend name.
         width: fault-simulation word width.
         fault_limit: cap each circuit's collapsed fault list to its first
             N entries (smoke tests and CI drills; ``None`` = all).
@@ -121,7 +118,6 @@ class CampaignSpec:
     backtracks: int = 100
     justify_depth: int = 16
     baseline: bool = False
-    backend: Optional[str] = None
     width: int = 64
     fault_limit: Optional[int] = None
     item_timeout_s: Optional[float] = None
@@ -166,11 +162,6 @@ class CampaignSpec:
             resolve_fault_model(self.fault_model)
         except FaultModelError as exc:
             raise CampaignError(str(exc)) from exc
-        if self.backend is not None and self.backend not in available_backends():
-            raise CampaignError(
-                f"unknown simulation backend {self.backend!r}; "
-                f"registered: {available_backends()}"
-            )
         # tuple-ify so specs parsed from JSON lists hash identically
         if not isinstance(self.circuits, tuple):
             object.__setattr__(self, "circuits", tuple(self.circuits))
@@ -199,6 +190,9 @@ class CampaignSpec:
         data = asdict(self)
         data["circuits"] = list(self.circuits)
         data["schema"] = SPEC_SCHEMA
+        # every existing spec hash (so every journal identity and
+        # service job id) includes this null key
+        data["backend"] = None
         # optional fields are serialized only when set: specs that leave
         # them at the default keep the hash (and journal identity) they
         # had before the field existed
@@ -219,8 +213,13 @@ class CampaignSpec:
             raise CampaignError(
                 f"spec schema must be {SPEC_SCHEMA!r}, got {schema!r}"
             )
+        if data.get("backend") is not None:
+            raise CampaignError(
+                f"spec names simulation backend {data['backend']!r}; the "
+                "code picks each job's simulator, so it must be null"
+            )
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known - {"schema"}
+        unknown = set(data) - known - {"schema", "backend"}
         if unknown:
             raise CampaignError(
                 f"unknown spec keys: {', '.join(sorted(unknown))}"

@@ -2,9 +2,8 @@
 
 Per-fault work items must not re-derive their circuit's fixed artifacts:
 resolve and compile the circuit, compute SCOAP testability, collapse the
-fault universe, parse the knowledge preload, build the policy plan, and
-(under the codegen backend) compile simulation kernels.  For per-fault
-items that fixed cost dwarfs the ATPG itself.  So
+fault universe, parse the knowledge preload, and build the policy plan.
+For per-fault items that fixed cost dwarfs the ATPG itself.  So
 :class:`~repro.campaign.runner.CampaignRunner` calls
 :meth:`CampaignWarmState.build` once, in the parent, and passes the
 state to every item it runs inline and to every worker it forks
@@ -44,7 +43,6 @@ from ..knowledge import (
 from ..policy.model import FaultPolicy, PolicyError
 from ..policy.schedule import PolicyPlan, build_plan
 from ..simulation.compiled import CompiledCircuit, compile_circuit
-from ..simulation.fault_sim import FaultSimulator
 from .spec import CampaignError, CampaignSpec
 
 
@@ -105,8 +103,6 @@ def circuit_warm_key(spec: CampaignSpec, name: str) -> Optional[str]:
         str(part)
         for part in (
             name,
-            spec.width,
-            spec.backend or "",
             spec.fault_limit if spec.fault_limit is not None else "",
             spec.fault_model,
         )
@@ -173,10 +169,6 @@ class CampaignWarmState:
                     store = None  # an accelerator, never a failed campaign
                 if store is not None:
                     doc = store.to_dict()
-            # one fault-free frame forces the backend to build (or load
-            # from REPRO_KERNEL_CACHE) its kernels now, pre-fork
-            sim = FaultSimulator(cc, width=spec.width, backend=spec.backend)
-            sim.simulate_good([[0] * len(circuit.inputs)])
             testability = compute_testability(cc)
             plan: Optional[PolicyPlan] = None
             if policy is not None:

@@ -115,7 +115,6 @@ def run_item(
         seed=item.seed,
         width=spec.width,
         faults=shard,
-        backend=spec.backend,
         generator_name="HITEC" if spec.baseline else "GA-HITEC",
         clock=clock,
         knowledge=knowledge,

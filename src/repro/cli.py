@@ -58,7 +58,6 @@ from .hybrid.driver import gahitec, hitec_baseline
 from .hybrid.passes import gahitec_schedule, hitec_schedule
 from .knowledge import load_store_for, model_fingerprint, save_knowledge
 from .policy import FaultPolicy, PolicyError, dataset_from_reports, train_policy
-from .simulation import resolve_backend
 from .telemetry import RunReport, TelemetryRecorder, diff_reports, render_diff
 
 __all__ = ["build_parser", "main", "resolve_circuit"]
@@ -186,7 +185,6 @@ def cmd_atpg(args: argparse.Namespace) -> int:
             knowledge = preloaded
     if args.baseline:
         driver = hitec_baseline(circuit, seed=args.seed,
-                                backend=args.backend,
                                 telemetry=recorder, knowledge=knowledge,
                                 policy=policy, faults=faults,
                                 fault_model=args.fault_model)
@@ -197,7 +195,6 @@ def cmd_atpg(args: argparse.Namespace) -> int:
         )
     else:
         driver = gahitec(circuit, seed=args.seed,
-                         backend=args.backend,
                          telemetry=recorder, knowledge=knowledge,
                          policy=policy, faults=faults,
                          fault_model=args.fault_model)
@@ -298,7 +295,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         backtracks=args.backtracks,
         justify_depth=args.justify_depth,
         baseline=args.baseline,
-        backend=args.backend,
         fault_limit=args.fault_limit,
         item_timeout_s=args.item_timeout,
         max_attempts=args.max_attempts,
@@ -432,8 +428,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_faultsim(args: argparse.Namespace) -> int:
     circuit = resolve_circuit(args.circuit)
     vectors = _read_vectors(args.vectors, len(circuit.inputs))
-    report = evaluate_test_set(circuit, vectors, backend=args.backend,
-                               fault_model=args.fault_model)
+    report = evaluate_test_set(circuit, vectors, fault_model=args.fault_model)
     print(report)
     if args.list_undetected:
         detected = set(report.detected)
@@ -497,12 +492,7 @@ def _add_fault_model_option(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_options(p: argparse.ArgumentParser) -> None:
-    """Simulation-backend options shared by the simulating commands."""
-    p.add_argument("--backend", metavar="NAME", default=None,
-                   help="simulation backend, 'event' or 'codegen' (default: "
-                        "$REPRO_SIM_BACKEND, else 'event' for fault grading "
-                        "and 'codegen' for GA fitness; 'codegen' compiles "
-                        "per-circuit kernels)")
+    """Simulation options shared by the simulating commands."""
     p.add_argument("--kernel-cache", metavar="DIR", default=None,
                    help="persist compiled kernels under DIR so warm "
                         "runs and campaign workers skip compilation "
@@ -636,13 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "circuits)")
     cp.add_argument("--baseline", action="store_true",
                     help="run the HITEC baseline instead of GA-HITEC")
-    cp.add_argument("--backend", metavar="NAME", default=None,
-                    help="simulation backend, 'event' or 'codegen' "
-                         "(default: $REPRO_SIM_BACKEND, else 'event' for "
-                         "fault grading and 'codegen' for GA fitness)")
-    cp.add_argument("--kernel-cache", metavar="DIR", default=None,
-                    help="persist compiled kernels under DIR (workers "
-                         "inherit it via $REPRO_KERNEL_CACHE)")
+    _add_sim_options(cp)
     cp.add_argument("--fault-limit", type=int, default=None,
                     help="cap each circuit's fault list (smoke tests)")
     cp.add_argument("--item-timeout", type=float, default=None,
@@ -728,13 +712,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .simulation import kernel_cache
 
         kernel_cache.configure(args.kernel_cache)
-    if hasattr(args, "backend"):
-        # check --backend and $REPRO_SIM_BACKEND before any work starts
-        try:
-            resolve_backend(args.backend)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     return args.func(args)
 
 

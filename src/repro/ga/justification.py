@@ -32,7 +32,7 @@ from ..faults.model import Fault
 from ..knowledge import StateKnowledge
 from ..simulation.encoding import X, PackedValue, full_mask, pack_const
 from ..simulation.fault_sim import injection_for
-from ..simulation.logic_sim import FrameSimulator, make_simulator, resolve_backend
+from ..simulation.logic_sim import FrameSimulator, make_simulator
 from .engine import GAParams, GeneticAlgorithm
 
 #: Fitness weights for the good and faulty circuit goals (paper: 9/10, 1/10).
@@ -66,11 +66,7 @@ class GAStateJustifier:
 
     Args:
         ctx: the shared per-circuit state: compiled circuit, input
-            constraints, telemetry and the optional knowledge store.  Its
-            ``backend`` picks the fitness simulators; ``None`` defers to
-            ``REPRO_SIM_BACKEND``, then to ``codegen``.  Fitness reruns one
-            injection shape for every batch of an attempt, so one compiled
-            kernel pair serves them all; fault grading keeps ``event``.
+            constraints, telemetry and the optional knowledge store.
         rng: random source shared across attempts (seed for reproducibility).
 
     When the context carries a :class:`~repro.knowledge.StateKnowledge`
@@ -79,12 +75,17 @@ class GAStateJustifier:
     successful all-X-start justifications are recorded back.
     """
 
+    #: Simulator of every fitness evaluation: an attempt reruns one
+    #: injection shape for every batch, so one compiled kernel pair serves
+    #: them all (fault grading keeps ``event``).  Tests set it to
+    #: ``"event"`` to check that results do not depend on it.
+    backend = "codegen"
+
     def __init__(self, ctx: AtpgContext, rng: Optional[random.Random] = None):
         self.ctx = ctx
         self.cc = ctx.cc
         self.rng = rng or random.Random()
         self.telemetry = ctx.telemetry
-        self.backend = resolve_backend(ctx.backend, default="codegen")
         self.n_pi = len(self.cc.pi)
         self.n_ff = len(self.cc.ff_out)
         self.constraints = ctx.constraints

@@ -59,11 +59,9 @@ from .results import PassStats, RunResult
 
 
 def _kernel_compile_totals() -> tuple[int, float]:
-    """Process-cumulative codegen kernel compilations and their seconds."""
-    return (
-        int(codegen.COMPILE_STATS["kernels"]),
-        float(codegen.COMPILE_STATS["seconds"]),
-    )
+    """This thread's cumulative codegen kernel compilations and seconds."""
+    stats = codegen.compile_stats()
+    return int(stats["kernels"]), float(stats["seconds"])
 
 
 class HybridTestGenerator:
@@ -87,10 +85,6 @@ class HybridTestGenerator:
         constraints: environment-imposed input constraints every generated
             vector must satisfy (Section VI of the paper); enforced during
             search, during don't-care fill, and re-checked at validation.
-        backend: simulation backend for every simulator the driver builds
-            (``"event"`` or ``"codegen"``); ``None`` defers to the
-            ``REPRO_SIM_BACKEND`` environment variable, then runs fault
-            grading on ``event`` and GA fitness on ``codegen``.
         telemetry: metrics/trace recorder shared by every component the
             driver builds; defaults to the shared no-op recorder.
         clock: wall-clock source for every deadline and duration the
@@ -132,7 +126,6 @@ class HybridTestGenerator:
         generator_name: str = "GA-HITEC",
         use_current_state: bool = True,
         constraints: Optional[InputConstraints] = None,
-        backend: Optional[str] = None,
         telemetry: Optional[Recorder] = None,
         clock: Optional[Callable[[], float]] = None,
         knowledge: "bool | StateKnowledge" = True,
@@ -157,7 +150,6 @@ class HybridTestGenerator:
             circuit,
             testability=testability,
             constraints=self.constraints,
-            backend=backend,
             telemetry=telemetry,
             clock=self.clock,
             seed=seed,
@@ -188,7 +180,6 @@ class HybridTestGenerator:
             max_solutions=max_solutions,
         )
         self.fault_sim = self.ctx.fault_simulator(width=width)
-        self.backend = self.fault_sim.backend
         self.ga_justifier = GAStateJustifier(self.ctx, rng=self.rng)
         self.generator_name = generator_name
         self.use_current_state = use_current_state
@@ -302,7 +293,7 @@ class HybridTestGenerator:
             generator=self.generator_name,
             total_faults=len(self.all_faults),
             seed=self.seed,
-            backend=self.backend,
+            backend=self.fault_sim.backend,
             fault_model=self.ctx.fault_model,
             width=self.width,
         )
@@ -351,7 +342,7 @@ class HybridTestGenerator:
         # FaultSimulator.run window; count whatever the fault simulators
         # have not already attributed to this recorder
         for name, before in cache0.items():
-            total = kernel_cache.CACHE_STATS[name] - before
+            total = kernel_cache.cache_stats()[name] - before
             counted = (
                 tel.value(f"sim.kernel_cache.{name}") - cache_counted0[name]
             )

@@ -19,8 +19,8 @@ file name is derived from the same hash.
   never stalls the event loop;
 * the **warm cache** — per-circuit warm artifacts
   (:func:`repro.campaign.warm.circuit_warm_key`) shared across jobs, so
-  kernels, SCOAP, and fault collapse are paid once per circuit hash no
-  matter how many specs target it;
+  compilation, SCOAP, and fault collapse are paid once per circuit hash
+  no matter how many specs target it;
 * **restart recovery** — :meth:`recover` re-scans the journal directory,
   turning merged journals back into DONE jobs (reports are re-merged on
   demand) and unfinished ones into queued resumes.
@@ -46,6 +46,7 @@ from ..campaign import (
     CampaignRunner,
     CampaignSpec,
     JournalState,
+    knowledge_sidecar_path,
     merge_campaign,
 )
 from ..campaign.warm import CircuitWarmState
@@ -431,17 +432,14 @@ class JobManager:
         if result.report is not None:
             result.report.save(job.report_path)
         if job.spec.knowledge and result.knowledge:
-            stem, _ = os.path.splitext(job.journal_path)
-            path = f"{stem}.knowledge.json"
+            path = knowledge_sidecar_path(job.journal_path)
             if not os.path.exists(path):
                 save_knowledge(result.knowledge, path)
         return result
 
     def knowledge_of(self, job_id: str) -> str:
         """Path of the job's knowledge sidecar (404 when absent)."""
-        job = self.get(job_id)
-        stem, _ = os.path.splitext(job.journal_path)
-        path = f"{stem}.knowledge.json"
+        path = knowledge_sidecar_path(self.get(job_id).journal_path)
         if not os.path.exists(path):
             raise ServiceError(
                 404, f"job {job_id} has no knowledge sidecar"

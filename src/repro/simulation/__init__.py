@@ -18,10 +18,8 @@ from .encoding import (
 )
 from .compiled import CompiledCircuit, CompiledGate, compile_circuit
 from .logic_sim import (
-    BACKEND_ENV,
     FrameSimulator,
     Injection,
-    available_backends,
     make_simulator,
     register_backend,
     resolve_backend,
@@ -39,7 +37,6 @@ from .fault_sim import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "BlockGradeResult",
     "CodegenFrameSimulator",
     "kernel_cache",
@@ -52,7 +49,6 @@ __all__ = [
     "PackedValue",
     "Vector",
     "X",
-    "available_backends",
     "compile_circuit",
     "diff_mask",
     "eval3",

@@ -31,6 +31,7 @@ A generated kernel looks like::
 from __future__ import annotations
 
 import sys
+import threading
 from collections import OrderedDict
 from types import CodeType
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -54,10 +55,9 @@ KERNEL_CACHE_LIMIT = 256
 #: Disk-cache format version for marshalled kernel code objects.
 KERNEL_CACHE_VERSION = 1
 
-#: Process-cumulative kernel compilation statistics.  The telemetry layer
-#: snapshots this around a campaign (reading deltas), so compile cost is
-#: attributable per run without threading a recorder into every simulator.
-COMPILE_STATS: Dict[str, float] = {"kernels": 0, "seconds": 0.0}
+#: Kernel compilations and their seconds, kept per thread so jobs the
+#: service runs concurrently in one process never count each other's.
+_STATS = threading.local()
 
 #: Name of the per-CompiledCircuit attribute holding the kernel cache.
 _CACHE_ATTR = "_codegen_kernels"
@@ -68,6 +68,13 @@ _CACHE_ATTR = "_codegen_kernels"
 #: name as a fifth element, which can never collide with a stuck-at key.
 SignatureEntry = Tuple[int, ...]
 Signature = Tuple[SignatureEntry, ...]
+
+
+def compile_stats() -> Dict[str, float]:
+    """This thread's cumulative compilations; a run reports the change."""
+    if not hasattr(_STATS, "compiles"):
+        _STATS.compiles = {"kernels": 0, "seconds": 0.0}
+    return _STATS.compiles
 
 
 def _canonical(injections: Iterable[Injection]) -> List[Injection]:
@@ -340,8 +347,9 @@ def kernel_for(
                 cc, injections, writeback=writeback
             )
             code = compile(source, f"<codegen:{cc.circuit.name}>", "exec")
-            COMPILE_STATS["kernels"] += 1
-            COMPILE_STATS["seconds"] += perf_counter() - t0
+            stats = compile_stats()
+            stats["kernels"] += 1
+            stats["seconds"] += perf_counter() - t0
             if disk_key is not None:
                 kernel_cache.store(disk_key, code)
         namespace: Dict[str, object] = {"__builtins__": {}}

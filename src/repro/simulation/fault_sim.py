@@ -122,8 +122,10 @@ class FaultSimulator:
     Args:
         circuit: circuit or compiled circuit to simulate.
         width: number of faults packed per pass (word width).
-        backend: frame-simulator backend (``"event"`` or ``"codegen"``);
-            ``None`` defers to ``REPRO_SIM_BACKEND`` / the default.
+        backend: frame-simulator backend, ``"event"`` (``None``, the
+            default) or ``"codegen"``.  Production grading takes the
+            default; the differential tests and the simulation benchmarks
+            name one.
         telemetry: metrics recorder (defaults to the shared no-op).
     """
 
@@ -204,7 +206,7 @@ class FaultSimulator:
                 self._run_batch(frames, batch, fault_states, result,
                                 stop_on_all_detected, record_signatures)
         for name in ("hits", "misses", "corrupt"):
-            delta = kernel_cache.CACHE_STATS[name] - cache0[name]
+            delta = kernel_cache.cache_stats()[name] - cache0[name]
             if delta:
                 self.telemetry.count(f"sim.kernel_cache.{name}", delta)
         return result
@@ -362,11 +364,10 @@ def fault_coverage(
     vectors: Sequence[Vector],
     faults: Sequence[Fault],
     width: int = 64,
-    backend: Optional[str] = None,
 ) -> float:
     """Fraction of ``faults`` detected by ``vectors`` from the all-X state."""
     if not faults:
         return 0.0
-    sim = FaultSimulator(circuit, width=width, backend=backend)
+    sim = FaultSimulator(circuit, width=width)
     result = sim.run(vectors, faults)
     return len(result.detected) / len(faults)

@@ -13,7 +13,7 @@ inherit the setting).
 Entries are ``marshal`` payloads — never pickle, so loading an entry
 cannot execute arbitrary code — wrapped in a magic header and a SHA-256
 integrity digest.  A truncated, bit-flipped, or otherwise unreadable
-entry is detected on load, counted in :data:`CACHE_STATS`, deleted, and
+entry is detected on load, counted in :func:`cache_stats`, deleted, and
 silently recompiled; the cache can never turn a warm start into a
 crash.  Writes are atomic (temp file + rename), so concurrent campaign
 workers sharing one cache directory race benignly: last writer wins and
@@ -29,6 +29,7 @@ import hashlib
 import marshal
 import os
 import tempfile
+import threading
 from typing import Any, Dict, Optional
 
 #: Environment variable naming the cache directory (unset = disabled).
@@ -37,17 +38,12 @@ ENV_VAR = "REPRO_KERNEL_CACHE"
 #: On-disk entry layout version, embedded in the file magic.
 _MAGIC = b"RKC1"
 
-#: Process-cumulative cache statistics.  ``hits``/``misses`` count only
-#: lookups made while the cache is enabled; ``corrupt`` counts entries
-#: that failed the integrity check and were discarded.  The fault
-#: simulator snapshots this dict around each run and reports deltas as
-#: ``sim.kernel_cache.*`` telemetry counters.
-CACHE_STATS: Dict[str, int] = {
-    "hits": 0,
-    "misses": 0,
-    "writes": 0,
-    "corrupt": 0,
-}
+#: Cache statistics, kept per thread so jobs the service runs
+#: concurrently in one process never count each other's.  ``hits`` /
+#: ``misses`` count only lookups made while the cache is enabled;
+#: ``corrupt`` counts entries that failed the integrity check and were
+#: discarded.  Runs report the change as ``sim.kernel_cache.*`` counters.
+_STATS = threading.local()
 
 #: Attribute caching the fingerprint on a CompiledCircuit instance.
 _FP_ATTR = "_kernel_cache_fingerprint"
@@ -71,9 +67,16 @@ def cache_dir() -> Optional[str]:
     return os.environ.get(ENV_VAR) or None
 
 
+def cache_stats() -> Dict[str, int]:
+    """This thread's cumulative cache statistics."""
+    if not hasattr(_STATS, "counts"):
+        _STATS.counts = dict.fromkeys(("hits", "misses", "writes", "corrupt"), 0)
+    return _STATS.counts
+
+
 def stats_snapshot() -> Dict[str, int]:
-    """Copy of :data:`CACHE_STATS` for delta accounting."""
-    return dict(CACHE_STATS)
+    """Copy of :func:`cache_stats` for delta accounting."""
+    return dict(cache_stats())
 
 
 def circuit_fingerprint(cc: Any) -> str:
@@ -126,7 +129,7 @@ def load(key: str) -> Optional[Any]:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError:
-        CACHE_STATS["misses"] += 1
+        cache_stats()["misses"] += 1
         return None
     payload = None
     if blob[:4] == _MAGIC and len(blob) > 36:
@@ -137,13 +140,13 @@ def load(key: str) -> Optional[Any]:
             except (ValueError, EOFError, TypeError):
                 payload = None
     if payload is None:
-        CACHE_STATS["corrupt"] += 1
+        cache_stats()["corrupt"] += 1
         try:
             os.unlink(path)
         except OSError:
             pass
         return None
-    CACHE_STATS["hits"] += 1
+    cache_stats()["hits"] += 1
     return payload
 
 
@@ -180,5 +183,5 @@ def store(key: str, payload: Any) -> bool:
             raise
     except OSError:
         return False
-    CACHE_STATS["writes"] += 1
+    cache_stats()["writes"] += 1
     return True

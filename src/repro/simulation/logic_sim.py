@@ -24,7 +24,6 @@ a detection in frame 0 but never invent one).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
@@ -39,10 +38,8 @@ from .encoding import (
     pack_const,
 )
 
-#: Environment variable selecting the default simulation backend.
-BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-#: Backend used when neither the caller nor the environment chooses one.
+#: The simulator a caller gets unless it names one: the event-driven
+#: interpreter, which grades faults and is the differential oracle.
 DEFAULT_BACKEND = "event"
 
 #: Registered simulator classes by backend name.
@@ -54,22 +51,13 @@ def register_backend(name: str, cls: "Type[FrameSimulator]") -> None:
     _BACKENDS[name] = cls
 
 
-def available_backends() -> List[str]:
-    """Names of the registered simulation backends."""
-    return sorted(_BACKENDS)
-
-
-def resolve_backend(
-    backend: Optional[str] = None, default: str = DEFAULT_BACKEND
-) -> str:
+def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a backend choice to a registered name.
 
-    ``None`` falls back to the :data:`BACKEND_ENV` environment variable,
-    then to ``default`` (:data:`DEFAULT_BACKEND` unless a caller with its
-    own default passes one).  An unregistered name raises
+    ``None`` gives :data:`DEFAULT_BACKEND`.  An unregistered name raises
     :class:`ValueError`.
     """
-    name = backend or os.environ.get(BACKEND_ENV) or default
+    name = backend or DEFAULT_BACKEND
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown simulation backend {name!r}; "
@@ -562,14 +550,12 @@ def simulate_sequence(
     width: int = 1,
     injections: Iterable[Injection] = (),
     initial_state: Optional[Dict[str, PackedValue]] = None,
-    backend: Optional[str] = None,
 ) -> List[List[PackedValue]]:
     """Convenience wrapper: simulate a vector sequence from a given state.
 
     Returns the list of primary-output value lists, one per frame.
     """
-    sim = make_simulator(circuit, width=width, injections=injections,
-                         backend=backend)
+    sim = make_simulator(circuit, width=width, injections=injections)
     if initial_state:
         sim.set_state(initial_state)
     return [sim.step(v) for v in vectors]

@@ -155,3 +155,59 @@ class TestSharedDInput:
         frontier = model.d_frontier()
         assert frontier
         assert model.x_path_info(frontier)[0]
+
+
+def released_pi_circuit() -> Circuit:
+    """g0 = NOT(pi2), g1 = XNOR(g0, g0); POs g3 = XNOR(ff0, ff1) and
+    g4 = AND(ff1, g1); ff0 = DFF(g3), ff1 = DFF(pi0).
+
+    ``ff0`` never leaves X from power-up.  ``g1`` is 1 whenever ``pi2``
+    has a value, so ``g4`` observes ``ff1`` with ``ff0`` left at X.
+    """
+    c = Circuit("released_pi")
+    c.add_input("pi0")
+    c.add_input("pi2")
+    c.add_gate("g0", GateType.NOT, ["pi2"])
+    c.add_gate("g1", GateType.XNOR, ["g0", "g0"])
+    c.add_gate("g3", GateType.XNOR, ["ff0", "ff1"])
+    c.add_gate("g4", GateType.AND, ["ff1", "g1"])
+    c.add_gate("ff0", GateType.DFF, ["g3"])
+    c.add_gate("ff1", GateType.DFF, ["pi0"])
+    c.add_output("g3")
+    c.add_output("g4")
+    return c
+
+
+class TestReleasedPiRequirement:
+    """Requirement minimisation releases state, never PIs (open, bug #5).
+
+    PODEM decides ``ff0`` both ways at ``g3``; neither requirement is
+    justifiable, because ``ff0`` never leaves X.  The ``g4`` path needs
+    ``pi2`` set while ``ff0`` stays X, and minimisation releases only
+    state requirements, so both ``ff1`` faults are claimed UNTESTABLE.
+    A fix may move the pinned untestable counts: measure them.
+    """
+
+    FAULTS = (Fault("ff1", 0), Fault("ff1", 1))
+
+    def test_faults_are_detectable(self):
+        # (pi0 pi2) = 00, 10, 11 from all-X detects both at frames 1 and 2
+        sim = FaultSimulator(compile_circuit(released_pi_circuit()))
+        result = sim.run([[0, 0], [1, 0], [1, 1]], list(self.FAULTS))
+        assert set(result.detected) == set(self.FAULTS)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="minimisation releases state requirements, never PIs, so "
+        "the g4 path (pi2 set, ff0 left X) is never tried",
+    )
+    def test_faults_are_not_claimed_untestable(self):
+        cc = compile_circuit(released_pi_circuit())
+        gen = SequentialTestGenerator(AtpgContext(cc), max_frames=6)
+
+        def justifier(required):
+            return justify_state(cc, required, 8, Limits(5000))
+
+        for fault in self.FAULTS:
+            res = gen.generate(fault, justifier, Limits(5000))
+            assert res.status is not GenStatus.UNTESTABLE, str(fault)

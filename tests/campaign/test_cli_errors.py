@@ -6,10 +6,9 @@ import pytest
 
 from repro.campaign import CampaignSpec
 from repro.cli import main
-from repro.simulation.logic_sim import BACKEND_ENV
 
 #: A backend name that is no longer registered (it was removed, not
-#: aliased), so old command lines, specs and journals naming it must fail.
+#: aliased), so old specs and journals naming it must fail.
 REMOVED = "numpy"
 
 
@@ -154,34 +153,35 @@ class TestReportErrors:
 
 
 class TestBackendErrors:
-    """An unregistered backend fails with one line before any work."""
+    """The code picks each job's simulator.  ``--backend`` is an
+    unrecognized argument, and a spec or journal header naming any
+    backend, even a registered one, fails with one line before any work."""
 
     @pytest.mark.parametrize("command", [
         ["atpg", "s27"], ["faultsim", "s27", "never-read.vec"],
+        ["campaign", "run", "s27", "--journal", "never-written.jsonl"],
     ])
     def test_flag(self, capsys, command):
-        code, _, err = run(capsys, command + ["--backend", REMOVED])
-        assert_clean_failure(code, err)
-        assert f"unknown simulation backend {REMOVED!r}" in err
-
-    def test_run_hybrid_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, REMOVED)
-        code, _, err = run(capsys, ["run-hybrid", "s27"])
-        assert_clean_failure(code, err)
-        assert repr(REMOVED) in err
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--backend", "codegen"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --backend codegen" in err
+        assert "Traceback" not in err
 
     def test_campaign_run_spec(self, tmp_path, capsys):
-        spec_file = tmp_path / "spec.json"
-        data = CampaignSpec(circuits=("s27",)).to_dict()
-        data["backend"] = REMOVED
-        spec_file.write_text(json.dumps(data))
-        code, _, err = run(capsys, [
-            "campaign", "run", "--spec", str(spec_file),
-            "--journal", str(tmp_path / "j.jsonl"),
-        ])
-        assert_clean_failure(code, err)
-        assert repr(REMOVED) in err
-        assert not (tmp_path / "j.jsonl").exists()
+        for name in (REMOVED, "codegen"):
+            spec_file = tmp_path / "spec.json"
+            data = CampaignSpec(circuits=("s27",)).to_dict()
+            data["backend"] = name
+            spec_file.write_text(json.dumps(data))
+            code, _, err = run(capsys, [
+                "campaign", "run", "--spec", str(spec_file),
+                "--journal", str(tmp_path / "j.jsonl"),
+            ])
+            assert_clean_failure(code, err)
+            assert repr(name) in err
+            assert not (tmp_path / "j.jsonl").exists()
 
     def test_campaign_resume_old_journal(self, tmp_path, capsys):
         journal = tmp_path / "j.jsonl"
@@ -190,17 +190,20 @@ class TestBackendErrors:
             "--fault-limit", "4", "--journal", str(journal),
         ]) == 0
         capsys.readouterr()
-        # rewrite the header as a journal written when REMOVED existed
         lines = journal.read_text().splitlines()
         header = json.loads(lines[0])
-        header["spec"]["backend"] = REMOVED
-        lines[0] = json.dumps(header)
-        journal.write_text("\n".join(lines) + "\n")
-        code, _, err = run(capsys, [
-            "campaign", "resume", "--journal", str(journal),
-        ])
-        assert_clean_failure(code, err)
-        assert repr(REMOVED) in err
+        assert header["spec"]["backend"] is None
+        # rewrite the header as a journal written when a backend could be
+        # named: REMOVED, or a simulator that still exists
+        for name in (REMOVED, "codegen"):
+            header["spec"]["backend"] = name
+            lines[0] = json.dumps(header)
+            journal.write_text("\n".join(lines) + "\n")
+            code, _, err = run(capsys, [
+                "campaign", "resume", "--journal", str(journal),
+            ])
+            assert_clean_failure(code, err)
+            assert repr(name) in err
 
 
 class TestRemovedBroadcast:

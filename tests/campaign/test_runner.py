@@ -13,6 +13,7 @@ from repro.campaign import (
     CampaignSpec,
     read_events,
 )
+from repro.simulation import kernel_cache
 
 
 def spec(**overrides):
@@ -119,6 +120,39 @@ class TestConcurrentRunners:
         for name, result in results.items():
             assert result.items_failed == 0
             assert result.circuits["s27"].total_faults == specs[name].fault_limit
+
+    def test_kernel_counters_stay_with_their_run(self, tmp_path, monkeypatch):
+        """A run reports the kernels its own thread compiled: the same
+        spec reports the same ``kernel_compiles`` whether it runs alone
+        or overlaps another run in a second thread."""
+        monkeypatch.delenv(kernel_cache.ENV_VAR, raising=False)
+        specs = {
+            "a": CampaignSpec(circuits=("s27",), name="a", seed=7,
+                              shard_size=8, passes=1),
+            "b": CampaignSpec(circuits=("s298",), name="b", seed=7,
+                              shard_size=8, passes=1, fault_limit=8,
+                              backtracks=5, justify_depth=3),
+        }
+        alone = {}
+        for name, s in specs.items():
+            result, _ = run_campaign(tmp_path, s, name=f"alone-{name}.jsonl")
+            alone[name] = result.report.kernel_compiles
+        barrier = threading.Barrier(2, timeout=60)
+        together = {}
+
+        def run(name):
+            barrier.wait()
+            result, _ = run_campaign(tmp_path, specs[name], name=f"{name}.jsonl")
+            together[name] = result.report.kernel_compiles
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in specs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(alone.values())
+        assert together == alone
 
 
 class TestTimeoutPolicy:

@@ -32,10 +32,17 @@ class TestValidation:
         with pytest.raises(CampaignError):
             spec(justify_depth=0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "bogus"])
+    @pytest.mark.parametrize("backend", ["numpy", "bogus", "codegen", "event"])
     def test_unknown_backend_rejected(self, backend):
-        # "numpy" named a removed backend: old specs fail here, up front
-        with pytest.raises(CampaignError, match="unknown simulation backend"):
+        # the code picks each job's simulator: a spec naming any backend,
+        # even a registered one, fails up front; only null is accepted
+        data = spec().to_dict()
+        assert data["backend"] is None
+        assert CampaignSpec.from_dict(data) == spec()
+        data["backend"] = backend
+        with pytest.raises(CampaignError, match=f"simulation backend '{backend}'"):
+            CampaignSpec.from_dict(data)
+        with pytest.raises(TypeError):
             spec(backend=backend)
 
     @pytest.mark.parametrize("field, value, message", [

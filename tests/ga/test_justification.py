@@ -18,7 +18,7 @@ from repro.ga.justification import (
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, full_mask, pack_const, unpack
 from repro.simulation.fault_sim import injection_for
-from repro.simulation.logic_sim import BACKEND_ENV, FrameSimulator, make_simulator
+from repro.simulation.logic_sim import FrameSimulator, make_simulator
 
 from ..conftest import random_circuits
 
@@ -143,21 +143,16 @@ class TestJustify:
 
 
 class TestBackend:
-    def test_fitness_defaults_to_codegen(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_fitness_defaults_to_codegen(self):
         assert GAStateJustifier(AtpgContext(s27())).backend == "codegen"
-
-    def test_context_backend_wins(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        ctx = AtpgContext(s27(), backend="event")
-        assert GAStateJustifier(ctx).backend == "event"
 
 
 class _ReferenceEvaluator:
     """The per-slot evaluator the bit-parallel one must match exactly.
 
-    Two fresh simulators per batch, the genome bits gathered per frame,
-    pin and slot, and the match counts taken slot by slot on every frame.
+    Two fresh event simulators per batch, the genome bits gathered per
+    frame, pin and slot, and the match counts taken slot by slot on every
+    frame.
     """
 
     def __init__(self, justifier, params, fault, required_good,
@@ -191,13 +186,12 @@ class _ReferenceEvaluator:
         cc = j.cc
         w = len(batch)
         mask = full_mask(w)
-        good_sim = make_simulator(cc, width=w, backend=j.backend)
+        good_sim = make_simulator(cc, width=w)
         good_sim.set_state([pack_const(v, w) for v in self.start_good])
         injections = (
             [injection_for(cc, self.fault, mask)] if self.fault else []
         )
-        faulty_sim = make_simulator(cc, width=w, injections=injections,
-                                    backend=j.backend)
+        faulty_sim = make_simulator(cc, width=w, injections=injections)
         seq_len = max(1, self.params.seq_len)
         n_pi = j.n_pi
         fixed = j._fixed_pins
@@ -285,10 +279,8 @@ def evaluator_cases(draw):
         st.lists(st.integers(0, (1 << n_bits) - 1), min_size=1, max_size=70),
         min_size=2, max_size=4,
     ))
-    backend = draw(st.sampled_from(["event", "codegen"]))
     return (circuit, InputConstraints(fixed=fixed, hold=hold), fault,
-            required_good, required_faulty, start_good, params, populations,
-            backend)
+            required_good, required_faulty, start_good, params, populations)
 
 
 class TestEvaluatorMatchesReference:
@@ -296,10 +288,12 @@ class TestEvaluatorMatchesReference:
               suppress_health_check=[HealthCheck.too_slow])
     @given(evaluator_cases())
     def test_consecutive_evaluations_match(self, case):
+        # the production evaluator on codegen kernels against the
+        # reference on the event simulator, the differential oracle
         (circuit, constraints, fault, required_good, required_faulty,
-         start_good, params, populations, backend) = case
-        ctx = AtpgContext(circuit, constraints=constraints, backend=backend)
-        j = GAStateJustifier(ctx)
+         start_good, params, populations) = case
+        j = GAStateJustifier(AtpgContext(circuit, constraints=constraints))
+        assert j.backend == "codegen"
         args = (j, params, fault, required_good, required_faulty, start_good)
         fast = _SequenceEvaluator(*args)
         reference = _ReferenceEvaluator(*args)

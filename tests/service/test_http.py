@@ -229,10 +229,12 @@ class TestServiceEndToEnd:
                     {"spec": dict(SPEC, circuits=["no-such"]) },
                 )
                 assert status == 400
-                status, body = await svc.request(
-                    "POST", "/jobs", {"spec": dict(SPEC, backend="numpy")}
-                )
-                assert status == 400 and "numpy" in body["error"]
+                # a spec may not name a backend, even a registered one
+                for backend in ("numpy", "codegen"):
+                    status, body = await svc.request(
+                        "POST", "/jobs", {"spec": dict(SPEC, backend=backend)}
+                    )
+                    assert status == 400 and repr(backend) in body["error"]
                 # a removed knob is an unknown key, not an alias
                 status, body = await svc.request(
                     "POST", "/jobs",

@@ -15,7 +15,7 @@ from repro.campaign import CampaignRunner, CampaignSpec
 from repro.circuits import s27
 from repro.faults.model import full_fault_list
 from repro.simulation import kernel_cache
-from repro.simulation.codegen import COMPILE_STATS, kernel_for
+from repro.simulation.codegen import compile_stats, kernel_for
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.fault_sim import FaultSimulator
 from repro.telemetry import TelemetryRecorder
@@ -50,9 +50,9 @@ class TestStoreLoad:
         assert not _entry_files(tmp_path)
 
     def test_missing_entry_counts_miss(self, cache_dir):
-        before = kernel_cache.CACHE_STATS["misses"]
+        before = kernel_cache.cache_stats()["misses"]
         assert kernel_cache.load("0" * 64) is None
-        assert kernel_cache.CACHE_STATS["misses"] == before + 1
+        assert kernel_cache.cache_stats()["misses"] == before + 1
 
     def test_configure_sets_environment(self, tmp_path, monkeypatch):
         monkeypatch.delenv(kernel_cache.ENV_VAR, raising=False)
@@ -92,9 +92,9 @@ class TestCorruption:
         else:
             blob = b"not a cache entry"
         open(path, "wb").write(blob)
-        before = kernel_cache.CACHE_STATS["corrupt"]
+        before = kernel_cache.cache_stats()["corrupt"]
         assert kernel_cache.load(key) is None
-        assert kernel_cache.CACHE_STATS["corrupt"] == before + 1
+        assert kernel_cache.cache_stats()["corrupt"] == before + 1
         assert not _entry_files(cache_dir)  # bad entry deleted
         # a rebuild overwrites cleanly and the next load succeeds
         kernel_cache.store(key, [1, 2, 3])
@@ -104,36 +104,37 @@ class TestCorruption:
 class TestCodegenDiskCache:
     def test_warm_compile_skipped(self, cache_dir):
         cold = compile_circuit(s27())
-        before = COMPILE_STATS["kernels"]
+        before = compile_stats()["kernels"]
         kernel_for(cold, [])
-        assert COMPILE_STATS["kernels"] == before + 1
+        assert compile_stats()["kernels"] == before + 1
         assert _entry_files(cache_dir)
         # a fresh compiled circuit simulates a warm process: the kernel
         # comes off disk without touching the compiler
         warm = compile_circuit(s27())
-        before = COMPILE_STATS["kernels"]
-        hits = kernel_cache.CACHE_STATS["hits"]
+        before = compile_stats()["kernels"]
+        hits = kernel_cache.cache_stats()["hits"]
         kernel_for(warm, [])
-        assert COMPILE_STATS["kernels"] == before
-        assert kernel_cache.CACHE_STATS["hits"] == hits + 1
+        assert compile_stats()["kernels"] == before
+        assert kernel_cache.cache_stats()["hits"] == hits + 1
 
     def test_corrupt_kernel_recompiles(self, cache_dir):
         kernel_for(compile_circuit(s27()), [])
         for path in _entry_files(cache_dir):
             open(path, "wb").write(b"\x00" * 10)
-        before = COMPILE_STATS["kernels"]
+        before = compile_stats()["kernels"]
         kernel_for(compile_circuit(s27()), [])
-        assert COMPILE_STATS["kernels"] == before + 1  # recompiled
+        assert compile_stats()["kernels"] == before + 1  # recompiled
         # and the overwritten entry is valid again
-        before = COMPILE_STATS["kernels"]
+        before = compile_stats()["kernels"]
         kernel_for(compile_circuit(s27()), [])
-        assert COMPILE_STATS["kernels"] == before
+        assert compile_stats()["kernels"] == before
 
 
 class TestCampaignWorkers:
     def test_kernel_cache_populated(self, cache_dir, tmp_path):
+        # GA fitness compiles codegen kernels, so a GA campaign fills it
         spec = CampaignSpec(circuits=("s27",), name="cg-cache", seed=7,
-                            shard_size=8, passes=2, backend="codegen")
+                            shard_size=8, passes=2)
         result = CampaignRunner(spec, str(tmp_path / "c.jsonl")).run()
         assert result.items_failed == 0
         assert _entry_files(cache_dir)  # kernels persisted for warm workers

@@ -17,7 +17,7 @@ from repro.circuits import iscas89, s27
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault
 from repro.simulation import kernel_cache
-from repro.simulation.codegen import COMPILE_STATS, kernel_for
+from repro.simulation.codegen import compile_stats, kernel_for
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.fault_sim import FaultSimulator, injection_for
 
@@ -258,11 +258,11 @@ class TestKernelCacheModelSeparation:
         # same site, other model, fresh compile: must compile anew (a
         # cross-model disk hit would run stuck-at forcing code)
         warm = compile_circuit(s27())
-        before = COMPILE_STATS["kernels"]
-        misses = kernel_cache.CACHE_STATS["misses"]
+        before = compile_stats()["kernels"]
+        misses = kernel_cache.cache_stats()["misses"]
         kernel_for(warm, [injection_for(warm, tr, 1)])
-        assert COMPILE_STATS["kernels"] == before + 1
-        assert kernel_cache.CACHE_STATS["misses"] == misses + 1
+        assert compile_stats()["kernels"] == before + 1
+        assert kernel_cache.cache_stats()["misses"] == misses + 1
 
     def test_warm_start_compiles_zero_per_model(self, cache_dir):
         sa = Fault("G10", 0)
@@ -271,12 +271,12 @@ class TestKernelCacheModelSeparation:
         kernel_for(cold, [injection_for(cold, sa, 1)])
         kernel_for(cold, [injection_for(cold, tr, 1)])
         warm = compile_circuit(s27())
-        before = COMPILE_STATS["kernels"]
-        hits = kernel_cache.CACHE_STATS["hits"]
+        before = compile_stats()["kernels"]
+        hits = kernel_cache.cache_stats()["hits"]
         kernel_for(warm, [injection_for(warm, sa, 1)])
         kernel_for(warm, [injection_for(warm, tr, 1)])
-        assert COMPILE_STATS["kernels"] == before
-        assert kernel_cache.CACHE_STATS["hits"] == hits + 2
+        assert compile_stats()["kernels"] == before
+        assert kernel_cache.cache_stats()["hits"] == hits + 2
 
     def test_warm_transition_grades_match_event(self, cache_dir):
         circuit = s27()
