@@ -33,7 +33,6 @@ from ..simulation.encoding import X
 from .constraints import InputConstraints
 from .scoap import Testability, compute_testability
 from .unrolled import Leaf, UndoRecord, UnrolledModel
-from .values import good_of, is_d
 
 
 class SearchStatus(enum.Enum):
@@ -261,12 +260,12 @@ class PodemEngine:
             key=lambda fp: (fp[0], self.meas.co[self.cc.gates[fp[1]].out]),
         ):
             gate = self.cc.gates[pos]
-            vals = model.effective_inputs(frame, pos)
             ctrl = CONTROLLING_VALUE.get(gate.gtype)
             want = (1 - ctrl) if ctrl is not None else None
-            for pin, v in enumerate(vals):
-                if good_of(v) == X and not is_d(v):
-                    src = gate.fanin[pin]
+            # good slots only: a pin fault forces the faulty slot alone,
+            # and an input whose good value is X is never D/D̄
+            for src in gate.fanin:
+                if model.good(frame, src) == X:
                     if want is not None:
                         return (frame, src, want)
                     return (
@@ -326,19 +325,16 @@ class PodemEngine:
                 idx = gate.fanin[0]
                 value ^= inv
                 continue
+            # inputs are read in the good slot, which no injection touches
             if t in (GateType.XOR, GateType.XNOR):
-                vals = model.effective_inputs(frame, gate_pos)
                 parity = inv
                 chosen = None
-                for pin, v in enumerate(vals):
-                    g = good_of(v)
-                    if g == X:
-                        if chosen is None:
-                            chosen = gate.fanin[pin]
-                        else:
-                            pass  # other X inputs default to 0 (no parity)
-                    else:
+                for src in gate.fanin:
+                    g = model.good(frame, src)
+                    if g != X:
                         parity ^= g
+                    elif chosen is None:
+                        chosen = src  # other X inputs default to 0 (no parity)
                 if chosen is None:
                     return None
                 idx = chosen
@@ -346,21 +342,17 @@ class PodemEngine:
                 continue
             ctrl = CONTROLLING_VALUE[t]
             need = value ^ inv  # the AND/OR-sense output value required
-            xs = [
-                (pin, gate.fanin[pin])
-                for pin, v in enumerate(model.effective_inputs(frame, gate_pos))
-                if good_of(v) == X
-            ]
+            xs = [src for src in gate.fanin if model.good(frame, src) == X]
             if not xs:
                 return None
             if need == ctrl:
                 # one controlling input suffices: pick the easiest
-                pin, src = min(xs, key=lambda ps: self.meas.cc(ps[1], ctrl))
-                idx, value = src, ctrl
+                idx = min(xs, key=lambda src: self.meas.cc(src, ctrl))
+                value = ctrl
             else:
                 # all inputs must be non-controlling: attack the hardest first
-                pin, src = max(xs, key=lambda ps: self.meas.cc(ps[1], 1 - ctrl))
-                idx, value = src, 1 - ctrl
+                idx = max(xs, key=lambda src: self.meas.cc(src, 1 - ctrl))
+                value = 1 - ctrl
 
     def _assign_decision(self, frame: int, idx: int, value: int):
         """Assign a decision leaf; hold pins mirror into every frame."""

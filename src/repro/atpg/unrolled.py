@@ -12,18 +12,25 @@ The model supports the exact operations PODEM needs:
 * assign a value to a leaf (a PI of any frame, or a frame-0 PPI),
 * event-driven forward propagation with an undo log per decision,
 * D-frontier / fault-excitation / PO-detection / X-path queries.
+
+Propagation runs one specialised *step* per gate, built once per circuit
+from source templates keyed by gate shape, so compiles grow with the
+shapes a circuit uses, not its size.  A step evaluates its gate inline
+and, only if the output word changes, logs the old word, writes the new
+one and schedules the readers.  Only the fault-site gate, from the launch
+frame on, takes the interpretive path that applies the injection.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import GateType
 from ..faults.model import DEFAULT_FAULT_MODEL, Fault, resolve_fault_model
 from ..simulation.compiled import CompiledCircuit
 from ..simulation.encoding import PackedValue, X, eval_packed
 from ..simulation.logic_sim import _eval_ints
-from .values import MASK2, XX, good_of, has_x, is_d, make9
+from .values import MASK2, XX, good_of, is_d, make9
 
 #: A leaf the search may decide on: (frame, net index).
 Leaf = Tuple[int, int]
@@ -70,6 +77,116 @@ def _baseline(cc: CompiledCircuit, num_frames: int) -> Rows:
     if num_frames not in cache:
         cache[num_frames] = _init_sweep(cc, num_frames)
     return cache[num_frames]
+
+
+#: One gate's implication step over a frame: ``step(v1, v0, pending,
+#: undo, frame)`` with that frame's value rows and level buckets.
+Step = Callable[[List[int], List[int], List[Set[int]], List[UndoRecord], int], None]
+
+#: Inverting gate code -> its non-inverting twin (NAND, NOR, XNOR, NOT).
+_SWAP = {1: 0, 3: 2, 5: 4, 6: 7}
+
+
+def _gate_lines(code: int, fanin: int) -> List[str]:
+    """Source lines computing the output word ``p1, p0`` of one gate shape.
+
+    Input ``k`` is read into ``a{k}`` (its p1) and ``b{k}`` (its p0).
+    Words stay inside :data:`MASK2`, so no expression needs the mask; an
+    inverting gate computes its twin and swaps the halves.
+    """
+    ins = range(fanin)
+    lines = [f"a{k} = v1[i{k}]; b{k} = v0[i{k}]" for k in ins]
+    base = _SWAP.get(code, code)
+    if base in (0, 2):  # AND / OR: p1 and p0 fold with dual operators
+        op1, op0 = (" & ", " | ") if base == 0 else (" | ", " & ")
+        p1 = op1.join(f"a{k}" for k in ins)
+        p0 = op0.join(f"b{k}" for k in ins)
+        lines.append(f"p1 = {p1}; p0 = {p0}")
+    elif base in (4, 7):  # XOR folds the parity from input 0; BUF copies it
+        lines.append("p1 = a0; p0 = b0")
+        lines += [f"p1, p0 = (p1 & b{k}) | (p0 & a{k}), (p1 & a{k}) | (p0 & b{k})"
+                  for k in ins[1:]]
+    else:  # CONST0 / CONST1
+        lines.append(f"p1 = {MASK2 * (code == 9)}; p0 = {MASK2 * (code == 8)}")
+    if code in _SWAP:
+        lines.append("p1, p0 = p0, p1")
+    return lines
+
+
+#: Step factories by (gate code, fan-in, reader count), compiled once per
+#: process.  Each entry depends only on its key, so sharing is safe.
+_TEMPLATES: Dict[Tuple[int, int, int], Callable[..., Step]] = {}
+
+
+def _template(code: int, fanin: int, readers: int) -> Callable[..., Step]:
+    """The step factory for one gate shape, generated on first use.
+
+    ``make(inputs..., out, (level, position) per reader...)`` returns a
+    step binding them as defaults: one tuple, not a closure cell each.
+    """
+    key = (code, fanin, readers)
+    factory = _TEMPLATES.get(key)
+    if factory is None:
+        params = [f"i{k}" for k in range(fanin)] + ["out"]
+        params += [f"{x}{k}" for k in range(readers) for x in "lr"]
+        bound = "".join(f", {p}={p}" for p in params)
+        lines = [f"def make({', '.join(params)}):",
+                 f"    def step(v1, v0, pending, undo, frame{bound}):"]
+        lines += ["        " + line for line in _gate_lines(code, fanin)]
+        lines += ["        o1 = v1[out]; o0 = v0[out]",
+                  "        if p1 != o1 or p0 != o0:",
+                  "            undo.append((frame, out, o1, o0))",
+                  "            v1[out] = p1; v0[out] = p0"]
+        lines += [f"            pending[l{k}].add(r{k})" for k in range(readers)]
+        lines.append("    return step")
+        namespace: Dict[str, Any] = {"__builtins__": {}}
+        exec(  # noqa: S102 - generated from the gate shape only
+            compile("\n".join(lines), f"<unrolled-step {key}>", "exec"),
+            namespace,
+        )
+        factory = _TEMPLATES.setdefault(key, namespace["make"])
+    return factory
+
+
+#: Leaf kinds per net: a gate output, a primary input (a leaf in every
+#: frame), or a flip-flop output (a leaf in frame 0 only).
+_GATE, _PI, _PPI = 0, 1, 2
+
+
+class _Implication:
+    """Per-circuit implication tables, built once and cached on the circuit.
+
+    Attributes:
+        level: gate position -> its level (its pending bucket).
+        steps: gate position -> its compiled :data:`Step`.
+        leaf: net index -> leaf kind (``_GATE``, ``_PI`` or ``_PPI``).
+        ff_outs: D-input net -> the flip-flop outputs it feeds.
+    """
+
+    def __init__(self, cc: CompiledCircuit):
+        self.level: List[int] = [gate.level for gate in cc.gates]
+        self.steps: List[Step] = []
+        for gate in cc.gates:
+            readers = dict.fromkeys(cc.fanout_gates[gate.out])
+            factory = _template(gate.code, len(gate.fanin), len(readers))
+            self.steps.append(factory(
+                *gate.fanin, gate.out,
+                *(x for pos in readers for x in (self.level[pos], pos)),
+            ))
+        self.leaf = [_PI if pos is None else _GATE for pos in cc.gate_of]
+        for idx in cc.ff_out:
+            self.leaf[idx] = _PPI
+        self.ff_outs: Dict[int, List[int]] = {}
+        for in_idx, out_idx in zip(cc.ff_in, cc.ff_out):
+            self.ff_outs.setdefault(in_idx, []).append(out_idx)
+
+
+def _implication(cc: CompiledCircuit) -> _Implication:
+    """The tables of ``cc``, built on first use; racing builds are equal."""
+    tables = vars(cc).get("_unrolled_implication")
+    if tables is None:
+        tables = vars(cc).setdefault("_unrolled_implication", _Implication(cc))
+    return tables
 
 
 class UnrolledModel:
@@ -122,6 +239,13 @@ class UnrolledModel:
                 else:
                     self._pin_gate = cc.gate_of[cc.index[fault.gate]]
                     self._pin = fault.pin
+        #: the fault-site gate, evaluated interpretively from the launch
+        #: frame on: the pin-fault reader, or the gate driving a stem
+        self._site_gate: Optional[int] = (
+            self._pin_gate if self._stem_idx is None
+            else cc.gate_of[self._stem_idx]
+        )
+        self._tables = _implication(cc)
 
         base1, base0 = _baseline(cc, num_frames)
         self.v1: List[List[int]] = [list(row) for row in base1]
@@ -149,8 +273,14 @@ class UnrolledModel:
         return self.v1[frame][idx], self.v0[frame][idx]
 
     def good(self, frame: int, idx: int) -> int:
-        """Good-circuit scalar value of a net in a frame."""
-        return good_of(self.value(frame, idx))
+        """Good-circuit scalar value of a net in a frame (slot 0)."""
+        one = self.v1[frame][idx] & 1
+        zero = self.v0[frame][idx] & 1
+        if one:
+            return X if zero else 1
+        if zero:
+            return 0
+        raise ValueError("slot 0 holds the invalid (0,0) encoding")
 
     @property
     def launch_frame(self) -> int:
@@ -164,12 +294,8 @@ class UnrolledModel:
 
     def is_leaf(self, frame: int, idx: int) -> bool:
         """True for decidable leaves: any-frame PIs and frame-0 PPIs."""
-        if self.cc.gate_of[idx] is not None:
-            return False
-        g = self.cc.circuit.gates.get(self.cc.net_names[idx])
-        if g is None:  # primary input
-            return True
-        return frame == 0  # flip-flop output: leaf only in frame 0
+        kind = self._tables.leaf[idx]
+        return kind == _PI or (kind == _PPI and frame == 0)
 
     # ------------------------------------------------------------------
     # assignment / propagation / undo
@@ -208,13 +334,16 @@ class UnrolledModel:
         p1, p0 = value
         if self._stem_idx == idx and frame >= self._inject_from:
             p1, p0 = _stuck_mask((p1, p0), self._stuck)
-        if (p1, p0) == (self.v1[frame][idx], self.v0[frame][idx]):
+        v1, v0 = self.v1[frame], self.v0[frame]
+        o1, o0 = v1[idx], v0[idx]
+        if p1 == o1 and p0 == o0:
             return
-        undo.append((frame, idx, self.v1[frame][idx], self.v0[frame][idx]))
-        self.v1[frame][idx] = p1
-        self.v0[frame][idx] = p0
+        undo.append((frame, idx, o1, o0))
+        v1[idx] = p1
+        v0[idx] = p0
+        pending, level = self._pending[frame], self._tables.level
         for pos in self.cc.fanout_gates[idx]:
-            self._pending[frame][self.cc.gates[pos].level].add(pos)
+            pending[level[pos]].add(pos)
 
     def effective_inputs(self, frame: int, pos: int) -> List[PackedValue]:
         """Gate input values as the gate sees them (branch fault applied)."""
@@ -225,21 +354,26 @@ class UnrolledModel:
         return vals
 
     def _settle(self, start_frame: int, undo: List[UndoRecord]) -> None:
-        cc = self.cc
-        pin_gate = self._pin_gate
+        """Run each pending gate's step, level by level, frame by frame.
+
+        Readers sit on higher levels, so a bucket never refills while it
+        drains, and the fault-site gate can be taken out of it first.
+        """
+        steps = self._tables.steps
+        site = self._site_gate
         for frame in range(start_frame, self.num_frames):
-            buckets = self._pending[frame]
+            pending = self._pending[frame]
             v1, v0 = self.v1[frame], self.v0[frame]
-            for bucket in buckets:
-                while bucket:
-                    pos = bucket.pop()
-                    gate = cc.gates[pos]
-                    if pos == pin_gate:
-                        vals = self.effective_inputs(frame, pos)
-                        out = eval_packed(gate.gtype, vals, MASK2)
-                    else:
-                        out = _eval_ints(gate.code, gate.fanin, v1, v0, MASK2)
+            injected = site is not None and frame >= self._inject_from
+            for bucket in pending:
+                if injected and site in bucket:  # interpretive, injected
+                    bucket.remove(site)
+                    gate = self.cc.gates[site]
+                    vals = self.effective_inputs(frame, site)
+                    out = eval_packed(gate.gtype, vals, MASK2)
                     self._write(frame, gate.out, out, undo)
+                while bucket:
+                    steps[bucket.pop()](v1, v0, pending, undo, frame)
             if frame + 1 < self.num_frames:
                 self._latch(frame, undo)
 
@@ -260,11 +394,14 @@ class UnrolledModel:
 
         Observation points are the primary outputs; with ``observe_ppo``
         the last frame's flip-flop D inputs count too (scan-style testing,
-        where captured state is shifted out and compared).
+        where captured state is shifted out and compared).  Outputs are
+        tested on raw words, as in :meth:`d_frontier`.
         """
         for frame in range(self.num_frames):
+            v1, v0 = self.v1[frame], self.v0[frame]
             for po in self.cc.po:
-                if is_d(self.value(frame, po)):
+                a1 = v1[po]
+                if (a1 ^ v0[po]) == MASK2 and (a1 & 1) != (a1 >> 1):
                     return frame, po
         if observe_ppo:
             last = self.num_frames - 1
@@ -360,9 +497,7 @@ class UnrolledModel:
         cc = self.cc
         po_set = set(cc.po)
         # one D-input net may feed several flip-flops: cross into each
-        ff_outs: Dict[int, List[int]] = {}
-        for in_idx, out_idx in zip(cc.ff_in, cc.ff_out):
-            ff_outs.setdefault(in_idx, []).append(out_idx)
+        ff_outs = self._tables.ff_outs
         seen: Set[Tuple[int, int]] = set()
         stack: List[Tuple[int, int]] = [
             (frame, cc.gates[pos].out) for frame, pos in frontier
@@ -373,9 +508,10 @@ class UnrolledModel:
             if (frame, idx) in seen:
                 continue
             seen.add((frame, idx))
-            val = self.value(frame, idx)
-            if not (has_x(val) or is_d(val)):
-                continue
+            v1, v0 = self.v1[frame], self.v0[frame]
+            a1 = v1[idx]
+            if not (a1 & v0[idx]) and (a1 & 1) == (a1 >> 1):
+                continue  # neither X-bearing nor D/D̄
             if idx in po_set:
                 return True, edge
             if idx in ff_outs:
@@ -385,7 +521,7 @@ class UnrolledModel:
                     edge = True
             for pos in cc.fanout_gates[idx]:
                 out = cc.gates[pos].out
-                if has_x(self.value(frame, out)):
+                if v1[out] & v0[out]:  # the reader's output bears an X
                     stack.append((frame, out))
         return False, edge
 

@@ -21,7 +21,7 @@ The parent never trusts a worker: liveness is tracked through heartbeats
 and ``is_alive``.  A hung worker is killed and its running item fails;
 a dead worker's running and queued items are requeued (without
 consuming an attempt, so results stay deterministic) and the worker is
-respawned with a fresh task queue.
+respawned with a fresh task queue and result pipe.
 
 Crash model:
 
@@ -40,8 +40,8 @@ Crash model:
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
-from queue import Empty
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clock import monotonic
@@ -72,6 +72,8 @@ class _WorkerHandle:
         self.wid = wid
         self.proc: Optional[multiprocessing.process.BaseProcess] = None
         self.task_q: Any = None
+        #: read end of the worker's result pipe; None once it broke
+        self.result_r: Any = None
         #: the item the worker said it started, if any: (item, attempt)
         self.running: Optional[Tuple[WorkItem, int]] = None
         #: sent to the worker, not yet started: (item, attempt)
@@ -417,20 +419,24 @@ class CampaignRunner:
         phase_times: Dict[str, float],
         warm_state: CampaignWarmState,
     ) -> None:
-        result_q = ctx.Queue()
         handles = [_WorkerHandle(wid) for wid in range(self.workers)]
 
         def spawn(handle: _WorkerHandle) -> None:
-            # a fresh task queue per (re)spawn: items sent to a dead
-            # worker can never be replayed by its replacement
+            # a fresh task queue and result pipe per (re)spawn: items sent
+            # to a dead worker can never be replayed by its replacement,
+            # and a worker killed mid-message tears only its own pipe
+            if handle.result_r is not None:
+                handle.result_r.close()
             handle.task_q = ctx.Queue()
+            handle.result_r, result_w = ctx.Pipe(duplex=False)
             handle.proc = ctx.Process(
                 target=worker_main,
-                args=(handle.wid, handle.task_q, result_q, self.spec,
+                args=(handle.wid, handle.task_q, result_w, self.spec,
                       warm_state, self.heartbeat_interval),
                 daemon=True,
             )
             handle.proc.start()
+            result_w.close()  # the worker holds the only write end
             handle.last_beat = self.clock()
 
         t0 = self.clock()
@@ -454,7 +460,7 @@ class CampaignRunner:
                     handle.task_q.put(handle.queued)
                 if queue.finished() and not any(h.held() for h in handles):
                     break
-                self._drain(result_q, handles, queue, payloads, journal)
+                self._drain(handles, queue, payloads, journal)
                 now = self.clock()
                 for handle in handles:
                     if handle.proc.is_alive():
@@ -507,26 +513,30 @@ class CampaignRunner:
                     handle.proc.join(timeout=2.0)
                     if handle.proc.is_alive():
                         handle.proc.kill()
+                if handle.result_r is not None:
+                    handle.result_r.close()
 
     def _drain(
         self,
-        result_q,
         handles: List[_WorkerHandle],
         queue: WorkQueue,
         payloads: Dict[str, Dict[str, Any]],
         journal: Journal,
     ) -> None:
-        """Handle every queued worker message, blocking briefly for one."""
-        first = True
-        while True:
+        """Handle every waiting worker message, blocking briefly for one."""
+        live = {h.result_r: h for h in handles if h.result_r is not None}
+        messages = []
+        for conn in multiprocessing.connection.wait(list(live), timeout=0.05):
             try:
-                message = result_q.get(timeout=0.05 if first else 0.0)
-            except Empty:
-                return
+                while conn.poll():
+                    messages.append(conn.recv())
             except (EOFError, OSError):
-                return  # queue torn by a killed writer; liveness recovers
-            first = False
-            kind, wid, item_id, data = message
+                # the worker died, maybe mid-message: kill what is left
+                # of it, and the liveness check requeues what it held
+                conn.close()
+                live[conn].result_r = None
+                live[conn].proc.kill()
+        for kind, wid, item_id, data in messages:
             handle = handles[wid]
             handle.last_beat = self.clock()
             if kind == "started":

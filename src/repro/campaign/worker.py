@@ -153,10 +153,10 @@ def run_item(
 class _Heartbeat(threading.Thread):
     """Beacon thread: emits (worker, item) liveness while an item runs."""
 
-    def __init__(self, result_q, worker_id: int, item_id: str,
-                 interval: float):
+    def __init__(self, send: Callable[[tuple], None], worker_id: int,
+                 item_id: str, interval: float):
         super().__init__(daemon=True)
-        self._result_q = result_q
+        self._send = send
         self._worker_id = worker_id
         self._item_id = item_id
         self._interval = interval
@@ -165,10 +165,8 @@ class _Heartbeat(threading.Thread):
     def run(self) -> None:
         while not self._halt.wait(self._interval):
             try:
-                self._result_q.put(
-                    ("heartbeat", self._worker_id, self._item_id, None)
-                )
-            except Exception:
+                self._send(("heartbeat", self._worker_id, self._item_id, None))
+            except OSError:
                 return  # parent gone; the worker is about to die anyway
 
     def stop(self) -> None:
@@ -179,7 +177,7 @@ class _Heartbeat(threading.Thread):
 def worker_main(
     worker_id: int,
     task_q,
-    result_q,
+    result_conn,
     spec: CampaignSpec,
     warm: CampaignWarmState,
     heartbeat_interval: float = 0.5,
@@ -194,30 +192,37 @@ def worker_main(
     * ``(item, attempt)`` — run this item next.
     * ``None`` — exit.
 
-    Messages back to the parent (all on ``result_q``):
+    Messages back to the parent go on ``result_conn``, the write end of a
+    pipe this worker alone holds, fresh per spawn.  They are sent
+    synchronously, under a lock the heartbeat thread shares, so a worker
+    killed mid-message tears only its own pipe, which the parent reads as
+    the worker's death; no lock outlives it to block the other workers:
 
     * ``("started", worker_id, item_id, (attempt, pid))``
     * ``("heartbeat", worker_id, item_id, None)``
     * ``("done", worker_id, item_id, payload_dict)``
     * ``("failed", worker_id, item_id, error_string)``
     """
+    lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with lock:
+            result_conn.send(message)
+
     while True:
         task = task_q.get()
         if task is None:
             return
         item, attempt = task
-        result_q.put(("started", worker_id, item.item_id,
-                      (attempt, os.getpid())))
-        beacon = _Heartbeat(result_q, worker_id, item.item_id,
-                            heartbeat_interval)
+        send(("started", worker_id, item.item_id, (attempt, os.getpid())))
+        beacon = _Heartbeat(send, worker_id, item.item_id, heartbeat_interval)
         beacon.start()
         try:
             outcome = run_item(spec, item, warm)
-            result_q.put(("done", worker_id, item.item_id,
-                          outcome.to_dict()))
+            send(("done", worker_id, item.item_id, outcome.to_dict()))
         except Exception as exc:  # noqa: BLE001 — report, don't die
-            result_q.put(("failed", worker_id, item.item_id,
-                          f"{type(exc).__name__}: {exc}"))
+            send(("failed", worker_id, item.item_id,
+                  f"{type(exc).__name__}: {exc}"))
         finally:
             beacon.stop()
             beacon.join(timeout=2.0)

@@ -1,12 +1,16 @@
 """Tests for the unrolled time-frame model."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.atpg import unrolled
 from repro.atpg.unrolled import (
     _BASELINE_ATTR,
     UnrolledModel,
     _baseline,
+    _implication,
     _stuck_mask,
 )
 from repro.atpg.values import D, DBAR, MASK2, XX, faulty_of, good_of, is_d, make9
@@ -14,10 +18,11 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.circuits import s27, two_stage_pipeline
 from repro.faults.model import Fault, full_fault_list
+from repro.simulation import codegen
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, eval_packed, pack_const, unpack
 from repro.simulation.fault_sim import injection_for
-from repro.simulation.logic_sim import FrameSimulator
+from repro.simulation.logic_sim import FrameSimulator, _eval_ints
 
 from ..conftest import random_circuits
 
@@ -97,6 +102,17 @@ class TestBasics:
         # G14 = NOT(G0)
         model.assign(0, cc.index["G0"], 1)
         assert model.good(0, cc.index["G14"]) == 0
+
+    def test_good_decodes_slot_0_and_rejects_the_invalid_encoding(self):
+        cc = compile_circuit(s27())
+        model = UnrolledModel(cc, None, num_frames=1)
+        idx = cc.pi[0]
+        for word in NINE:
+            model.v1[0][idx], model.v0[0][idx] = word
+            assert model.good(0, idx) == good_of(word)
+        model.v1[0][idx], model.v0[0][idx] = 0b10, 0b00  # good slot (0,0)
+        with pytest.raises(ValueError):
+            model.good(0, idx)
 
     def test_assign_non_leaf_rejected(self):
         cc = compile_circuit(s27())
@@ -387,3 +403,90 @@ class TestAgainstEventSimulator:
             model.assign(*leaf, X)
         assert model.v1 == reference.v1
         assert model.v0 == reference.v0
+
+
+#: The nine two-slot (good, faulty) words.
+NINE = [make9(g, f) for g in (0, 1, X) for f in (0, 1, X)]
+
+#: Every gate shape a step template is generated for, as (type, fan-in).
+#: ``random_circuits`` draws only 2-3-input AND...XNOR plus NOT and BUF.
+SHAPES = [
+    (gtype, fanin)
+    for gtype in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+                  GateType.XOR, GateType.XNOR)
+    for fanin in (1, 2, 3, 4)
+] + [(GateType.NOT, 1), (GateType.BUF, 1),
+     (GateType.CONST0, 0), (GateType.CONST1, 0)]
+
+
+def step_circuit(gtype, fanin, readers):
+    """Gate ``g`` over ``fanin`` inputs, read by ``readers`` (0 or 2) gates.
+
+    The two readers sit on different levels: ``r1 = BUF(g)`` and
+    ``r2 = AND(g, r1)``.
+    """
+    c = Circuit(f"{gtype.value}{fanin}r{readers}")
+    ins = [c.add_input(f"i{k}") for k in range(max(fanin, 1))]
+    c.add_gate("g", gtype, ins[:fanin])
+    if readers:
+        c.add_gate("r1", GateType.BUF, ["g"])
+        c.add_gate("r2", GateType.AND, ["g", "r1"])
+        c.add_output("r2")
+    else:
+        c.add_output("g")
+    return c
+
+
+class TestStepTemplates:
+    """Each compiled step against both evaluators, over every input word."""
+
+    @pytest.mark.parametrize("readers", (0, 2))
+    @pytest.mark.parametrize(
+        "gtype, fanin", SHAPES, ids=[f"{t.value}{n}" for t, n in SHAPES]
+    )
+    def test_step_matches_evaluators_and_logs_changes(
+        self, gtype, fanin, readers
+    ):
+        cc = compile_circuit(step_circuit(gtype, fanin, readers))
+        pos = cc.gate_of[cc.index["g"]]
+        gate = cc.gates[pos]
+        step = _implication(cc).steps[pos]
+        scheduled = {(cc.gates[r].level, r) for r in cc.fanout_gates[gate.out]}
+        assert len(scheduled) == readers
+        for words in itertools.product(NINE, repeat=fanin):
+            v1 = [XX[0]] * cc.num_nets
+            v0 = [XX[1]] * cc.num_nets
+            for i, (p1, p0) in zip(gate.fanin, words):
+                v1[i], v0[i] = p1, p0
+            want = _eval_ints(gate.code, gate.fanin, v1, v0, MASK2)
+            assert want == eval_packed(gtype, list(words), MASK2)
+            stale = next(word for word in NINE if word != want)
+            v1[gate.out], v0[gate.out] = stale
+            for changed in (True, False):  # the second run finds it current
+                pending = [set() for _ in range(cc.num_levels + 1)]
+                undo = []
+                step(v1, v0, pending, undo, 3)
+                assert (v1[gate.out], v0[gate.out]) == want, words
+                got = {(lvl, r) for lvl, bucket in enumerate(pending)
+                       for r in bucket}
+                if changed:
+                    assert undo == [(3, gate.out, *stale)], words
+                    assert got == scheduled, words
+                else:
+                    assert undo == [] and got == set(), words
+
+    def test_steps_compile_no_kernels(self, monkeypatch):
+        """Fresh templates and steps leave the kernel counters alone."""
+        monkeypatch.setattr(unrolled, "_TEMPLATES", {})
+        before = dict(codegen.compile_stats())
+        circuit = s27()
+        cc = compile_circuit(circuit)
+        for fault in (None, Fault("G0", 0), full_fault_list(circuit)[-1]):
+            model = UnrolledModel(cc, fault, num_frames=2)
+            for frame in range(2):
+                for idx in cc.pi:
+                    model.assign(frame, idx, frame)
+            for idx in cc.ff_out:
+                model.assign(0, idx, 1)
+        assert unrolled._TEMPLATES  # the models compiled their templates
+        assert codegen.compile_stats() == before

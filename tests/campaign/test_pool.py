@@ -8,7 +8,12 @@ spread across.
 
 import json
 import os
+import signal
+import struct
+import time
+from multiprocessing.connection import Connection
 
+import repro.campaign.runner as campaign_runner
 import repro.campaign.worker as campaign_worker
 from repro.campaign import (
     CampaignRunner,
@@ -99,6 +104,67 @@ class TestPoolProtocol:
                 == reference.circuits["s27"].vectors)
         assert (result.circuits["s27"].detected
                 == reference.circuits["s27"].detected)
+
+    def test_worker_killed_mid_message_does_not_stall_the_others(
+        self, tmp_path, monkeypatch
+    ):
+        """Worker 0 dies in the middle of sending its first message.
+
+        A kill between the bytes of a message leaves the result channel
+        as this test leaves it: a shared queue's write lock held forever,
+        or a private pipe holding a torn frame.  The campaign must still
+        finish with the 1-worker result.  It runs in a forked child that
+        leads its own process group, so a deadlock fails the test after 60 s
+        instead of hanging it.
+        """
+        reference = CampaignRunner(
+            spec(), str(tmp_path / "ref.jsonl"), workers=1
+        ).run()
+        real_worker_main = campaign_runner.worker_main
+        marker = tmp_path / "torn"
+
+        def tearing_worker_main(wid, task_q, channel, *rest):
+            if wid == 0 and not marker.exists():
+                marker.touch()
+                if isinstance(channel, Connection):
+                    # a length header promising more bytes than follow
+                    os.write(channel.fileno(), struct.pack("!i", 1 << 16) + b"torn")
+                else:
+                    channel._wlock.acquire()
+                os._exit(1)
+            real_worker_main(wid, task_q, channel, *rest)
+
+        monkeypatch.setattr(campaign_runner, "worker_main", tearing_worker_main)
+        out = tmp_path / "result.json"
+        pid = os.fork()
+        if pid == 0:  # the child: run the campaign, never return to pytest
+            status = 1
+            try:
+                os.setsid()
+                result = CampaignRunner(
+                    spec(), str(tmp_path / "torn.jsonl"), workers=2
+                ).run()
+                merged = result.circuits["s27"]
+                out.write_text(json.dumps(
+                    {"vectors": merged.vectors, "detected": merged.detected}
+                ))
+                status = 0
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError("campaign deadlocked after a torn message")
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        merged = json.loads(out.read_text())
+        assert merged["vectors"] == reference.circuits["s27"].vectors
+        assert merged["detected"] == reference.circuits["s27"].detected
 
 
 class TestWorkerCountDeterminism:
