@@ -12,8 +12,7 @@ instances.  :class:`AtpgContext` owns all of that once per circuit:
 * SCOAP :class:`~repro.atpg.scoap.Testability` measures (lazy);
 * the collapsed fault universe (lazy);
 * fault-simulator handles, cached by word width;
-* deterministic RNG derivation (named streams off one base seed);
-* the telemetry recorder and the injectable wall clock;
+* the telemetry recorder;
 * the optional cross-fault :class:`~repro.knowledge.StateKnowledge` store.
 
 Engines take a context; callers holding only a circuit build one with
@@ -22,12 +21,9 @@ Engines take a context; callers holding only a circuit build one with
 
 from __future__ import annotations
 
-import random
-import zlib
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..circuit.netlist import Circuit
-from ..clock import monotonic
 from ..faults.collapse import collapse_faults
 from ..faults.model import DEFAULT_FAULT_MODEL, Fault, resolve_fault_model
 from ..knowledge import (
@@ -45,11 +41,6 @@ from .scoap import Testability, compute_testability
 CircuitLike = Union[Circuit, CompiledCircuit]
 
 
-def _derive(seed: int, token: str) -> int:
-    """Deterministic, platform-stable named-stream seed derivation."""
-    return (seed * 0x9E3779B1 + zlib.crc32(token.encode("utf-8"))) & 0x7FFFFFFF
-
-
 class AtpgContext:
     """Owns every piece of shared per-circuit ATPG state.
 
@@ -60,9 +51,6 @@ class AtpgContext:
         constraints: environment input constraints (``None`` or a trivial
             constraint set both normalise to unconstrained).
         telemetry: shared metrics recorder (defaults to the no-op).
-        clock: injectable wall-clock source for every deadline derived
-            from this context.
-        seed: base seed for :meth:`rng` stream derivation.
         knowledge: cross-fault state-knowledge store shared by every
             engine built on this context (``None`` disables reuse).
         fault_model: registered fault-model name the context's fault
@@ -76,8 +64,6 @@ class AtpgContext:
         testability: Optional[Testability] = None,
         constraints: Optional[InputConstraints] = None,
         telemetry: Optional[Recorder] = None,
-        clock: Optional[Callable[[], float]] = None,
-        seed: int = 0,
         knowledge: Optional[StateKnowledge] = None,
         fault_model: str = DEFAULT_FAULT_MODEL,
     ) -> None:
@@ -88,8 +74,6 @@ class AtpgContext:
         self.circuit: Circuit = self.cc.circuit
         self.constraints: InputConstraints = constraints or UNCONSTRAINED
         self.telemetry: Recorder = telemetry or NULL_RECORDER
-        self.clock: Callable[[], float] = clock or monotonic
-        self.seed = seed
         self.knowledge = knowledge
         self.fault_model = resolve_fault_model(fault_model).name
         self._testability = testability
@@ -139,10 +123,6 @@ class AtpgContext:
         return self.knowledge
 
     # -- derived handles -----------------------------------------------
-    def rng(self, token: str = "") -> random.Random:
-        """A named deterministic random stream derived from the seed."""
-        return random.Random(_derive(self.seed, token))
-
     def fault_simulator(self, width: int = 64) -> FaultSimulator:
         """A fault simulator for this circuit, cached by word width."""
         sim = self._simulators.get(width)

@@ -2,11 +2,11 @@
 
 :class:`CampaignRunner` drives a campaign end to end: it builds the
 deterministic work-item catalogue, **warms** every per-circuit artifact
-(compile, SCOAP, fault collapse, kernel compile) in the parent, then
-executes items either inline (``workers=1``) or across a pool of forked
-worker processes that inherit the warm state copy-on-write.  Every state
-transition is journaled durably and the campaign finishes with the merge
-stage.
+(compile, SCOAP, fault collapse, knowledge preload, policy plan) in the
+parent, then executes items either inline (``workers=1``) or across a
+pool of forked worker processes that inherit the warm state
+copy-on-write.  Every state transition is journaled durably and the
+campaign finishes with the merge stage.
 
 Dispatch is one item at a time from one shared queue, not static
 sharding: the parent keeps exactly one unstarted item queued at each
@@ -107,11 +107,6 @@ class CampaignRunner:
             mode); when it returns true the runner terminates its
             workers and raises :class:`CampaignCancelled`.  The journal
             keeps every completed item, so the campaign resumes cleanly.
-        warm_cache: optional cross-campaign cache of per-circuit warm
-            artifacts, passed through to
-            :meth:`CampaignWarmState.build <repro.campaign.warm.CampaignWarmState.build>`
-            — the service uses one so kernels/SCOAP/collapse are paid
-            once per circuit even across jobs with different specs.
     """
 
     #: replacement workers spawned per original worker before giving up
@@ -126,7 +121,6 @@ class CampaignRunner:
         hang_timeout_s: Optional[float] = None,
         clock: Callable[[], float] = monotonic,
         stop_check: Optional[Callable[[], bool]] = None,
-        warm_cache: Optional[Dict[str, Any]] = None,
     ):
         self.spec = spec
         self.journal_path = journal_path
@@ -135,7 +129,6 @@ class CampaignRunner:
         self.hang_timeout_s = hang_timeout_s
         self.clock = clock
         self.stop_check = stop_check
-        self.warm_cache = warm_cache
 
     # -- public entry points -------------------------------------------
     def run(self, resume: bool = False) -> CampaignResult:
@@ -159,7 +152,7 @@ class CampaignRunner:
         # It comes before the first journal write, so a spec whose
         # inputs cannot load leaves no journal behind.
         t0 = self.clock()
-        warm_state = CampaignWarmState.build(self.spec, cache=self.warm_cache)
+        warm_state = CampaignWarmState.build(self.spec)
         phase_times["warm_s"] = self.clock() - t0
         payloads: Dict[str, Dict[str, Any]] = {}
         with Journal(self.journal_path) as journal:
@@ -180,10 +173,6 @@ class CampaignRunner:
                         for i in items
                     ],
                 })
-            # dispatch order is an execution detail (items are isolated
-            # and the merge sorts by item id), so the policy's cheap-
-            # first ordering applies to fresh runs and resumes alike
-            items = self._policy_order(items, warm_state)
             queue = WorkQueue(items, self.spec.max_attempts)
             if restored is not None:
                 for item_id, payload in restored.done.items():
@@ -294,50 +283,6 @@ class CampaignRunner:
                     f"was planned — start a fresh campaign"
                 )
         return state
-
-    # -- policy-driven dispatch order ----------------------------------
-    def _policy_order(
-        self,
-        items: List[WorkItem],
-        warm_state: CampaignWarmState,
-    ) -> List[WorkItem]:
-        """Order the catalogue cheap-first under the spec's policy.
-
-        Purely an execution-order optimization: items are isolated, the
-        merge stage sorts payloads by item id, and journal identity is
-        id-based — so reordering changes wall-clock shape (cheap wins
-        land early, predicted-futile shards run last) but never results.
-        Without a policy the catalogue order is returned untouched.
-        """
-        if not self.spec.policy_file:
-            return items
-        circuit_rank = {
-            name: pos for pos, name in enumerate(self.spec.circuits)
-        }
-        ranks: Dict[str, int] = {}
-        for name in self.spec.circuits:
-            state = warm_state.get(name)
-            if state is None or state.policy_plan is None:
-                continue
-            for pos, fault in enumerate(
-                state.policy_plan.order(state.faults)
-            ):
-                ranks[f"{name}:{fault}"] = pos
-
-        def key(item: WorkItem) -> Tuple[int, int, str]:
-            state = warm_state.get(item.circuit)
-            best = len(ranks)
-            if state is not None and state.policy_plan is not None:
-                shard = state.faults[item.start : item.start + item.count]
-                item_ranks = [
-                    ranks.get(f"{item.circuit}:{fault}", len(ranks))
-                    for fault in shard
-                ]
-                if item_ranks:
-                    best = min(item_ranks)
-            return (circuit_rank.get(item.circuit, 0), best, item.item_id)
-
-        return sorted(items, key=key)
 
     # -- shared outcome policy -----------------------------------------
     def _settle(

@@ -84,31 +84,6 @@ class CircuitWarmState:
         return StateKnowledge.from_dict(self.knowledge_doc)
 
 
-def circuit_warm_key(spec: CampaignSpec, name: str) -> Optional[str]:
-    """Cache key for one circuit's warm artifacts across campaign specs.
-
-    Two specs that agree on these facets produce identical
-    :class:`CircuitWarmState` content for ``name`` — worker count,
-    seeds, schedules, and the like do not feed the warm build — so a
-    long-lived host (the service) can reuse one build across many jobs.
-    Returns ``None`` when the state must not be cached: a knowledge
-    preload or a policy artifact reads a mutable file whose contents
-    affect results, so caching it could serve a stale store or plan.
-    """
-    if spec.knowledge and spec.knowledge_file:
-        return None
-    if spec.policy_file:
-        return None
-    return "|".join(
-        str(part)
-        for part in (
-            name,
-            spec.fault_limit if spec.fault_limit is not None else "",
-            spec.fault_model,
-        )
-    )
-
-
 class CampaignWarmState:
     """Per-circuit warm artifacts for one campaign spec."""
 
@@ -116,22 +91,12 @@ class CampaignWarmState:
         self.circuits = circuits
 
     @classmethod
-    def build(
-        cls,
-        spec: CampaignSpec,
-        cache: Optional[Dict[str, CircuitWarmState]] = None,
-    ) -> "CampaignWarmState":
+    def build(cls, spec: CampaignSpec) -> "CampaignWarmState":
         """Resolve, compile, and warm every circuit the spec targets.
 
         Skipped entirely in drill mode (``synthetic_item_seconds``):
         drills measure orchestration, not ATPG, and must not pay compile
         cost for circuits they never simulate.
-
-        ``cache`` (optional) is consulted and populated per circuit
-        under :func:`circuit_warm_key`, letting a long-lived process pay
-        compile/SCOAP/collapse once per circuit across many campaigns.
-        Warm artifacts are deterministic functions of the key, so a hit
-        can never change results — only skip work.
         """
         circuits: Dict[str, CircuitWarmState] = {}
         if spec.synthetic_item_seconds is not None:
@@ -146,12 +111,6 @@ class CampaignWarmState:
             except PolicyError as exc:
                 raise CampaignError(str(exc)) from exc
         for name in spec.circuits:
-            key = circuit_warm_key(spec, name) if cache is not None else None
-            if key is not None:
-                cached = cache.get(key)
-                if cached is not None:
-                    circuits[name] = cached
-                    continue
             circuit = resolve_circuit(name)
             cc = compile_circuit(circuit)
             faults = collapse_faults(circuit, spec.fault_model)
@@ -175,7 +134,7 @@ class CampaignWarmState:
                 plan = build_plan(
                     policy, cc, testability, faults, final_pass=spec.passes
                 )
-            state = CircuitWarmState(
+            circuits[name] = CircuitWarmState(
                 circuit=circuit,
                 cc=cc,
                 testability=testability,
@@ -183,11 +142,4 @@ class CampaignWarmState:
                 knowledge_doc=doc,
                 policy_plan=plan,
             )
-            circuits[name] = state
-            if key is not None:
-                cache[key] = state
         return cls(circuits)
-
-    def get(self, circuit_name: str) -> Optional[CircuitWarmState]:
-        return self.circuits.get(circuit_name)
-

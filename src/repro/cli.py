@@ -204,9 +204,6 @@ def cmd_atpg(args: argparse.Namespace) -> int:
             time_scale=args.time_scale,
             backtrack_base=args.backtracks,
         )
-    if args.prefilter:
-        proven = driver.prefilter_untestable()
-        print(f"prefilter: {len(proven)} faults proven untestable")
     result = driver.run(schedule)
     print(result.summary())
     vectors = result.test_set
@@ -335,8 +332,7 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
         raise PolicyError(
             "no trainable fault dispositions in the given reports"
         )
-    options = {"shrink_ga": True} if args.shrink_ga else None
-    policy = train_policy(dataset, rounds=args.rounds, options=options)
+    policy = train_policy(dataset, rounds=args.rounds)
     policy.save(args.output)
     print(f"dataset: {dataset.summary()}")
     xs = dataset.matrix()
@@ -492,7 +488,7 @@ def _add_fault_model_option(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_options(p: argparse.ArgumentParser) -> None:
-    """Simulation options shared by the simulating commands."""
+    """The kernel-cache option of the commands whose GA compiles kernels."""
     p.add_argument("--kernel-cache", metavar="DIR", default=None,
                    help="persist compiled kernels under DIR so warm "
                         "runs and campaign workers skip compilation "
@@ -530,8 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of the paper's per-fault time limits")
     p.add_argument("--backtracks", type=int, default=100,
                    help="pass-1 PODEM backtrack budget")
-    p.add_argument("--prefilter", action="store_true",
-                   help="prove untestable faults before the GA passes")
     p.add_argument("--compact", action="store_true",
                    help="drop test sequences that add no coverage")
     p.add_argument("--telemetry", metavar="PATH",
@@ -581,9 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the repro-policy/v1 artifact to this file")
     p.add_argument("--rounds", type=int, default=40,
                    help="boosting rounds per model (default 40)")
-    p.add_argument("--shrink-ga", action="store_true",
-                   help="also halve GA budgets on predicted-cheap faults "
-                        "(off by default: maximally conservative)")
     p.set_defaults(func=cmd_train_policy)
 
     p = sub.add_parser(
@@ -684,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vectors", help="file with one 0/1/x vector per line")
     p.add_argument("--list-undetected", action="store_true")
     _add_fault_model_option(p)
-    _add_sim_options(p)
     p.set_defaults(func=cmd_faultsim)
 
     p = sub.add_parser("convert", help="convert between .bench and .v")

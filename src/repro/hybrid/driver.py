@@ -151,8 +151,6 @@ class HybridTestGenerator:
             testability=testability,
             constraints=self.constraints,
             telemetry=telemetry,
-            clock=self.clock,
-            seed=seed,
             fault_model=fault_model,
         )
         self.cc = self.ctx.cc
@@ -201,45 +199,6 @@ class HybridTestGenerator:
         self._deadline: Optional[float] = None
         #: set when :meth:`run` stopped early because its deadline passed
         self.deadline_expired: bool = False
-        #: faults proven untestable by :meth:`prefilter_untestable`
-        self.prefiltered_untestable: List[Fault] = []
-
-    # ------------------------------------------------------------------
-    def prefilter_untestable(
-        self, max_backtracks: int = 500, time_limit: Optional[float] = None
-    ) -> List[Fault]:
-        """Prove combinationally redundant faults untestable up front.
-
-        Runs the deterministic excitation/propagation phase with a
-        justifier that always refuses, so only faults whose search space
-        exhausts without any state requirement are removed — the
-        preprocessing step Section VI of the paper recommends to stop the
-        GA passes wasting time on untestable faults.  Returns the proven
-        faults and removes them from the target list.
-        """
-
-        def refuse(_required: Dict[str, int]) -> JustifyResult:
-            from ..atpg.justify import JustifyStatus
-
-            return JustifyResult(JustifyStatus.BOUNDED)
-
-        deadline = self.clock() + time_limit if time_limit else None
-        proven: List[Fault] = []
-        kept: List[Fault] = []
-        with self.telemetry.span("hybrid.prefilter"):
-            for fault in self.all_faults:
-                limits = Limits(
-                    max_backtracks=max_backtracks, deadline=deadline, clock=self.clock
-                )
-                res = self.seqgen.generate(fault, refuse, limits)
-                if res.status is TestGenStatus.UNTESTABLE:
-                    proven.append(fault)
-                else:
-                    kept.append(fault)
-        self.telemetry.count("hybrid.prefiltered", len(proven))
-        self.all_faults = kept
-        self.prefiltered_untestable = proven
-        return proven
 
     # ------------------------------------------------------------------
     def run(
@@ -382,15 +341,6 @@ class HybridTestGenerator:
 
     def _finalize_report(self, report: RunReport) -> None:
         """Fill the campaign totals and per-fault dispositions."""
-        for fault in self.prefiltered_untestable:
-            report.faults.append(
-                FaultRecord(
-                    fault=str(fault),
-                    status="prefiltered",
-                    justification="deterministic",
-                    features=fault_features(self.cc, self.meas, fault),
-                )
-            )
         mispredicted = 0
         for fault in self.all_faults:
             record = self._record_for(fault)
@@ -526,17 +476,9 @@ class HybridTestGenerator:
         self, fault: Fault, cfg: PassConfig, limits: Limits
     ) -> Callable[[Dict[str, int]], JustifyResult]:
         if cfg.justification == GA:
-            population = cfg.population_size
-            generations = cfg.generations
-            if self._plan is not None:
-                plan = self._plan.plan_for(fault)
-                if plan is not None and plan.ga_scale < 1.0:
-                    population = max(2, int(population * plan.ga_scale))
-                    generations = max(1, int(generations * plan.ga_scale))
-                    self.telemetry.count("atpg.policy.budgets_shrunk")
             params = GAJustifyParams(
-                population_size=population,
-                generations=generations,
+                population_size=cfg.population_size,
+                generations=cfg.generations,
                 seq_len=cfg.seq_len,
                 word_width=self.width,
             )

@@ -248,11 +248,6 @@ DEFAULT_OPTIONS: Dict[str, Any] = {
     "defer_threshold": 0.25,
     # reorder the fault list cheap-first by the cost model
     "reorder": True,
-    # opt-in: halve GA population/generations for predicted-cheap faults
-    "shrink_ga": False,
-    # cost-model score below which a fault counts as "cheap" for
-    # shrink_ga (trained quantile; None disables shrinking)
-    "cheap_cost": None,
 }
 
 
@@ -279,6 +274,13 @@ class FaultPolicy:
         self.options = dict(DEFAULT_OPTIONS)
         if options:
             self.options.update(options)
+        # artifacts written before GA-budget shrinking was removed carry
+        # it switched off; only a request to switch it on is an error
+        if self.options.pop("shrink_ga", False):
+            raise PolicyError(
+                "policy option 'shrink_ga' was removed; retrain without it"
+            )
+        self.options.pop("cheap_cost", None)
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -421,16 +423,11 @@ def train_policy(
         max_depth=max_depth,
         learning_rate=learning_rate,
     )
-    opts = dict(options or {})
-    if opts.get("shrink_ga") and opts.get("cheap_cost") is None:
-        # "cheap" = below the 25th percentile of observed training cost
-        costs = sorted(row.cost for row in dataset.rows)
-        opts["cheap_cost"] = costs[len(costs) // 4]
     return FaultPolicy(
         detect=detect,
         resolve_pass=resolve,
         cost=cost,
         circuits=sorted({row.circuit for row in dataset.rows}),
         trained_rows=len(dataset.rows),
-        options=opts,
+        options=options,
     )

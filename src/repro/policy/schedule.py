@@ -11,10 +11,7 @@ start) so the hot targeting loop only does dictionary lookups:
   remaining fault** regardless of prediction (the mop-up), which is the
   plan's safety invariant: a skipped targeting of a pass that would
   have aborted commits nothing, and any fault the model wrote off still
-  gets the schedule's largest-budget pass;
-* **GA budget shrinking** (opt-in via the artifact's
-  ``options["shrink_ga"]``) — predicted-cheap faults run GA passes at
-  half population/generations.
+  gets the schedule's largest-budget pass.
 
 Circuits outside the policy's trained family get no plan at all
 (:func:`build_plan` returns ``None``) — the driver then behaves exactly
@@ -43,14 +40,11 @@ class FaultPlan:
             passes skip it; the final pass ignores this).
         deferred: predicted futile — pushed to the final mop-up pass.
         order_key: cheap-first sort key (predicted cost).
-        ga_scale: multiplier on GA population/generations (1.0 = the
-            schedule's own budgets).
     """
 
     start_pass: int
     deferred: bool
     order_key: float
-    ga_scale: float = 1.0
 
 
 class PolicyPlan:
@@ -118,8 +112,6 @@ def build_plan(
     if not policy.covers(circuit_name):
         return None
     defer_threshold = float(policy.options.get("defer_threshold", 0.25))
-    shrink_ga = bool(policy.options.get("shrink_ga", False))
-    cheap_cost = policy.options.get("cheap_cost")
     plans: Dict[str, FaultPlan] = {}
     for fault in faults:
         x = feature_vector(fault_features(cc, testability, fault))
@@ -129,19 +121,8 @@ def build_plan(
             start = final_pass
         else:
             start = min(max(int(round(resolve_pass)), 1), final_pass)
-        ga_scale = 1.0
-        if (
-            shrink_ga
-            and not deferred
-            and cheap_cost is not None
-            and cost <= float(cheap_cost)
-        ):
-            ga_scale = 0.5
         plans[str(fault)] = FaultPlan(
-            start_pass=start,
-            deferred=deferred,
-            order_key=cost,
-            ga_scale=ga_scale,
+            start_pass=start, deferred=deferred, order_key=cost
         )
     return PolicyPlan(
         circuit=circuit_name,

@@ -17,10 +17,6 @@ file name is derived from the same hash.
   campaigns concurrently, each executed in a worker thread so the
   (blocking, possibly forking) :class:`~repro.campaign.CampaignRunner`
   never stalls the event loop;
-* the **warm cache** — per-circuit warm artifacts
-  (:func:`repro.campaign.warm.circuit_warm_key`) shared across jobs, so
-  compilation, SCOAP, and fault collapse are paid once per circuit hash
-  no matter how many specs target it;
 * **restart recovery** — :meth:`recover` re-scans the journal directory,
   turning merged journals back into DONE jobs (reports are re-merged on
   demand) and unfinished ones into queued resumes.
@@ -49,7 +45,6 @@ from ..campaign import (
     knowledge_sidecar_path,
     merge_campaign,
 )
-from ..campaign.warm import CircuitWarmState
 from ..clock import monotonic, wall
 from ..knowledge import save_knowledge
 from ..telemetry import NULL_RECORDER, Recorder, RunReport
@@ -159,7 +154,6 @@ class JobManager:
             priority: deque() for priority in PRIORITIES
         }
         self._running_count = 0
-        self._warm_cache: Dict[str, CircuitWarmState] = {}
         self._wake: Optional[asyncio.Event] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._stopping = False
@@ -395,7 +389,6 @@ class JobManager:
             job.journal_path,
             workers=self.workers_per_job,
             stop_check=job.cancel_event.is_set,
-            warm_cache=self._warm_cache,
         )
         resume = (
             os.path.exists(job.journal_path)
@@ -467,7 +460,6 @@ class JobManager:
             "max_running": self.max_running,
             "max_queue": self.max_queue,
             "client_quota": self.client_quota,
-            "warm_circuits": len(self._warm_cache),
         }
         registry = getattr(self.telemetry, "registry", None)
         if registry is not None:

@@ -19,7 +19,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Identifier embedded in every serialized report.
 SCHEMA = "repro-run-report/v1"
 
-#: Allowed per-fault disposition statuses.
+#: Allowed per-fault disposition statuses.  ``prefiltered`` is written by
+#: no current code; it stays so reports from earlier versions, whose
+#: driver could prove faults untestable before pass 1, still validate.
 FAULT_STATUSES = ("detected", "untestable", "aborted", "prefiltered")
 
 #: Allowed per-fault justification labels.
@@ -34,7 +36,7 @@ class FaultRecord:
         fault: printable fault name (site and stuck value).
         status: one of :data:`FAULT_STATUSES`.
         pass_number: pass that resolved the fault (last pass that targeted
-            it for ``aborted``; 0 for ``prefiltered``).
+            it for ``aborted``; 0 for ``prefiltered`` in older reports).
         targeted: how many passes targeted this fault explicitly.
         time_s: wall-clock seconds spent targeting it.
         backtracks: PODEM backtracks spent on it.

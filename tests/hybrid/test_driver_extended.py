@@ -1,42 +1,41 @@
-"""Deeper driver behaviours: prefiltering, blocks, validation accounting."""
+"""Deeper driver behaviours: pass-1 untestables, blocks, validation accounting."""
 
 import pytest
 
 from repro.analysis.compaction import split_blocks
 from repro.circuits import redundant_and, s27, untestable_stem
-from repro.hybrid import (
-    HybridTestGenerator,
-    gahitec,
-    gahitec_schedule,
-    hitec_baseline,
-    hitec_schedule,
-)
+from repro.hybrid import HybridTestGenerator, gahitec, gahitec_schedule
+from repro.telemetry import TelemetryRecorder
 
 
 def quick(x=12):
     return gahitec_schedule(x=x, time_scale=None, backtrack_base=100)
 
 
-class TestPrefilter:
-    def test_prefilter_finds_redundancy(self):
-        driver = hitec_baseline(redundant_and(), seed=0)
-        proven = driver.prefilter_untestable()
-        assert proven, "the consensus redundancy must be proven up front"
-        result = driver.run(hitec_schedule(time_scale=None, backtrack_base=100))
-        # everything left is detectable
-        assert len(result.detected) == result.total_faults
+class TestPassOneUntestables:
+    """Section VI asks for untestable faults to be removed before the GA
+    passes.  Pass 1 already proves, before its justifier runs, every
+    fault with no propagation solution: exactly the faults an up-front
+    search with a refuse-all justifier proved (the names below)."""
 
-    def test_prefilter_shrinks_target_list(self):
-        circuit, fault = untestable_stem()
-        driver = gahitec(circuit, seed=0)
-        before = len(driver.all_faults)
-        proven = driver.prefilter_untestable()
-        assert len(driver.all_faults) == before - len(proven)
-        assert driver.prefiltered_untestable == proven
-
-    def test_prefilter_never_removes_testable(self):
-        driver = gahitec(s27(), seed=0)
-        assert driver.prefilter_untestable() == []
+    @pytest.mark.parametrize("make, proven", [
+        (redundant_and, ["a->t3.0 s-a-0"]),
+        (lambda: untestable_stem()[0],
+         ["a s-a-0", "a s-a-1", "a->y.0 s-a-0"]),
+        (s27, []),
+    ], ids=["redundant_and", "untestable_stem", "s27"])
+    def test_one_ga_pass_proves_them_without_ga_work(self, make, proven):
+        circuit = make()
+        # without a recorder every record reads 0 GA generations
+        result = gahitec(circuit, seed=0, telemetry=TelemetryRecorder()).run(
+            gahitec_schedule(
+                x=max(4, 4 * circuit.sequential_depth), num_passes=1,
+                time_scale=None, backtrack_base=100, justify_depth=3,
+            )
+        )
+        assert sorted(str(f) for f in result.untestable) == proven
+        generations = {r.fault: r.ga_generations for r in result.report.faults}
+        assert all(generations[name] == 0 for name in proven)
 
 
 class TestBlocks:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.campaign import CampaignError, CampaignRunner, CampaignSpec
-from repro.campaign.warm import CampaignWarmState, circuit_warm_key
+from repro.campaign.warm import CampaignWarmState
 from repro.policy.dataset import dataset_from_reports
 from repro.policy.model import train_policy
 
@@ -57,21 +57,13 @@ class TestSpecCompatibility:
 
 
 class TestWarmState:
-    def test_policy_campaigns_are_uncacheable(self, policy_file):
-        spec = CampaignSpec(
-            circuits=("s27",), seed=3, policy_file=policy_file
-        )
-        assert circuit_warm_key(spec, "s27") is None
-        plain = CampaignSpec(circuits=("s27",), seed=3)
-        assert circuit_warm_key(plain, "s27") is not None
-
     def test_warm_build_precomputes_plans(self, policy_file):
         spec = CampaignSpec(
             circuits=("s27",), seed=3, policy_file=policy_file
         )
         state = CampaignWarmState.build(spec)
-        warm = state.get("s27")
-        assert warm is not None and warm.policy_plan is not None
+        warm = state.circuits["s27"]
+        assert warm.policy_plan is not None
         assert warm.policy_plan.circuit == "s27"
         assert set(warm.policy_plan.plans) == {
             str(f) for f in warm.faults
@@ -89,7 +81,7 @@ class TestWarmState:
     def test_plainspec_build_has_no_plans(self):
         spec = CampaignSpec(circuits=("s27",), seed=3)
         state = CampaignWarmState.build(spec)
-        assert state.get("s27").policy_plan is None
+        assert state.circuits["s27"].policy_plan is None
 
 
 class TestEndToEnd:

@@ -4,6 +4,8 @@ import json
 
 from repro.cli import main
 
+from .test_model import shrink_ga_doc
+
 
 def make_report(tmp_path, name="rep.json", seed=3):
     path = str(tmp_path / name)
@@ -24,16 +26,6 @@ class TestTrainPolicy:
         doc = json.load(open(out))
         assert doc["schema"] == "repro-policy/v1"
         assert doc["circuits"] == ["s27"]
-
-    def test_shrink_ga_flag_recorded(self, tmp_path):
-        report = make_report(tmp_path)
-        out = str(tmp_path / "policy.json")
-        assert main([
-            "train-policy", report, "-o", out, "--shrink-ga",
-        ]) == 0
-        doc = json.load(open(out))
-        assert doc["options"]["shrink_ga"] is True
-        assert doc["options"]["cheap_cost"] is not None
 
     def test_missing_report_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "policy.json")
@@ -65,6 +57,14 @@ class TestApplyPolicy:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_atpg_with_shrink_ga_policy_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "shrink.json"
+        bad.write_text(json.dumps(shrink_ga_doc()))
+        assert main(["atpg", "s27", "--policy", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: policy option 'shrink_ga' was removed")
+        assert err.count("\n") == 1
 
     def test_campaign_run_with_policy(self, tmp_path, capsys):
         report = make_report(tmp_path)

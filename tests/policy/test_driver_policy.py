@@ -140,6 +140,6 @@ class TestMopUpSafety:
         # incidentally before it
         for record in result.report.faults:
             assert record.fault in targeted or record.status in (
-                "detected", "untestable", "prefiltered",
+                "detected", "untestable",
             ), record
         assert resolved | targeted  # non-empty run

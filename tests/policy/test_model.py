@@ -39,6 +39,13 @@ def toy_rows(n=24):
     return Dataset(rows=rows, reports=1)
 
 
+def shrink_ga_doc():
+    """A valid artifact that asks for the removed GA-budget shrinking."""
+    doc = train_policy(toy_rows()).to_dict()
+    doc["options"].update(shrink_ga=True, cheap_cost=0.0)
+    return doc
+
+
 class TestBoostedTrees:
     def test_fits_a_simple_function(self):
         xs = [[float(i)] for i in range(16)]
@@ -99,11 +106,9 @@ class TestTrainPolicy:
         policy = train_policy(toy_rows())
         assert policy.options == DEFAULT_OPTIONS
 
-    def test_shrink_ga_learns_cheap_quantile(self):
-        policy = train_policy(toy_rows(), options={"shrink_ga": True})
-        assert policy.options["shrink_ga"] is True
-        costs = sorted(r.cost for r in toy_rows().rows)
-        assert policy.options["cheap_cost"] == costs[len(costs) // 4]
+    def test_removed_shrink_ga_option_is_rejected(self):
+        with pytest.raises(PolicyError, match="'shrink_ga' was removed"):
+            train_policy(toy_rows(), options={"shrink_ga": True})
 
     def test_training_is_deterministic(self):
         a = train_policy(toy_rows()).to_dict()
@@ -162,6 +167,13 @@ class TestArtifact:
         doc["fingerprint"] = "0" * 16
         with pytest.raises(PolicyError):
             FaultPolicy.from_dict(doc)
+
+    def test_shrink_ga_artifact_fails_with_one_line(self, tmp_path):
+        path = tmp_path / "shrink.json"
+        path.write_text(json.dumps(shrink_ga_doc()))
+        with pytest.raises(PolicyError, match="'shrink_ga' was removed") as exc:
+            FaultPolicy.load(str(path))
+        assert "\n" not in str(exc.value)
 
     def test_validate_reports_tree_problems(self):
         doc = train_policy(toy_rows()).to_dict()

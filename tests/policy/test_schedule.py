@@ -1,9 +1,12 @@
 """PolicyPlan construction and its coverage-safety invariants."""
 
+import json
+
 from repro.atpg.scoap import compute_testability
 from repro.circuits import s27
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault
+from repro.policy.model import DEFAULT_OPTIONS, FaultPolicy
 from repro.policy.schedule import FaultPlan, PolicyPlan, build_plan
 from repro.simulation.compiled import compile_circuit
 
@@ -48,6 +51,22 @@ class TestBuildPlan:
         for fault_plan in plan.plans.values():
             if fault_plan.deferred:
                 assert fault_plan.start_pass == 3
+
+    def test_retired_options_leave_the_plan_unchanged(self):
+        """Artifacts written while GA-budget shrinking existed carry it
+        switched off; they load with today's options and plan alike."""
+        cc, meas, faults = fixtures()
+        doc = train_policy(toy_rows()).to_dict()
+        old = json.loads(json.dumps(doc))
+        old["options"].update(shrink_ga=False, cheap_cost=None)
+        assert FaultPolicy.from_dict(old).options == DEFAULT_OPTIONS
+
+        def plan_of(data):
+            policy = FaultPolicy.from_dict(data)
+            plan = build_plan(policy, cc, meas, faults, final_pass=3)
+            return {name: vars(p) for name, p in plan.plans.items()}
+
+        assert plan_of(old) == plan_of(doc)
 
     def test_determinism(self):
         cc, meas, faults = fixtures()

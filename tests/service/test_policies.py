@@ -6,6 +6,7 @@ from repro.campaign import CampaignRunner, CampaignSpec
 from repro.policy.dataset import dataset_from_reports
 from repro.policy.model import train_policy
 
+from ..policy.test_model import shrink_ga_doc
 from .test_http import SPEC, ServiceHarness
 
 
@@ -59,6 +60,18 @@ class TestPolicyEndpoint:
                 assert not list(
                     (tmp_path / "policies").glob("*.json")
                 )
+
+        asyncio.run(scenario())
+
+    def test_shrink_ga_policy_rejected(self, tmp_path):
+        async def scenario():
+            async with ServiceHarness(tmp_path) as svc:
+                status, body = await svc.request(
+                    "POST", "/policies", {"policy": shrink_ga_doc()}
+                )
+                assert status == 400
+                assert "'shrink_ga' was removed" in body["error"]
+                assert "\n" not in body["error"]
 
         asyncio.run(scenario())
 

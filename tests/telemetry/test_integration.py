@@ -42,10 +42,7 @@ class TestS27Campaign:
             + by_status.get("untestable", 0)
             + by_status.get("aborted", 0)
         )
-        assert targetable == report.total_faults
-        assert len(report.faults) == report.total_faults + by_status.get(
-            "prefiltered", 0
-        )
+        assert targetable == report.total_faults == len(report.faults)
 
     def test_totals_match_run_result(self, campaign):
         _, result, _ = campaign
@@ -120,20 +117,6 @@ class TestDisabledTelemetry:
         # Telemetry must never perturb the search itself.
         assert plain.test_set == traced.test_set
         assert plain.report.detected == traced.report.detected
-
-
-class TestPrefilteredDisposition:
-    def test_prefiltered_faults_enter_the_report(self):
-        from repro.circuits import redundant_and
-
-        driver = gahitec(redundant_and(), seed=0, telemetry=TelemetryRecorder())
-        proven = driver.prefilter_untestable()
-        result = driver.run(gahitec_schedule(x=4, time_scale=None))
-        report = result.report
-        prefiltered = [r for r in report.faults if r.status == "prefiltered"]
-        assert len(prefiltered) == len(proven) > 0
-        assert report.total_faults == len(report.faults) - len(prefiltered)
-        assert validate_report(report.to_dict()) == []
 
 
 class TestCliTelemetry:

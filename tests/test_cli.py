@@ -52,10 +52,19 @@ class TestCommands:
                      "--time-scale", "0.05"]) == 0
         assert "HITEC" in capsys.readouterr().out
 
-    def test_atpg_prefilter(self, capsys):
-        assert main(["atpg", "s27", "--prefilter", "--passes", "1",
-                     "--time-scale", "0.05"]) == 0
-        assert "prefilter:" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [
+        ["atpg", "s27", "--prefilter"],
+        ["train-policy", "r.json", "-o", "p.json", "--shrink-ga"],
+        ["faultsim", "s27", "t.vec", "--kernel-cache=k"],
+    ], ids=["atpg-prefilter", "train-policy-shrink-ga",
+            "faultsim-kernel-cache"])
+    def test_removed_flags_are_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {argv[-1]}\n" in (
+            capsys.readouterr().err
+        )
 
     def test_faultsim_roundtrip(self, tmp_path, capsys):
         out_file = str(tmp_path / "tests.vec")

@@ -107,16 +107,6 @@ class TestDriverEndToEnd:
         )
         assert result.fault_coverage == 1.0
 
-    def test_prefilter_preserves_coverage(self):
-        driver = gahitec(iscas89("s27"), seed=1)
-        proven = driver.prefilter_untestable()
-        result = driver.run(
-            gahitec_schedule(x=12, time_scale=None, backtrack_base=100)
-        )
-        # s27 has no untestable faults, so nothing may be filtered
-        assert proven == []
-        assert result.fault_coverage == 1.0
-
     def test_current_state_toggle_changes_nothing_on_s27(self):
         on = gahitec(iscas89("s27"), seed=3).run(
             gahitec_schedule(x=12, time_scale=None, backtrack_base=100)
