@@ -16,14 +16,17 @@ and precise enough to feed the cross-fault
 :class:`~repro.knowledge.StateKnowledge` store: only genuine proofs are
 recorded (budget aborts and enumeration truncation never are), and known
 facts short-circuit both the top-level query and every sub-requirement the
-recursion produces.
+recursion produces.  The PODEM engine itself never reads the store:
+this search skips each single-step solution whose previous-frame
+requirement is absolutely unjustifiable, and a skip does not count
+against ``solutions_per_step``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from ..knowledge import StateKnowledge
 from ..simulation.compiled import CompiledCircuit
@@ -88,9 +91,11 @@ def justify_state(
             justification vector.
         knowledge: optional cross-fault store; known-justified states
             short-circuit the search (top level and every sub-requirement),
-            known-unjustifiable states prune it, and proofs produced here
-            are recorded back.  The caller is responsible for passing a
-            store whose constraint fingerprint matches ``constraints``.
+            known-unjustifiable states prune it (single-step solutions
+            only on absolute proofs, which hold at any remaining depth),
+            and proofs produced here are recorded back.  The caller is
+            responsible for passing a store whose constraint fingerprint
+            matches ``constraints``.
     """
     meas = testability or compute_testability(cc)
     # Three distinct failure bits so knowledge recording stays sound:
@@ -131,9 +136,19 @@ def justify_state(
         if key in seen:
             return None  # state-requirement loop: cannot make progress
         engine = PodemEngine(cc, targets=req, testability=meas,
-                             constraints=constraints, knowledge=knowledge)
+                             constraints=constraints)
         tried = 0
         for sol in engine.solutions(limits):
+            if (
+                knowledge is not None
+                and sol.required_state
+                and knowledge.lookup_unjustifiable(sol.required_state)
+                == "exhausted"
+            ):
+                # dead branch: it needs a provably unreachable previous
+                # state, so enumerate the next solution instead
+                knowledge.stats["podem_pruned"] += 1
+                continue
             tried += 1
             prefix = dfs(sol.required_state, depth - 1, seen | {key})
             if prefix is not None:

@@ -27,7 +27,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from ..circuit.gates import CONTROLLING_VALUE, INVERSION, GateType
 from ..clock import monotonic
 from ..faults.model import Fault
-from ..knowledge import StateKnowledge
 from ..simulation.compiled import CompiledCircuit
 from ..simulation.encoding import X
 from .constraints import InputConstraints
@@ -99,11 +98,6 @@ class PodemEngine:
         num_frames: window size (DETECT) or 1 (JUSTIFY).
         targets: JUSTIFY-mode goals, as {D-input net name: 0/1}.
         testability: SCOAP measures (computed on demand if omitted).
-        knowledge: optional cross-fault store; in JUSTIFY mode, solutions
-            whose previous-frame state requirement is *absolutely* proven
-            unjustifiable are pruned instead of yielded.  Only absolute
-            proofs prune (the engine cannot know the caller's remaining
-            frame budget), so pruning never weakens an EXHAUSTED claim.
     """
 
     def __init__(
@@ -115,7 +109,6 @@ class PodemEngine:
         testability: Optional[Testability] = None,
         constraints: "Optional[InputConstraints]" = None,
         observe_ppo: bool = False,
-        knowledge: "Optional[StateKnowledge]" = None,
     ):
         if fault is None and not targets:
             raise ValueError("need a fault (DETECT) or targets (JUSTIFY)")
@@ -144,7 +137,6 @@ class PodemEngine:
                     raise ValueError(f"{name} is not a flip-flop output")
                 d_idx = cc.ff_in[cc.ff_out.index(ff_idx)]
                 self._targets.append((d_idx, val))
-        self.knowledge = knowledge if fault is None else None
         self.backtracks = 0
         self.window_hit = False
         self._stack: List[_Decision] = []
@@ -159,18 +151,7 @@ class PodemEngine:
         distinguishes a proven-exhausted space from a budget abort.
         """
         while self._search(limits):
-            sol = self._extract()
-            if (
-                self.knowledge is not None
-                and sol.required_state
-                and self.knowledge.lookup_unjustifiable(sol.required_state)
-                == "exhausted"
-            ):
-                # dead branch: this assignment needs a provably unreachable
-                # previous-frame state, so enumerate the next one instead
-                self.knowledge.stats["podem_pruned"] += 1
-            else:
-                yield sol
+            yield self._extract()
             # treat the solution as a dead end to enumerate the next one;
             # window pressure recorded on other branches must survive, or
             # the caller would wrongly stop growing the frame window

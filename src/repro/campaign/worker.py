@@ -142,8 +142,7 @@ def run_item(
         report=result.report.to_dict() if result.report else None,
         knowledge=(
             driver.knowledge.to_dict()
-            if driver.knowledge is not None
-            and (len(driver.knowledge) or driver.knowledge.seed_pool)
+            if driver.knowledge is not None and len(driver.knowledge)
             else None
         ),
         knowledge_stats=dict(result.knowledge_stats),

@@ -228,8 +228,7 @@ def cmd_atpg(args: argparse.Namespace) -> int:
         hits = (result.knowledge_stats.get("justified_hits", 0)
                 + result.knowledge_stats.get("unjustifiable_hits", 0))
         print(f"knowledge: {hits} hits, "
-              f"{result.knowledge_stats.get('records', 0)} facts recorded, "
-              f"{result.knowledge_stats.get('ga_seeded', 0)} GA seeds used")
+              f"{result.knowledge_stats.get('records', 0)} facts recorded")
     if args.knowledge_out and driver.knowledge is not None:
         save_knowledge({circuit.name: driver.knowledge}, args.knowledge_out)
         print(f"wrote {len(driver.knowledge)} knowledge entries "
@@ -593,6 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the merged run report (JSON) to PATH")
         cp.add_argument("--output-dir", metavar="DIR",
                         help="write per-circuit vector files into DIR")
+        _add_sim_options(cp)
 
     cp = campaign_sub.add_parser("run", help="start a fresh campaign")
     cp.add_argument("circuits", nargs="*",
@@ -617,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "circuits)")
     cp.add_argument("--baseline", action="store_true",
                     help="run the HITEC baseline instead of GA-HITEC")
-    _add_sim_options(cp)
     cp.add_argument("--fault-limit", type=int, default=None,
                     help="cap each circuit's fault list (smoke tests)")
     cp.add_argument("--item-timeout", type=float, default=None,

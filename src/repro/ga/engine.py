@@ -159,18 +159,12 @@ class GeneticAlgorithm(Generic[T]):
         self.rng = rng or random.Random()
         self.telemetry = telemetry or NULL_RECORDER
 
-    def random_population(self) -> List[int]:
-        """Uniform random initial population."""
-        return [
+    def run(self) -> GAResult[T]:
+        """Evolve until the evaluator signals success or generations run out."""
+        population = [
             self.rng.getrandbits(self.n_bits)
             for _ in range(self.params.population_size)
         ]
-
-    def run(self, initial: Optional[Sequence[int]] = None) -> GAResult[T]:
-        """Evolve until the evaluator signals success or generations run out."""
-        population = list(initial) if initial else self.random_population()
-        if len(population) != self.params.population_size:
-            raise ValueError("initial population has the wrong size")
         best_genome, best_fitness = population[0], float("-inf")
         evaluations = 0
         selector = TournamentSelector(self.rng)

@@ -70,9 +70,7 @@ class GAStateJustifier:
         rng: random source shared across attempts (seed for reproducibility).
 
     When the context carries a :class:`~repro.knowledge.StateKnowledge`
-    store, part of the initial GA population is seeded from its pool of
-    previously successful sequences (the rest stays random), and
-    successful all-X-start justifications are recorded back.
+    store, successful all-X-start justifications are recorded in it.
     """
 
     #: Simulator of every fitness evaluation: an attempt reruns one
@@ -162,49 +160,15 @@ class GAStateJustifier:
             rng=self.rng,
             telemetry=self.telemetry,
         )
-        initial = self._seeded_population(ga, params)
         with self.telemetry.span("ga.justify"):
-            result = ga.run(initial=initial)
+            result = ga.run()
         if result.payload is not None:
             self.telemetry.count("ga.justify.successes")
-            know = self.knowledge
-            if know is not None:
-                # The pool seeds future populations regardless of start
-                # state; the (a) table only takes all-X-start proofs,
-                # which hold from every concrete start state.
-                know.add_seed(result.payload)
-                if current_good_state is None:
-                    know.record_justified(required_good, result.payload)
+            # only all-X-start proofs hold from every concrete start state
+            if self.knowledge is not None and current_good_state is None:
+                self.knowledge.record_justified(required_good, result.payload)
             return JustifyResult(JustifyStatus.JUSTIFIED, result.payload)
         return JustifyResult(JustifyStatus.BOUNDED)
-
-    def _seeded_population(
-        self, ga: GeneticAlgorithm, params: GAJustifyParams
-    ) -> Optional[List[int]]:
-        """Random population with up to a quarter drawn from knowledge.
-
-        Only *preloaded* stores (sidecar / cross-run reuse) seed
-        populations: sequences learned within the current run stay in
-        the pool for persistence but are not fed back, so a fresh
-        knowledge-enabled run follows the exact GA trajectory of a
-        knowledge-off run.
-        """
-        know = self.knowledge
-        if know is None or not know.preloaded:
-            return None
-        seeds = know.seed_sequences(max(1, params.population_size // 4))
-        if not seeds:
-            return None
-        population = ga.random_population()
-        genomes: List[int] = []
-        for seq in seeds:
-            genome = self.encode(seq, params.seq_len)
-            if genome not in genomes:
-                genomes.append(genome)
-        population[: len(genomes)] = genomes
-        know.stats["ga_seeded"] += len(genomes)
-        self.telemetry.count("ga.justify.seeded", len(genomes))
-        return population
 
     # ------------------------------------------------------------------
     def _state_matches(
@@ -238,31 +202,6 @@ class GAStateJustifier:
                     vec.append((genome >> (base + j)) & 1)
             vectors.append(vec)
         return vectors
-
-    def encode(self, vectors: Sequence[Sequence[int]], seq_len: int) -> int:
-        """Inverse of :meth:`decode`: fold a sequence into a genome.
-
-        Used to seed GA populations from knowledge-pool sequences.  When
-        the sequence is longer than ``seq_len`` the tail is kept (the
-        final vectors are what drive the state); X bits encode as 0.
-        Fixed pins have no genome bits, hold pins take their vector-0
-        value — so decode(encode(s)) satisfies the constraints by
-        construction even when ``s`` predates them.
-        """
-        genome = 0
-        for v, vec in enumerate(list(vectors)[-max(1, seq_len):]):
-            base = v * self.n_pi
-            for j in range(self.n_pi):
-                if j in self._fixed_pins or j >= len(vec):
-                    continue
-                if vec[j] != 1:
-                    continue
-                if j in self._hold_pins:
-                    if v == 0:
-                        genome |= 1 << j
-                else:
-                    genome |= 1 << (base + j)
-        return genome
 
 
 class _SequenceEvaluator:

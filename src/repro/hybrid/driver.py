@@ -69,8 +69,7 @@ class HybridTestGenerator:
 
     Args:
         circuit: the circuit under test.
-        seed: seed for every stochastic choice (GA populations, X-fill),
-            making runs reproducible.
+        seed: seed of the GA's random source, making runs reproducible.
         width: simulator word width (faults per fault-sim pass, GA slots).
         max_frames: forward propagation window bound; defaults to
             ``2 * sequential_depth + 2`` clamped to [4, 16].
@@ -84,7 +83,7 @@ class HybridTestGenerator:
             all-unknown state like HITEC's justification (ablation knob).
         constraints: environment-imposed input constraints every generated
             vector must satisfy (Section VI of the paper); enforced during
-            search, during don't-care fill, and re-checked at validation.
+            search and when the sequential engine fills don't-cares.
         telemetry: metrics/trace recorder shared by every component the
             driver builds; defaults to the shared no-op recorder.
         clock: wall-clock source for every deadline and duration the
@@ -447,10 +446,8 @@ class HybridTestGenerator:
             record.knowledge_hits += self._knowledge_hit_total() - knowledge0
 
         if result.status is TestGenStatus.DETECTED:
-            sequence = [self._fill_x(vec) for vec in result.sequence]
-            if not self.constraints.is_trivial:
-                self.constraints.apply_to_vectors(self.circuit, sequence)
-            if self._validate_and_commit(fault, sequence):
+            # confirmed sequences arrive 0-filled, constraints applied
+            if self._validate_and_commit(fault, result.sequence):
                 record.status = "detected"
                 if result.justification_frames:
                     record.justification = (
@@ -512,10 +509,6 @@ class HybridTestGenerator:
                 )
 
         return det_justify
-
-    def _fill_x(self, vector: Sequence[int]) -> List[int]:
-        """Replace don't-cares with random bits (reproducible via the seed)."""
-        return [self.rng.getrandbits(1) if v == X else v for v in vector]
 
     def _validate_and_commit(
         self, target: Fault, sequence: List[List[int]]

@@ -3,8 +3,7 @@
 Public surface:
 
 * :class:`~repro.knowledge.store.StateKnowledge` — per-circuit store of
-  justified states (with sequences), proven-unjustifiable states, and a
-  GA seed pool;
+  justified states (with sequences) and proven-unjustifiable states;
 * :func:`~repro.knowledge.store.state_key` /
   :func:`~repro.knowledge.store.constraints_fingerprint` — canonical keys;
 * :func:`~repro.knowledge.persist.save_knowledge` /

@@ -17,8 +17,6 @@ store of those facts, shared by every engine a run builds:
   within a recorded frame depth (the depth bound was the only thing that
   bit).  Budget aborts (backtrack/time limits, enumeration truncation)
   are never recorded: they prove nothing.
-* **(c) a GA seed pool** — recently successful justification sequences,
-  used to seed genetic populations instead of purely random genomes.
 
 Lookups use assignment subsumption, both ways sound:
 
@@ -94,7 +92,6 @@ class StateKnowledge:
             environment are not reused under another.
         max_entries: cap on stored justified / unjustifiable assignments
             (each); oldest entries are evicted first.
-        max_seeds: cap on the GA seed pool; oldest seeds are evicted.
     """
 
     def __init__(
@@ -102,22 +99,14 @@ class StateKnowledge:
         circuit: str = "",
         fingerprint: str = "unconstrained",
         max_entries: int = 4096,
-        max_seeds: int = 64,
     ) -> None:
         self.circuit = circuit
         self.fingerprint = fingerprint
         self.max_entries = max(1, int(max_entries))
-        self.max_seeds = max(1, int(max_seeds))
-        #: True when this store was deserialized (sidecar / cross-run
-        #: reuse).  GA population seeding keys off this: a fresh in-run
-        #: store never perturbs the GA trajectory of a knowledge-off run.
-        self.preloaded = False
         #: (a) assignment -> justifying sequence (from the all-X state)
         self.justified: Dict[StateKey, List[List[int]]] = {}
         #: (b) assignment -> proof depth (``None`` = absolute proof)
         self.unjustifiable: Dict[StateKey, Optional[int]] = {}
-        #: (c) recently successful sequences, most recent last
-        self.seed_pool: List[List[List[int]]] = []
         #: effectiveness counters, reported into telemetry by the driver
         self.stats: Dict[str, int] = {
             "justified_hits": 0,
@@ -126,7 +115,6 @@ class StateKnowledge:
             "stale_hits": 0,
             "records": 0,
             "podem_pruned": 0,
-            "ga_seeded": 0,
         }
 
     # -- queries -------------------------------------------------------
@@ -177,19 +165,6 @@ class StateKnowledge:
             self.stats["unjustifiable_hits"] += 1
         return verdict
 
-    def seed_sequences(self, limit: int) -> List[List[List[int]]]:
-        """Up to ``limit`` seed sequences, most recently learned first."""
-        if limit <= 0:
-            return []
-        pool = list(reversed(self.seed_pool))
-        if len(pool) < limit:
-            for seq in self.justified.values():
-                if seq and seq not in pool:
-                    pool.append(seq)
-                if len(pool) >= limit:
-                    break
-        return [[list(vec) for vec in seq] for seq in pool[:limit]]
-
     # -- recording -----------------------------------------------------
     def record_justified(
         self, required: Mapping[str, int], vectors: Iterable[Iterable[int]]
@@ -213,8 +188,6 @@ class StateKnowledge:
         # stale subsumed claim defensively (should not happen for sound
         # recorders, but the store must never serve contradictions)
         self.unjustifiable.pop(key, None)
-        if seq:
-            self.add_seed(seq)
         return recorded
 
     def record_unjustifiable(
@@ -245,15 +218,6 @@ class StateKnowledge:
         self.stats["records"] += 1
         return True
 
-    def add_seed(self, vectors: Iterable[Iterable[int]]) -> None:
-        """Add a successful sequence to the GA seed pool (bounded FIFO)."""
-        seq = [list(vec) for vec in vectors]
-        if not seq or seq in self.seed_pool:
-            return
-        self.seed_pool.append(seq)
-        if len(self.seed_pool) > self.max_seeds:
-            del self.seed_pool[0]
-
     def _evict(self, table: Dict[StateKey, Any]) -> None:
         while len(table) >= self.max_entries:
             table.pop(next(iter(table)))
@@ -267,7 +231,7 @@ class StateKnowledge:
 
         Justified entries keep the shorter sequence; unjustifiable
         entries keep the stronger proof (absolute beats any depth, larger
-        depth beats smaller); seed pools union up to the cap.  Raises
+        depth beats smaller).  Raises
         :class:`KnowledgeError` when the stores describe different
         circuits or constraint environments.
         """
@@ -285,8 +249,6 @@ class StateKnowledge:
             self.record_justified(dict(key), seq)
         for key, depth in other.unjustifiable.items():
             self.record_unjustifiable(dict(key), depth)
-        for seq in other.seed_pool:
-            self.add_seed(seq)
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -303,11 +265,15 @@ class StateKnowledge:
                 {"state": [list(pair) for pair in key], "depth": depth}
                 for key, depth in sorted(self.unjustifiable.items())
             ],
-            "seed_pool": [list(seq) for seq in self.seed_pool],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StateKnowledge":
+        """Load a ``repro-knowledge/v1`` document; counters start at zero.
+
+        Keys other than the facts are ignored, so documents written by
+        older versions, with keys since removed, still load.
+        """
         if not isinstance(data, Mapping):
             raise KnowledgeError("knowledge document must be a JSON object")
         schema = data.get("schema")
@@ -331,11 +297,6 @@ class StateKnowledge:
             store.unjustifiable[state_key(state)] = (
                 None if depth is None else int(depth)
             )
-        for seq in data.get("seed_pool", []):
-            store.seed_pool.append([[int(v) for v in vec] for vec in seq])
-        del store.seed_pool[: -store.max_seeds]
-        store.stats = {k: 0 for k in store.stats}
-        store.preloaded = True
         return store
 
     def snapshot_stats(self) -> Dict[str, int]:

@@ -10,6 +10,8 @@ bit bit.  These tests pin the distinctions down:
   as merely depth-bounded, and vice versa;
 * enumeration truncation (``solutions_per_step``) is a budget effect —
   it may yield BOUNDED but must never be recorded as a depth proof;
+* a single-step solution skipped on an absolute knowledge fact does not
+  use up one of ``solutions_per_step``;
 * InputConstraints interaction — constraints can turn a justifiable
   state unjustifiable, and facts proven under constraints carry a
   different knowledge fingerprint.
@@ -36,6 +38,21 @@ def stuck_pair() -> Circuit:
     c.add_gate("q2", GateType.DFF, ["na"])
     c.add_gate("y", GateType.XOR, ["q1", "q2"])
     c.add_output("y")
+    return c
+
+
+def unreachable_first() -> Circuit:
+    """r = s XOR b with s = q1 AND q2, stuck_pair's unreachable state.
+
+    JUSTIFY-mode PODEM's first solution for r=1 asks for (q1, q2) =
+    (1, 1); the next one asks for q2=0, which one frame reaches.
+    """
+    c = stuck_pair()
+    c.add_input("b")
+    c.add_gate("s", GateType.AND, ["q1", "q2"])
+    c.add_gate("d", GateType.XOR, ["s", "b"])
+    c.add_gate("r", GateType.DFF, ["d"])
+    c.add_output("r")
     return c
 
 
@@ -140,6 +157,23 @@ class TestKnowledgeRecordingSoundness:
         assert again.success
         assert again.vectors == first.vectors
         verify_justification(circuit, {"f2": 1}, again.vectors)
+
+
+class TestKnowledgePruning:
+    def test_skipped_solution_does_not_use_up_the_step_budget(self):
+        circuit = unreachable_first()
+        cc = compile_circuit(circuit)
+        # one solution per step: the unreachable first one uses it up
+        res = justify_state(cc, {"r": 1}, max_depth=4, limits=Limits(1000),
+                            solutions_per_step=1)
+        assert res.status is JustifyStatus.BOUNDED
+        know = StateKnowledge(circuit=circuit.name)
+        know.record_unjustifiable({"q1": 1, "q2": 1}, None)
+        res = justify_state(cc, {"r": 1}, max_depth=4, limits=Limits(1000),
+                            solutions_per_step=1, knowledge=know)
+        assert res.success
+        assert know.stats["podem_pruned"] == 1
+        verify_justification(circuit, {"r": 1}, res.vectors)
 
 
 class TestConstraintsInteraction:

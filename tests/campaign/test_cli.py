@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.simulation import kernel_cache
 
 
 def run_small_campaign(tmp_path, capsys, extra=()):
@@ -71,6 +72,16 @@ class TestCampaignStatusAndResume:
         second = capsys.readouterr().out
         assert "coverage 100.0%" in first
         assert "coverage 100.0%" in second
+
+    def test_resume_takes_kernel_cache(self, tmp_path, capsys, monkeypatch):
+        # restored (unset) at teardown, so the directory set here cannot
+        # leak into later tests
+        monkeypatch.setenv(kernel_cache.ENV_VAR, "")
+        _, journal, _ = run_small_campaign(tmp_path, capsys)
+        kernels = str(tmp_path / "kernels")
+        assert main(["campaign", "resume", "--journal", journal,
+                     "--kernel-cache", kernels]) == 0
+        assert kernel_cache.cache_dir() == kernels
 
 
 class TestReportJson:

@@ -21,6 +21,7 @@ from repro.campaign import (
     build_items,
     read_events,
 )
+from repro.knowledge import load_knowledge
 from repro.policy.dataset import dataset_from_reports
 from repro.policy.model import train_policy
 
@@ -48,6 +49,16 @@ def without_timing(value):
     if isinstance(value, list):
         return [without_timing(v) for v in value]
     return value
+
+
+def facts(document):
+    """The states a serialized knowledge store holds a fact about."""
+    if document is None:
+        return set()
+    return {
+        tuple(map(tuple, entry["state"]))
+        for entry in document["justified"] + document["unjustifiable"]
+    }
 
 
 class TestPoolProtocol:
@@ -230,12 +241,15 @@ class TestWorkerCountDeterminism:
         payloads at 2 workers must equal the inline ones."""
         base = dict(circuits=("s27", "s298"), name="inputs", seed=3,
                     fault_limit=30, passes=1)
+        # the HITEC baseline proves facts on both circuits for the preload
         prior = CampaignRunner(
-            CampaignSpec(**base), str(tmp_path / "prior.jsonl")
+            CampaignSpec(**base, baseline=True, justify_depth=1),
+            str(tmp_path / "prior.jsonl"),
         )
         report = prior.run().report
         policy_path = str(tmp_path / "policy.json")
         train_policy(dataset_from_reports([report])).save(policy_path)
+        preload = load_knowledge(prior.knowledge_path())
         s = CampaignSpec(**base, knowledge_file=prior.knowledge_path(),
                          policy_file=policy_path)
         payloads = {}
@@ -248,11 +262,12 @@ class TestWorkerCountDeterminism:
             }
         assert sorted(payloads[1]) == [i.item_id for i in build_items(s)]
         assert payloads[2] == payloads[1]
-        seeded = dict.fromkeys(s.circuits, 0)
+        assert sorted(preload) == sorted(s.circuits)
         for payload in payloads[1].values():
-            seeded[payload["circuit"]] += payload["knowledge_stats"]["ga_seeded"]
+            # every item's store starts from its circuit's preloaded facts
+            assert facts(payload["knowledge"]) >= facts(
+                preload[payload["circuit"]].to_dict()
+            )
             # only a driver steered by a plan counts deferrals
             counters = payload["report"]["metrics"]["counters"]
             assert "atpg.policy.deferred" in counters
-        # the preload seeded GA runs on both circuits
-        assert all(seeded.values()), seeded

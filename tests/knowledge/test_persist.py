@@ -50,6 +50,26 @@ class TestSidecarRoundtrip:
         loaded = load_knowledge(str(path))
         assert loaded["s27"].lookup_justified({"G5": 1}) == [[1]]
 
+    def test_sidecar_with_seed_pool_loads_and_saves_without_it(
+        self, tmp_path
+    ):
+        """Sidecars from before the GA seed pool was removed still load."""
+        document = two_stores()["s27"].to_dict()
+        document["seed_pool"] = [[[0, 1, 0, 1]], [[1, 1, 0, 0]]]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(
+            {"schema": KNOWLEDGE_SCHEMA, "stores": {"s27": document}}
+        ))
+        loaded = load_knowledge(str(old))
+        assert loaded["s27"].lookup_justified({"G5": 1}) == [[0, 1, 0, 1]]
+        path = str(tmp_path / "new.json")
+        save_knowledge(loaded, path)
+        with open(path) as handle:
+            saved = json.load(handle)["stores"]["s27"]
+        assert "seed_pool" not in saved
+        del document["seed_pool"]
+        assert saved == document
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "other/v1", "stores": {}}))

@@ -123,35 +123,6 @@ class TestContradictionGuards:
         assert store.lookup_unjustifiable({"q0": 1}, max_depth=1) is None
 
 
-class TestSeedPool:
-    def test_success_feeds_pool_most_recent_first(self):
-        store = make_store()
-        store.record_justified({"q0": 1}, [[1]])
-        store.record_justified({"q1": 1}, [[0], [1]])
-        assert store.seed_sequences(2) == [[[0], [1]], [[1]]]
-
-    def test_pool_is_bounded_fifo_without_duplicates(self):
-        store = make_store(max_seeds=3)
-        for i in range(5):
-            store.add_seed([[i]])
-        store.add_seed([[4]])  # duplicate: ignored
-        assert store.seed_pool == [[[2]], [[3]], [[4]]]
-
-    def test_seed_request_tops_up_from_justified_table(self):
-        store = make_store()
-        store.justified[state_key({"q0": 1})] = [[1]]
-        assert store.seed_sequences(2) == [[[1]]]
-
-    def test_only_deserialized_stores_count_as_preloaded(self):
-        """GA seeding keys off this: fresh in-run stores must not
-        perturb the GA trajectory of a knowledge-off run."""
-        fresh = make_store()
-        assert not fresh.preloaded
-        fresh.add_seed([[1]])
-        assert not fresh.preloaded
-        assert StateKnowledge.from_dict(fresh.to_dict()).preloaded
-
-
 class TestBounds:
     def test_justified_table_evicts_oldest(self):
         store = make_store(max_entries=2)
@@ -174,7 +145,6 @@ class TestMergeAndSerialization:
         assert clone.circuit == "unit"
         assert clone.justified == store.justified
         assert clone.unjustifiable == store.unjustifiable
-        assert clone.seed_pool == store.seed_pool
         assert all(v == 0 for v in clone.stats.values())
 
     def test_from_dict_rejects_wrong_schema(self):

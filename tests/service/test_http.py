@@ -140,18 +140,21 @@ def comparable(report_dict):
 
 class TestServiceEndToEnd:
     def test_submit_stream_report_roundtrip(self, tmp_path):
+        # the HITEC baseline proves facts, so the job has a knowledge sidecar
+        spec = dict(SPEC, baseline=True)
+
         async def scenario():
             direct_journal = str(tmp_path / "direct.jsonl")
             async with ServiceHarness(tmp_path / "svc") as svc:
                 status, body = await svc.request(
-                    "POST", "/jobs", {"spec": SPEC, "client": "t"}
+                    "POST", "/jobs", {"spec": spec, "client": "t"}
                 )
                 assert status == 201 and body["created"]
                 job_id = body["job"]
-                assert job_id == CampaignSpec.from_dict(SPEC).spec_hash()
+                assert job_id == CampaignSpec.from_dict(spec).spec_hash()
 
                 # resubmission dedups instead of recomputing
-                status, again = await svc.request("POST", "/jobs", {"spec": SPEC})
+                status, again = await svc.request("POST", "/jobs", {"spec": spec})
                 assert status == 200 and not again["created"]
                 assert again["job"] == job_id
 
@@ -195,7 +198,7 @@ class TestServiceEndToEnd:
         # the served report must match a direct campaign run of the same
         # spec, modulo volatile host/timing fields
         direct = CampaignRunner(
-            CampaignSpec.from_dict(SPEC), direct_journal
+            CampaignSpec.from_dict(spec), direct_journal
         ).run()
         assert comparable(served) == comparable(direct.report.to_dict())
 
