@@ -42,6 +42,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clock import monotonic
@@ -63,6 +64,13 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return None
+
+
+#: Held from a result pipe's creation until the parent closes its write
+#: end, so no other runner in this process forks a worker in between: a
+#: worker that inherited the write end would keep its owner from seeing
+#: EOF when the owning worker dies, and a torn frame would block ``recv``.
+_SPAWN_LOCK = threading.Lock()
 
 
 class _WorkerHandle:
@@ -373,15 +381,16 @@ class CampaignRunner:
             if handle.result_r is not None:
                 handle.result_r.close()
             handle.task_q = ctx.Queue()
-            handle.result_r, result_w = ctx.Pipe(duplex=False)
-            handle.proc = ctx.Process(
-                target=worker_main,
-                args=(handle.wid, handle.task_q, result_w, self.spec,
-                      warm_state, self.heartbeat_interval),
-                daemon=True,
-            )
-            handle.proc.start()
-            result_w.close()  # the worker holds the only write end
+            with _SPAWN_LOCK:
+                handle.result_r, result_w = ctx.Pipe(duplex=False)
+                handle.proc = ctx.Process(
+                    target=worker_main,
+                    args=(handle.wid, handle.task_q, result_w, self.spec,
+                          warm_state, self.heartbeat_interval),
+                    daemon=True,
+                )
+                handle.proc.start()
+                result_w.close()  # the worker holds the only write end
             handle.last_beat = self.clock()
 
         t0 = self.clock()

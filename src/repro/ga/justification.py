@@ -18,6 +18,11 @@ individual matches, fitness drives evolution toward the target:
 
 A flip-flop matches when the requirement is a don't-care or the values are
 equal; a full match in both circuits scores exactly ``n_ff``.
+
+From a reachable start, a requirement no reachable state matches
+(:mod:`repro.atpg.reachable`) is not simulated: the GA runs on zero fitness,
+and as its draws never depend on fitness, the random source ends where a
+full run would leave it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..atpg.context import AtpgContext
 from ..atpg.justify import JustifyResult, JustifyStatus
+from ..atpg.reachable import reachable_states
 from ..faults.model import Fault
 from ..knowledge import StateKnowledge
 from ..simulation.encoding import X, PackedValue, full_mask, pack_const
@@ -147,16 +153,21 @@ class GAStateJustifier:
             return JustifyResult(JustifyStatus.JUSTIFIED, [])
 
         n_bits = max(1, params.seq_len * self.n_pi)
-        evaluator = _SequenceEvaluator(
-            self, params, fault, required_good, required_faulty, start_good
-        )
+        if self._unreachable(required_good, start_good):
+            # no sequence can succeed; the GA still draws what a run would
+            self.telemetry.count("ga.justify.unreachable")
+            evaluate = _zero_fitness
+        else:
+            evaluate = _SequenceEvaluator(
+                self, params, fault, required_good, required_faulty, start_good
+            ).evaluate
         ga: GeneticAlgorithm = GeneticAlgorithm(
             n_bits,
             GAParams(
                 population_size=params.population_size,
                 generations=params.generations,
             ),
-            evaluator.evaluate,
+            evaluate,
             rng=self.rng,
             telemetry=self.telemetry,
         )
@@ -171,6 +182,21 @@ class GAStateJustifier:
         return JustifyResult(JustifyStatus.BOUNDED)
 
     # ------------------------------------------------------------------
+    def _unreachable(self, required: Dict[str, int], start: Sequence[int]) -> bool:
+        """True when ``start`` is reachable, and so is every state after it,
+        but no reachable state has ``required``'s cared flip-flop values."""
+        states = reachable_states(self.cc)
+        if states is None or tuple(start) not in states:
+            return False
+        cared = [
+            (self.cc.ff_out.index(self.cc.index[name]), want)
+            for name, want in required.items()
+            if want != X
+        ]
+        return not any(
+            all(state[pos] == want for pos, want in cared) for state in states
+        )
+
     def _state_matches(
         self, required: Dict[str, int], state: Sequence[int]
     ) -> bool:
@@ -307,6 +333,11 @@ class _SequenceEvaluator:
             self.params.good_weight * g + self.params.faulty_weight * f
             for g, f in zip(good_match, faulty_match)
         ], None
+
+
+def _zero_fitness(genomes: Sequence[int]) -> Tuple[List[float], None]:
+    """Fitness of a population that cannot succeed; simulates nothing."""
+    return [0.0] * len(genomes), None
 
 
 def _transpose(genomes: Sequence[int], n_bits: int) -> List[int]:

@@ -10,6 +10,7 @@ import json
 import os
 import signal
 import struct
+import threading
 import time
 from multiprocessing.connection import Connection
 
@@ -176,6 +177,122 @@ class TestPoolProtocol:
         merged = json.loads(out.read_text())
         assert merged["vectors"] == reference.circuits["s27"].vectors
         assert merged["detected"] == reference.circuits["s27"].detected
+
+    def test_torn_pipe_reaches_eof_while_another_runner_spawns(
+        self, tmp_path, monkeypatch
+    ):
+        """Two runners in one process, as the service runs two jobs.
+
+        Runner ``a`` is held after starting worker 0, before closing its
+        copy of that worker's result pipe, while runner ``b`` spawns.
+        Worker 0 then tears its first message and dies.  Had a worker of
+        ``b`` forked inside that window, it would hold the pipe's write
+        end: ``a`` would get no EOF and block in ``recv``, while ``b``'s
+        items wait for ``a`` to finish.  Both must finish, ``a`` with the
+        1-worker result.  It runs in a forked child that leads its own
+        process group, so a deadlock fails the test after 60 s.
+        """
+        reference = CampaignRunner(
+            spec(name="a"), str(tmp_path / "ref.jsonl"), workers=1
+        ).run()
+        real_fork_context = campaign_runner._fork_context
+        real_worker_main = campaign_runner.worker_main
+        real_run_item = campaign_worker.run_item
+        torn, a_done = tmp_path / "torn", tmp_path / "a_done"
+        a_in_window, b_spawned = threading.Event(), threading.Event()
+
+        class HeldContext:
+            """The fork context; ``a``'s first start waits for ``b``'s."""
+
+            def __init__(self, real):
+                self._real = real
+
+            def __getattr__(self, name):
+                return getattr(self._real, name)
+
+            def Process(self, *args, **kwargs):
+                proc = self._real.Process(*args, **kwargs)
+                start, runner = proc.start, threading.current_thread().name
+
+                def held_start():
+                    start()
+                    if runner == "b":
+                        b_spawned.set()
+                    elif not a_in_window.is_set():
+                        a_in_window.set()
+                        # with the lock, b waits for this spawn to close
+                        b_spawned.wait(timeout=2.0)
+
+                proc.start = held_start
+                return proc
+
+        def fork_context():
+            if threading.current_thread().name == "b":
+                a_in_window.wait(timeout=60)
+            return HeldContext(real_fork_context())
+
+        def tearing_worker_main(wid, task_q, channel, item_spec, *rest):
+            if item_spec.name == "a" and wid == 0 and not torn.exists():
+                torn.touch()
+                os.write(channel.fileno(), struct.pack("!i", 1 << 16) + b"torn")
+                os._exit(1)
+            real_worker_main(wid, task_q, channel, item_spec, *rest)
+
+        def waiting_run_item(item_spec, item, warm, clock=None):
+            while item_spec.name == "b" and not a_done.exists():
+                time.sleep(0.05)
+            return real_run_item(item_spec, item, warm, clock)
+
+        monkeypatch.setattr(campaign_runner, "_fork_context", fork_context)
+        monkeypatch.setattr(campaign_runner, "worker_main", tearing_worker_main)
+        monkeypatch.setattr(campaign_worker, "run_item", waiting_run_item)
+        out = tmp_path / "result.json"
+        pid = os.fork()
+        if pid == 0:  # the child: run both campaigns, never return to pytest
+            status = 1
+            try:
+                os.setsid()
+                results = {}
+
+                def run(name):
+                    results[name] = CampaignRunner(
+                        spec(name=name), str(tmp_path / f"{name}.jsonl"),
+                        workers=2,
+                    ).run()
+                    if name == "a":
+                        a_done.touch()
+
+                threads = [
+                    threading.Thread(target=run, args=(name,), name=name)
+                    for name in "ab"
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                merged = results["a"].circuits["s27"]
+                out.write_text(json.dumps({
+                    "vectors": merged.vectors, "detected": merged.detected,
+                    "b_items_done": results["b"].items_done,
+                }))
+                status = 0
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError("a runner missed EOF on a torn result pipe")
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        merged = json.loads(out.read_text())
+        assert merged["vectors"] == reference.circuits["s27"].vectors
+        assert merged["detected"] == reference.circuits["s27"].detected
+        assert merged["b_items_done"] == len(build_items(spec()))
 
 
 class TestWorkerCountDeterminism:

@@ -130,7 +130,7 @@ class TestConcurrentRunners:
             "a": CampaignSpec(circuits=("s27",), name="a", seed=7,
                               shard_size=8, passes=1),
             "b": CampaignSpec(circuits=("s298",), name="b", seed=7,
-                              shard_size=8, passes=1, fault_limit=8,
+                              shard_size=8, passes=1, fault_limit=16,
                               backtracks=5, justify_depth=3),
         }
         alone = {}

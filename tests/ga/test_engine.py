@@ -134,6 +134,27 @@ class TestGeneticAlgorithm:
         assert result.generations_run == 5
         assert result.evaluations == 20
 
+    def test_random_stream_does_not_depend_on_fitness(self):
+        """A run without a payload leaves the generator in the same state
+        whatever the fitness values: GA justification skips simulating
+        an unreachable cube on the strength of this."""
+        noise = random.Random(1)
+        evaluators = {
+            "zero": lambda g: ([0.0] * len(g), None),
+            "constant": lambda g: ([3.0] * len(g), None),
+            "random": lambda g: ([noise.random() for _ in g], None),
+            "onemax": lambda g: ([popcount(x) for x in g], None),
+        }
+        states = {}
+        for name, evaluator in evaluators.items():
+            rng = random.Random(5)
+            GeneticAlgorithm(
+                24, GAParams(population_size=16, generations=6), evaluator,
+                rng=rng,
+            ).run()
+            states[name] = rng.getstate()
+        assert all(state == states["zero"] for state in states.values())
+
     def test_best_ever_is_saved_across_generations(self):
         """The best individual may appear early and must not be lost."""
         seen_best = []

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from repro.atpg.constraints import InputConstraints
 from repro.atpg.context import AtpgContext
 from repro.atpg.justify import JustifyStatus
+from repro.atpg.reachable import reachable_states
+from repro.circuit.gates import GateType
+from repro.circuit.netlist import Circuit
 from repro.circuits import counter, gray_fsm, s27, two_stage_pipeline
 from repro.faults.model import Fault, full_fault_list
+from repro.ga import justification
 from repro.ga.justification import (
     GAJustifyParams,
     GAStateJustifier,
@@ -19,6 +23,7 @@ from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, full_mask, pack_const, unpack
 from repro.simulation.fault_sim import injection_for
 from repro.simulation.logic_sim import FrameSimulator, make_simulator
+from repro.telemetry import TelemetryRecorder
 
 from ..conftest import random_circuits
 
@@ -140,6 +145,42 @@ class TestJustify:
             ).vectors
 
         assert run(7) == run(7)
+
+
+class TestUnreachableCube:
+    """A self-toggling flip-flop stays X from power-up, so no reachable
+    state holds it at 1; from a concrete 0 it toggles to 1 in one step."""
+
+    @staticmethod
+    def toggle():
+        c = Circuit("toggle")
+        c.add_input("a")
+        c.add_gate("n", GateType.NOT, ["t"])
+        c.add_gate("t", GateType.DFF, ["n"])
+        c.add_gate("y", GateType.AND, ["a", "t"])
+        c.add_output("y")
+        assert reachable_states(compile_circuit(c)) == {(X,)}
+        return c
+
+    def test_skipped_from_power_up_without_simulating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated an unreachable cube")
+
+        monkeypatch.setattr(justification, "make_simulator", refuse)
+        tel = TelemetryRecorder()
+        j = GAStateJustifier(AtpgContext(self.toggle(), telemetry=tel),
+                             rng=random.Random(0))
+        res = j.justify({"t": 1}, GAJustifyParams(seq_len=2, population_size=4),
+                        required_faulty={})
+        assert res.status is JustifyStatus.BOUNDED
+        assert tel.value("ga.justify.unreachable") == 1
+        assert tel.value("ga.generations") == 4
+
+    def test_unreachable_start_state_is_still_searched(self):
+        j = GAStateJustifier(AtpgContext(self.toggle()), rng=random.Random(0))
+        res = j.justify({"t": 1}, GAJustifyParams(seq_len=2, population_size=4),
+                        required_faulty={}, current_good_state=[0])
+        assert res.success and len(res.vectors) == 1
 
 
 class TestBackend:

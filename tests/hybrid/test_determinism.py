@@ -9,12 +9,17 @@ time.
 
 import json
 
+import pytest
+
 from repro.atpg.podem import Limits
 from repro.atpg.scoap import compute_testability
-from repro.circuits import s27
+from repro.circuits import iscas89, s27
+from repro.faults.collapse import collapse_faults
+from repro.ga import justification
 from repro.hybrid.driver import HybridTestGenerator, gahitec
 from repro.hybrid.passes import gahitec_schedule
 from repro.simulation.compiled import compile_circuit
+from repro.telemetry import TelemetryRecorder
 
 
 def run_once(seed, clock=None):
@@ -72,6 +77,42 @@ class TestSeedDeterminism:
         cold_result = run_once(seed=7)
         assert disposition_bytes(warm_result) == disposition_bytes(cold_result)
         assert warm_result.test_set == cold_result.test_set
+
+
+class TestReachableSkip:
+    """GA justification skips simulating cubes no reachable state covers;
+    the run must equal one that simulates them all."""
+
+    @staticmethod
+    def run(circuit, schedule, faults):
+        tel = TelemetryRecorder()
+        driver = gahitec(circuit, seed=5, telemetry=tel, faults=faults)
+        result = driver.run(schedule)
+        return (
+            sorted(map(str, result.detected)),
+            sorted(map(str, result.untestable)),
+            result.test_set,
+            driver.rng.getstate(),
+        ), tel.value("ga.justify.unreachable")
+
+    @pytest.mark.parametrize("name, num_passes, n_faults, min_skips", [
+        ("s27", 3, None, 0),  # all faults, GA and deterministic passes
+        ("s298", 2, 40, 1),  # the GA passes on a prefix of the faults
+    ])
+    def test_outputs_equal_a_run_without_the_set(
+        self, monkeypatch, name, num_passes, n_faults, min_skips
+    ):
+        circuit = iscas89(name)
+        faults = collapse_faults(circuit)[:n_faults]
+        schedule = gahitec_schedule(
+            x=8, num_passes=num_passes, time_scale=None, backtrack_base=3,
+            justify_depth=3, population_scale=4,
+        )
+        pruned, skipped = self.run(circuit, schedule, faults)
+        monkeypatch.setattr(justification, "reachable_states", lambda cc: None)
+        full, _ = self.run(circuit, schedule, faults)
+        assert pruned == full
+        assert skipped >= min_skips
 
 
 class TestDeadline:

@@ -53,10 +53,10 @@ def exact_detection_depth(circuit, fault, max_depth: int = 12):
 
     def step(state_pair, vector):
         gs, fs = state_pair
+        good_sim.reset()
         good_sim.set_state([pack_const(v, 1) for v in gs])
-        good_sim._dirty = True
+        bad_sim.reset()
         bad_sim.set_state([pack_const(v, 1) for v in fs])
-        bad_sim._dirty = True
         packed = [pack_const(v, 1) for v in vector]
         g_po = good_sim.step(packed)
         b_po = bad_sim.step(packed)
