@@ -20,18 +20,21 @@ recursion produces.  The PODEM engine itself never reads the store:
 this search skips each single-step solution whose previous-frame
 requirement is absolutely unjustifiable, and a skip does not count
 against ``solutions_per_step``.
+
+Single-step searches are read through a :class:`JustifySteps` memo, whose
+replays give exactly what a fresh engine would.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..knowledge import StateKnowledge
 from ..simulation.compiled import CompiledCircuit
 from .constraints import InputConstraints
-from .podem import Limits, PodemEngine, SearchStatus
+from .podem import Limits, PodemEngine, SearchStatus, Solution
 from .scoap import Testability, compute_testability
 
 
@@ -67,6 +70,92 @@ class JustifyResult:
         return self.status is JustifyStatus.JUSTIFIED
 
 
+@dataclass
+class _Stream:
+    """One single-step search: its solutions so far, in order, the engine
+    while the stream can still grow, and the final status once it cannot."""
+
+    engine: Optional[PodemEngine]
+    found: List[Solution] = field(default_factory=list)
+    status: SearchStatus = SearchStatus.SUCCESS
+
+
+class StepCursor:
+    """One caller's walk over a stream from its first solution; :attr:`status`
+    is its own (``SUCCESS`` after a solution, else how the stream ended)."""
+
+    def __init__(self, stream: _Stream, limits: Limits):
+        self._stream = stream
+        self._limits = limits
+        self.status = SearchStatus.SUCCESS
+
+    def __iter__(self) -> Iterator[Solution]:
+        stream, limits = self._stream, self._limits
+        index = 0
+        while True:
+            engine = stream.engine
+            if index == len(stream.found) and engine is not None:
+                # only a cursor at the end advances the engine, through
+                # ``solutions`` so that tracing sees every search
+                sol = next(engine.solutions(limits), None)
+                if sol is None:
+                    self.status = engine.status
+                    exhausted = engine.status is not SearchStatus.LIMIT
+                    if exhausted or engine.backtracks > limits.max_backtracks:
+                        # final; a deadline cut keeps the engine to resume
+                        stream.engine, stream.status = None, engine.status
+                    return
+                stream.found.append(sol)
+            elif limits.expired():
+                # a fresh engine checks the deadline at every step
+                self.status = SearchStatus.LIMIT
+                return
+            elif index == len(stream.found):
+                self.status = stream.status
+                return
+            self.status = SearchStatus.SUCCESS
+            index += 1
+            yield stream.found[index - 1]
+
+
+class JustifySteps:
+    """Memo of single-step JUSTIFY searches, by ordered cube and budget.
+
+    A JUSTIFY engine reads only the circuit, the SCOAP measures, the
+    constraints and its ordered targets (the first unmet one is its next
+    objective), so its solutions and their backtrack counts are fixed; a
+    budget only cuts the stream where backtracks first exceed it.  A memo
+    serves one circuit, testability and constraint set, and its solutions
+    are shared by every caller, so they must not change.
+
+    Attributes:
+        built: single-step searches built.
+        reuses: queries served by a search built earlier.
+    """
+
+    def __init__(self) -> None:
+        self._streams: Dict[Tuple[tuple, int], _Stream] = {}
+        self.built = 0
+        self.reuses = 0
+
+    def query(
+        self, cc: CompiledCircuit, required: Dict[str, int], limits: Limits,
+        testability: Testability, constraints: "Optional[InputConstraints]",
+    ) -> StepCursor:
+        """A cursor over the solutions that set ``required`` in one step."""
+        key = (tuple(required.items()), limits.max_backtracks)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = _Stream(PodemEngine(
+                cc, targets=required, testability=testability,
+                constraints=constraints,
+            ))
+            self.built += 1
+        else:
+            self.reuses += 1
+        return StepCursor(stream, limits)
+
+
 def justify_state(
     cc: CompiledCircuit,
     required: Dict[str, int],
@@ -76,6 +165,7 @@ def justify_state(
     solutions_per_step: int = 8,
     constraints: "Optional[InputConstraints]" = None,
     knowledge: "Optional[StateKnowledge]" = None,
+    steps: Optional[JustifySteps] = None,
 ) -> JustifyResult:
     """Find an input sequence that justifies ``required`` from the all-X state.
 
@@ -96,8 +186,13 @@ def justify_state(
             and proofs produced here are recorded back.  The caller is
             responsible for passing a store whose constraint fingerprint
             matches ``constraints``.
+        steps: memo of single-step searches to read and extend, shared by
+            calls on the same circuit, testability and constraints; one
+            private to the call when omitted.
     """
     meas = testability or compute_testability(cc)
+    if steps is None:
+        steps = JustifySteps()
     # Three distinct failure bits so knowledge recording stays sound:
     # ``depth`` (the frame bound bit) yields a depth-limited proof,
     # ``truncated`` (solutions_per_step cut the enumeration) and
@@ -135,10 +230,9 @@ def justify_state(
         key = frozenset(req.items())
         if key in seen:
             return None  # state-requirement loop: cannot make progress
-        engine = PodemEngine(cc, targets=req, testability=meas,
-                             constraints=constraints)
+        cursor = steps.query(cc, req, limits, meas, constraints)
         tried = 0
-        for sol in engine.solutions(limits):
+        for sol in cursor:
             if (
                 knowledge is not None
                 and sol.required_state
@@ -154,15 +248,16 @@ def justify_state(
             if prefix is not None:
                 if knowledge is not None and sol.required_state:
                     knowledge.record_justified(sol.required_state, prefix)
-                return prefix + [sol.vectors[0]]
+                return prefix + [list(sol.vectors[0])]
             if tried >= solutions_per_step:
                 flags["truncated"] = True
                 break
-        if engine.status is SearchStatus.LIMIT:
+        if cursor.status is SearchStatus.LIMIT:
             flags["limit"] = True
         return None
 
     vectors = dfs(dict(required), max_depth, frozenset())
+    del dfs  # a recursive closure is a reference cycle: free what it holds
     if vectors is not None:
         if knowledge is not None:
             knowledge.record_justified(required, vectors)

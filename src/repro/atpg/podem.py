@@ -140,6 +140,8 @@ class PodemEngine:
         self.backtracks = 0
         self.window_hit = False
         self._stack: List[_Decision] = []
+        self._yielded = False
+        self._exhausted = False
 
     # ------------------------------------------------------------------
     # public API
@@ -150,13 +152,25 @@ class PodemEngine:
         After exhausting the iterator, inspect :attr:`status` — it
         distinguishes a proven-exhausted space from a budget abort.
         """
-        while self._search(limits):
-            yield self._extract()
+        yield from iter(lambda: self.next_solution(limits), None)
+
+    def next_solution(self, limits: Limits) -> Optional[Solution]:
+        """The next solution, or ``None`` once the space or budget runs out.
+
+        Each call resumes where the last one stopped, possibly under other
+        ``limits``; once the space is exhausted every call returns ``None``.
+        """
+        if self._yielded:
+            self._yielded = False
             # treat the solution as a dead end to enumerate the next one;
             # window pressure recorded on other branches must survive, or
             # the caller would wrongly stop growing the frame window
-            if not self._backtrack():
-                return
+            self._exhausted = not self._backtrack()
+        if self._exhausted or not self._search(limits):
+            self._exhausted = self.status is not SearchStatus.LIMIT
+            return None
+        self._yielded = True
+        return self._extract()
 
     def run(self, limits: Limits) -> Optional[Solution]:
         """Convenience: first solution or ``None``."""

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..atpg.constraints import InputConstraints, UNCONSTRAINED
 from ..atpg.context import AtpgContext
 from ..atpg.hitec import SequentialTestGenerator, TestGenStatus
-from ..atpg.justify import JustifyResult, justify_state
+from ..atpg.justify import JustifyResult, JustifySteps, justify_state
 from ..atpg.podem import Limits
 from ..atpg.scoap import Testability
 from ..circuit.netlist import Circuit
@@ -386,6 +386,8 @@ class HybridTestGenerator:
     def run_pass(self, cfg: PassConfig) -> PassStats:
         """Make one pass through the remaining fault list."""
         stats = PassStats(number=cfg.number, approach=cfg.justification)
+        # a pass has one backtrack budget: its searches serve no other pass
+        steps = JustifySteps()
         before = len(self.detected)
         for fault in list(self.remaining):
             if fault in self.detected:
@@ -399,7 +401,10 @@ class HybridTestGenerator:
                 self.deadline_expired = True
                 break
             stats.targeted += 1
-            self._target_fault(fault, cfg, stats)
+            self._target_fault(fault, cfg, stats, steps)
+        if steps.built:
+            self.telemetry.count("atpg.justify_steps", steps.built)
+            self.telemetry.count("atpg.justify_step_reuses", steps.reuses)
         stats.detected_new = len(self.detected) - before
         for fault in self.detected:
             record = self._record_for(fault)
@@ -410,7 +415,7 @@ class HybridTestGenerator:
         return stats
 
     def _target_fault(
-        self, fault: Fault, cfg: PassConfig, stats: PassStats
+        self, fault: Fault, cfg: PassConfig, stats: PassStats, steps: JustifySteps
     ) -> None:
         tel = self.telemetry
         record = self._record_for(fault)
@@ -432,7 +437,7 @@ class HybridTestGenerator:
         limits = Limits(
             max_backtracks=cfg.max_backtracks, deadline=deadline, clock=self.clock
         )
-        justifier = self._make_justifier(fault, cfg, limits)
+        justifier = self._make_justifier(fault, cfg, limits, steps)
         result = self.seqgen.generate(
             fault,
             justifier,
@@ -470,7 +475,7 @@ class HybridTestGenerator:
 
     # ------------------------------------------------------------------
     def _make_justifier(
-        self, fault: Fault, cfg: PassConfig, limits: Limits
+        self, fault: Fault, cfg: PassConfig, limits: Limits, steps: JustifySteps
     ) -> Callable[[Dict[str, int]], JustifyResult]:
         if cfg.justification == GA:
             params = GAJustifyParams(
@@ -506,6 +511,7 @@ class HybridTestGenerator:
                         else self.constraints
                     ),
                     knowledge=self.knowledge,
+                    steps=steps,
                 )
 
         return det_justify

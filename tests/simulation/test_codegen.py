@@ -403,6 +403,9 @@ class TestCompileCacheLifetime:
     def test_cache_entry_dies_with_compiled_form(self):
         from repro.simulation import compiled as compiled_mod
 
+        # collect first: an earlier test's garbage must not be freed
+        # inside the measurement
+        gc.collect()
         before = len(compiled_mod._CACHE)
         compile_circuit(s27())  # result dropped immediately
         gc.collect()
