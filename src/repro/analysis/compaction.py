@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..circuit.netlist import Circuit
 from ..faults.collapse import collapse_faults
 from ..faults.model import Fault
-from ..simulation.fault_sim import FaultSimulator
+from ..simulation.fault_sim import FaultSimulator, split_blocks
 
 
 @dataclass
@@ -45,19 +45,6 @@ class CompactionResult:
         if not self.original_vectors:
             return 0.0
         return 1.0 - self.compacted_vectors / self.original_vectors
-
-
-def split_blocks(
-    vectors: Sequence[Sequence[int]], bases: Sequence[int]
-) -> List[List[List[int]]]:
-    """Split a flat test set into blocks starting at the given offsets."""
-    starts = sorted(set(bases) | {0})
-    blocks = []
-    for i, start in enumerate(starts):
-        end = starts[i + 1] if i + 1 < len(starts) else len(vectors)
-        if end > start:
-            blocks.append([list(v) for v in vectors[start:end]])
-    return blocks
 
 
 def compact_test_set(

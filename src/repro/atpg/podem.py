@@ -139,6 +139,9 @@ class PodemEngine:
                 self._targets.append((d_idx, val))
         self.backtracks = 0
         self.window_hit = False
+        #: how the last search ended; LIMIT, which proves nothing, until
+        #: the first one does
+        self.status = SearchStatus.LIMIT
         self._stack: List[_Decision] = []
         self._yielded = False
         self._exhausted = False
@@ -175,8 +178,6 @@ class PodemEngine:
     def run(self, limits: Limits) -> Optional[Solution]:
         """Convenience: first solution or ``None``."""
         return next(self.solutions(limits), None)
-
-    status: SearchStatus = SearchStatus.EXHAUSTED
 
     # ------------------------------------------------------------------
     # search core

@@ -17,19 +17,23 @@ Propagation runs one specialised *step* per gate, built once per circuit
 from source templates keyed by gate shape, so compiles grow with the
 shapes a circuit uses, not its size.  A step evaluates its gate inline
 and, only if the output word changes, logs the old word, writes the new
-one and schedules the readers.  Only the fault-site gate, from the launch
-frame on, takes the interpretive path that applies the injection.
+one and schedules the readers.  The fault-site gate is a step too: from
+the launch frame on, a faulty model runs one from a template also keyed
+by its injection (the forced input pin or the output, and the stuck
+value).  Steps emit their gate logic and stuck forces through the same
+functions as the simulation kernels of :mod:`repro.simulation.codegen`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..circuit.gates import GateType
 from ..faults.model import DEFAULT_FAULT_MODEL, Fault, resolve_fault_model
+from ..simulation.codegen import force_lines, gate_lines
 from ..simulation.compiled import CompiledCircuit
-from ..simulation.encoding import PackedValue, X, eval_packed
-from ..simulation.logic_sim import _eval_ints
+from ..simulation.encoding import PackedValue, X
+from ..simulation.fault_sim import injection_for
+from ..simulation.logic_sim import apply_stuck
 from .values import MASK2, XX, good_of, is_d, make9
 
 #: A leaf the search may decide on: (frame, net index).
@@ -38,14 +42,8 @@ Leaf = Tuple[int, int]
 #: One undo record: (frame, net index, old p1, old p0).
 UndoRecord = Tuple[int, int, int, int]
 
-
-def _stuck_mask(value: PackedValue, stuck: int) -> PackedValue:
-    """Force the faulty slot (bit 1) of ``value`` to the stuck constant."""
-    p1, p0 = value
-    if stuck == 1:
-        return p1 | 0b10, p0 & ~0b10 & MASK2
-    return p1 & ~0b10 & MASK2, p0 | 0b10
-
+#: The faulty slot's bit of a two-slot word: where the fault is forced.
+_FAULTY = 0b10
 
 #: Name of the per-CompiledCircuit attribute caching fault-free baselines.
 _BASELINE_ATTR = "_unrolled_baselines"
@@ -55,7 +53,14 @@ Rows = Tuple[List[List[int]], List[List[int]]]
 
 
 def _init_sweep(cc: CompiledCircuit, num_frames: int) -> Rows:
-    """Fault-free evaluation of the all-X window, frame by frame."""
+    """Fault-free evaluation of the all-X window, frame by frame.
+
+    Every gate's step runs once per frame, in level order; the readers it
+    schedules and the undo records it logs are dropped.
+    """
+    steps = _implication(cc).steps
+    pending: List[Set[int]] = [set() for _ in range(cc.num_levels + 1)]
+    undo: List[UndoRecord] = []
     v1 = [[XX[0]] * cc.num_nets for _ in range(num_frames)]
     v0 = [[XX[1]] * cc.num_nets for _ in range(num_frames)]
     for frame in range(num_frames):
@@ -64,10 +69,8 @@ def _init_sweep(cc: CompiledCircuit, num_frames: int) -> Rows:
             for out_idx, in_idx in zip(cc.ff_out, cc.ff_in):
                 r1[out_idx] = v1[frame - 1][in_idx]
                 r0[out_idx] = v0[frame - 1][in_idx]
-        for gate in cc.gates:
-            r1[gate.out], r0[gate.out] = _eval_ints(
-                gate.code, gate.fanin, r1, r0, MASK2
-            )
+        for step in steps:
+            step(r1, r0, pending, undo, frame)
     return v1, v0
 
 
@@ -83,69 +86,88 @@ def _baseline(cc: CompiledCircuit, num_frames: int) -> Rows:
 #: undo, frame)`` with that frame's value rows and level buckets.
 Step = Callable[[List[int], List[int], List[Set[int]], List[UndoRecord], int], None]
 
-#: Inverting gate code -> its non-inverting twin (NAND, NOR, XNOR, NOT).
-_SWAP = {1: 0, 3: 2, 5: 4, 6: 7}
+#: The forced "pin" of a fault-site step whose fault sits on the output.
+_OUT = -1
+
+#: Step factories by (gate code, fan-in, reader count, forced pin, stuck
+#: value), compiled once per process.  Each entry depends only on its
+#: key, so sharing is safe.
+_TEMPLATES: Dict[
+    Tuple[int, int, Optional[int], Optional[int], int], Callable[..., Step]
+] = {}
 
 
-def _gate_lines(code: int, fanin: int) -> List[str]:
-    """Source lines computing the output word ``p1, p0`` of one gate shape.
+def _template(
+    code: int,
+    fanin: int,
+    readers: Optional[int],
+    pin: Optional[int] = None,
+    stuck: int = 0,
+) -> Callable[..., Step]:
+    """The step factory for one gate shape and injection, made on first use.
 
-    Input ``k`` is read into ``a{k}`` (its p1) and ``b{k}`` (its p0).
-    Words stay inside :data:`MASK2`, so no expression needs the mask; an
-    inverting gate computes its twin and swaps the halves.
+    ``make(inputs..., out, readers...)`` returns a step binding them as
+    defaults: one tuple, not a closure cell each.  A plain step (``pin``
+    ``None``) binds a (level, position) pair per reader.  A fault-site
+    step forces input 0 (``pin`` 0) or its output (:data:`_OUT`) to
+    ``stuck`` in the faulty slot and binds its readers as one tuple, so
+    its key has no reader count (``readers`` ``None``): one gate per
+    model runs it, and fewer keys mean fewer compiles.
     """
-    ins = range(fanin)
-    lines = [f"a{k} = v1[i{k}]; b{k} = v0[i{k}]" for k in ins]
-    base = _SWAP.get(code, code)
-    if base in (0, 2):  # AND / OR: p1 and p0 fold with dual operators
-        op1, op0 = (" & ", " | ") if base == 0 else (" | ", " & ")
-        p1 = op1.join(f"a{k}" for k in ins)
-        p0 = op0.join(f"b{k}" for k in ins)
-        lines.append(f"p1 = {p1}; p0 = {p0}")
-    elif base in (4, 7):  # XOR folds the parity from input 0; BUF copies it
-        lines.append("p1 = a0; p0 = b0")
-        lines += [f"p1, p0 = (p1 & b{k}) | (p0 & a{k}), (p1 & a{k}) | (p0 & b{k})"
-                  for k in ins[1:]]
-    else:  # CONST0 / CONST1
-        lines.append(f"p1 = {MASK2 * (code == 9)}; p0 = {MASK2 * (code == 8)}")
-    if code in _SWAP:
-        lines.append("p1, p0 = p0, p1")
-    return lines
-
-
-#: Step factories by (gate code, fan-in, reader count), compiled once per
-#: process.  Each entry depends only on its key, so sharing is safe.
-_TEMPLATES: Dict[Tuple[int, int, int], Callable[..., Step]] = {}
-
-
-def _template(code: int, fanin: int, readers: int) -> Callable[..., Step]:
-    """The step factory for one gate shape, generated on first use.
-
-    ``make(inputs..., out, (level, position) per reader...)`` returns a
-    step binding them as defaults: one tuple, not a closure cell each.
-    """
-    key = (code, fanin, readers)
+    key = (code, fanin, readers, pin, stuck)
     factory = _TEMPLATES.get(key)
     if factory is None:
+        ins = [(f"a{k}", f"b{k}") for k in range(fanin)]
+        force = (stuck, str(_FAULTY), str(MASK2 ^ _FAULTY))
+        body = [f"a{k} = v1[i{k}]; b{k} = v0[i{k}]" for k in range(fanin)]
+        if pin == 0:
+            body += force_lines(*ins[0], *force)
+        body += gate_lines(code, ins, ("p1", "p0"), str(MASK2))
+        if pin == _OUT:
+            body += force_lines("p1", "p0", *force)
         params = [f"i{k}" for k in range(fanin)] + ["out"]
-        params += [f"{x}{k}" for k in range(readers) for x in "lr"]
+        if readers is None:
+            params.append("rs")
+            schedule = ["for l, r in rs: pending[l].add(r)"]
+        else:
+            params += [f"{x}{k}" for k in range(readers) for x in "lr"]
+            schedule = [f"pending[l{k}].add(r{k})" for k in range(readers)]
         bound = "".join(f", {p}={p}" for p in params)
         lines = [f"def make({', '.join(params)}):",
                  f"    def step(v1, v0, pending, undo, frame{bound}):"]
-        lines += ["        " + line for line in _gate_lines(code, fanin)]
+        lines += ["        " + line for line in body]
         lines += ["        o1 = v1[out]; o0 = v0[out]",
                   "        if p1 != o1 or p0 != o0:",
                   "            undo.append((frame, out, o1, o0))",
                   "            v1[out] = p1; v0[out] = p0"]
-        lines += [f"            pending[l{k}].add(r{k})" for k in range(readers)]
+        lines += ["            " + line for line in schedule]
         lines.append("    return step")
         namespace: Dict[str, Any] = {"__builtins__": {}}
-        exec(  # noqa: S102 - generated from the gate shape only
+        exec(  # noqa: S102 - generated from the gate shape and injection only
             compile("\n".join(lines), f"<unrolled-step {key}>", "exec"),
             namespace,
         )
         factory = _TEMPLATES.setdefault(key, namespace["make"])
     return factory
+
+
+def _step(
+    cc: CompiledCircuit, pos: int, pin: Optional[int] = None, stuck: int = 0
+) -> Step:
+    """The step of gate ``pos``; given ``pin``, its fault-site step."""
+    gate = cc.gates[pos]
+    fanin = list(gate.fanin)
+    readers = [
+        (cc.gates[r].level, r) for r in dict.fromkeys(cc.fanout_gates[gate.out])
+    ]
+    if pin is None:
+        factory = _template(gate.code, len(fanin), len(readers))
+        return factory(*fanin, gate.out, *(x for pair in readers for x in pair))
+    if pin != _OUT:  # every gate is symmetric in its inputs: force the first
+        fanin.insert(0, fanin.pop(pin))
+        pin = 0
+    factory = _template(gate.code, len(fanin), None, pin, stuck)
+    return factory(*fanin, gate.out, tuple(readers))
 
 
 #: Leaf kinds per net: a gate output, a primary input (a leaf in every
@@ -158,21 +180,14 @@ class _Implication:
 
     Attributes:
         level: gate position -> its level (its pending bucket).
-        steps: gate position -> its compiled :data:`Step`.
+        steps: gate position -> its compiled plain :data:`Step`.
         leaf: net index -> leaf kind (``_GATE``, ``_PI`` or ``_PPI``).
         ff_outs: D-input net -> the flip-flop outputs it feeds.
     """
 
     def __init__(self, cc: CompiledCircuit):
         self.level: List[int] = [gate.level for gate in cc.gates]
-        self.steps: List[Step] = []
-        for gate in cc.gates:
-            readers = dict.fromkeys(cc.fanout_gates[gate.out])
-            factory = _template(gate.code, len(gate.fanin), len(readers))
-            self.steps.append(factory(
-                *gate.fanin, gate.out,
-                *(x for pos in readers for x in (self.level[pos], pos)),
-            ))
+        self.steps: List[Step] = [_step(cc, pos) for pos in range(len(cc.gates))]
         self.leaf = [_PI if pos is None else _GATE for pos in cc.gate_of]
         for idx in cc.ff_out:
             self.leaf[idx] = _PPI
@@ -223,29 +238,31 @@ class UnrolledModel:
         #: confirmed against true two-frame semantics by fault
         #: simulation before being reported).
         self._inject_from = 0
-        if fault is not None and fault.model != DEFAULT_FAULT_MODEL:
-            self._inject_from = resolve_fault_model(
-                fault.model
-            ).inject_from_frame
-        if fault is not None:
-            self._stuck = fault.stuck
-            self._site_idx = cc.index[fault.net]
-            if not fault.is_branch:
-                self._stem_idx = self._site_idx
-            else:
-                reader = cc.circuit.gates[fault.gate]
-                if reader.gtype is GateType.DFF:
-                    self._ff_pos = cc.ff_out.index(cc.index[fault.gate])
-                else:
-                    self._pin_gate = cc.gate_of[cc.index[fault.gate]]
-                    self._pin = fault.pin
-        #: the fault-site gate, evaluated interpretively from the launch
-        #: frame on: the pin-fault reader, or the gate driving a stem
-        self._site_gate: Optional[int] = (
-            self._pin_gate if self._stem_idx is None
-            else cc.gate_of[self._stem_idx]
-        )
         self._tables = _implication(cc)
+        #: each frame's steps; from the launch frame on, a faulty model's
+        #: list carries the fault-site step
+        self._steps: List[List[Step]] = [self._tables.steps] * num_frames
+        site_gate: Optional[int] = None
+        if fault is not None:
+            if fault.model != DEFAULT_FAULT_MODEL:
+                self._inject_from = resolve_fault_model(
+                    fault.model
+                ).inject_from_frame
+            site = injection_for(cc, fault, _FAULTY)
+            self._site_idx, self._stuck = site.net, site.stuck
+            self._pin_gate, self._pin = site.gate_pos, site.pin
+            self._ff_pos = site.ff_pos
+            # the fault-site gate: the pin-fault reader, or the gate
+            # driving a stem (a stem on a source is forced by _write)
+            site_gate, pin = site.gate_pos, site.pin
+            if site.gate_pos is None and site.ff_pos is None:
+                self._stem_idx = site.net
+                site_gate, pin = cc.gate_of[site.net], _OUT
+            if site_gate is not None:
+                injected = list(self._tables.steps)
+                injected[site_gate] = _step(cc, site_gate, pin, site.stuck)
+                for frame in range(self._inject_from, num_frames):
+                    self._steps[frame] = injected
 
         base1, base0 = _baseline(cc, num_frames)
         self.v1: List[List[int]] = [list(row) for row in base1]
@@ -256,13 +273,12 @@ class UnrolledModel:
         if fault is not None:
             # the injection becomes events on the fault-free baseline, so
             # only the site's cone is re-evaluated (DFF branches: _latch)
+            stem = self._stem_idx
             for frame in range(self._inject_from, num_frames):
-                if self._stem_idx is not None:
-                    site = self._stem_idx
-                    self._write(frame, site, self.value(frame, site), [])
-                elif self._pin_gate is not None:
-                    level = cc.gates[self._pin_gate].level
-                    self._pending[frame][level].add(self._pin_gate)
+                if site_gate is not None:
+                    self._pending[frame][cc.gates[site_gate].level].add(site_gate)
+                elif stem is not None:
+                    self._write(frame, stem, self.value(frame, stem), [])
             self._settle(0, [])
 
     # ------------------------------------------------------------------
@@ -333,7 +349,7 @@ class UnrolledModel:
     ) -> None:
         p1, p0 = value
         if self._stem_idx == idx and frame >= self._inject_from:
-            p1, p0 = _stuck_mask((p1, p0), self._stuck)
+            p1, p0 = apply_stuck(value, self._stuck, _FAULTY)
         v1, v0 = self.v1[frame], self.v0[frame]
         o1, o0 = v1[idx], v0[idx]
         if p1 == o1 and p0 == o0:
@@ -350,28 +366,20 @@ class UnrolledModel:
         gate = self.cc.gates[pos]
         vals = [self.value(frame, i) for i in gate.fanin]
         if pos == self._pin_gate and frame >= self._inject_from:
-            vals[self._pin] = _stuck_mask(vals[self._pin], self._stuck)
+            vals[self._pin] = apply_stuck(vals[self._pin], self._stuck, _FAULTY)
         return vals
 
     def _settle(self, start_frame: int, undo: List[UndoRecord]) -> None:
         """Run each pending gate's step, level by level, frame by frame.
 
         Readers sit on higher levels, so a bucket never refills while it
-        drains, and the fault-site gate can be taken out of it first.
+        drains.
         """
-        steps = self._tables.steps
-        site = self._site_gate
         for frame in range(start_frame, self.num_frames):
             pending = self._pending[frame]
+            steps = self._steps[frame]
             v1, v0 = self.v1[frame], self.v0[frame]
-            injected = site is not None and frame >= self._inject_from
             for bucket in pending:
-                if injected and site in bucket:  # interpretive, injected
-                    bucket.remove(site)
-                    gate = self.cc.gates[site]
-                    vals = self.effective_inputs(frame, site)
-                    out = eval_packed(gate.gtype, vals, MASK2)
-                    self._write(frame, gate.out, out, undo)
                 while bucket:
                     steps[bucket.pop()](v1, v0, pending, undo, frame)
             if frame + 1 < self.num_frames:
@@ -383,7 +391,7 @@ class UnrolledModel:
         for ff_pos, (out_idx, in_idx) in enumerate(zip(cc.ff_out, cc.ff_in)):
             val = self.value(frame, in_idx)
             if ff_pos == self._ff_pos and frame + 1 >= self._inject_from:
-                val = _stuck_mask(val, self._stuck)
+                val = apply_stuck(val, self._stuck, _FAULTY)
             self._write(frame + 1, out_idx, val, undo)
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from ..knowledge import KnowledgeError, StateKnowledge
 from ..simulation.compiled import compile_circuit
-from ..simulation.fault_sim import FaultSimulator
+from ..simulation.fault_sim import FaultSimulator, split_blocks
 from ..circuits.resolve import resolve_circuit
 from ..telemetry import Recorder, RunReport, merge_run_reports
 from .queue import shard_faults
@@ -141,17 +141,6 @@ class CampaignResult:
         }
 
 
-def _sequences_of(payload: Dict[str, Any]) -> List[List[List[int]]]:
-    """Split an item payload's flat vector list into accepted sequences."""
-    vectors = payload.get("vectors") or []
-    blocks = payload.get("blocks") or []
-    sequences = []
-    for i, start in enumerate(blocks):
-        end = blocks[i + 1] if i + 1 < len(blocks) else len(vectors)
-        sequences.append(vectors[start:end])
-    return sequences
-
-
 def _merge_knowledge(
     result: CampaignResult, circuit_name: str, doc: Dict[str, Any]
 ) -> None:
@@ -192,7 +181,9 @@ def merge_campaign(
         untestable: List[str] = []
         for item_id in item_ids:
             payload = payloads[item_id]
-            sequences.extend(_sequences_of(payload))
+            sequences.extend(split_blocks(
+                payload.get("vectors") or [], payload.get("blocks") or []
+            ))
             untestable.extend(payload.get("untestable") or [])
             if payload.get("report"):
                 reports.append(RunReport.from_dict(payload["report"]))

@@ -96,7 +96,8 @@ class CampaignSpec:
             ``repro train-policy``) applied to every item: faults are
             reordered cheap-first and passes predicted not to resolve a
             fault skip it, with the schedule's final pass always
-            targeting everything remaining (the mop-up safety net).
+            targeting everything remaining (the mop-up pass; it does
+            not keep coverage, see docs/POLICY.md).
             Lives in the spec because it affects results; serialized
             only when set, so policy-less specs keep the hash (and
             journal identity) they had before the field existed.

@@ -58,12 +58,6 @@ from .passes import GA, PassConfig
 from .results import PassStats, RunResult
 
 
-def _kernel_compile_totals() -> tuple[int, float]:
-    """This thread's cumulative codegen kernel compilations and seconds."""
-    stats = codegen.compile_stats()
-    return int(stats["kernels"]), float(stats["seconds"])
-
-
 class HybridTestGenerator:
     """Multi-pass sequential ATPG driver (GA-HITEC when given GA passes).
 
@@ -255,11 +249,9 @@ class HybridTestGenerator:
             fault_model=self.ctx.fault_model,
             width=self.width,
         )
-        compiles0, compile_s0 = _kernel_compile_totals()
+        # this thread's kernel compilations and kernel-cache activity
+        compiles0 = dict(codegen.compile_stats())
         cache0 = kernel_cache.stats_snapshot()
-        cache_counted0 = {
-            name: tel.value(f"sim.kernel_cache.{name}") for name in cache0
-        }
         wall0 = self.clock()
         cpu0 = time.process_time()
         for cfg in schedule:
@@ -293,19 +285,13 @@ class HybridTestGenerator:
 
         report.wall_time_s = self.clock() - wall0
         report.cpu_time_s = time.process_time() - cpu0
-        compiles1, compile_s1 = _kernel_compile_totals()
-        report.kernel_compiles = compiles1 - compiles0
-        report.kernel_compile_s = compile_s1 - compile_s0
-        # cache loads can happen at simulator construction, outside any
-        # FaultSimulator.run window; count whatever the fault simulators
-        # have not already attributed to this recorder
+        compiles = codegen.compile_stats()
+        report.kernel_compiles = int(compiles["kernels"] - compiles0["kernels"])
+        report.kernel_compile_s = compiles["seconds"] - compiles0["seconds"]
         for name, before in cache0.items():
-            total = kernel_cache.cache_stats()[name] - before
-            counted = (
-                tel.value(f"sim.kernel_cache.{name}") - cache_counted0[name]
-            )
-            if total > counted:
-                tel.count(f"sim.kernel_cache.{name}", total - counted)
+            delta = kernel_cache.cache_stats()[name] - before
+            if delta:
+                tel.count(f"sim.kernel_cache.{name}", delta)
 
         result.test_set = list(self.test_set)
         result.detected = dict(self.detected)

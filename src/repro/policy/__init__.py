@@ -20,10 +20,11 @@ turns those reports into a deployable policy:
   cheap-first, starts each fault at the pass predicted to resolve it,
   and defers predicted-futile faults to the final mop-up pass.
 
-Safety invariant: the final pass of any schedule targets *every*
-remaining fault regardless of prediction, so a policy can skip wasted
-work but can never lose coverage relative to the static schedule's
-committed detections.  See ``docs/POLICY.md``.
+The final pass of any schedule targets *every* remaining fault
+regardless of prediction.  That does not keep coverage: a deferred
+fault loses the earlier passes' attempts and the test set changes, so
+a policy can lose detections as well as skip wasted work.  See
+``docs/POLICY.md`` for measurements.
 """
 
 from .features import (

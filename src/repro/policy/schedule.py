@@ -8,10 +8,11 @@ start) so the hot targeting loop only does dictionary lookups:
   futile faults last, ties keeping canonical order (stable sort);
 * **pass gating** — each fault starts at the pass predicted to resolve
   it; earlier passes skip it.  The **final pass always targets every
-  remaining fault** regardless of prediction (the mop-up), which is the
-  plan's safety invariant: a skipped targeting of a pass that would
-  have aborted commits nothing, and any fault the model wrote off still
-  gets the schedule's largest-budget pass.
+  remaining fault** regardless of prediction (the mop-up): any fault the
+  model wrote off still gets the schedule's largest-budget pass.  That
+  is not a coverage guarantee: a skipped targeting that would have
+  detected the fault, or whose test would have detected others, is
+  lost (docs/POLICY.md).
 
 Circuits outside the policy's trained family get no plan at all
 (:func:`build_plan` returns ``None``) — the driver then behaves exactly
@@ -70,8 +71,9 @@ class PolicyPlan:
     def eligible(self, fault: Fault, pass_number: int) -> bool:
         """May ``pass_number`` target ``fault``?
 
-        The final pass may always: coverage can never be lost to a
-        prediction, only deferred to the mop-up.
+        The final pass may always, so no fault goes untargeted.  Coverage
+        can still be lost: a deferred fault gets only the mop-up's
+        attempt (docs/POLICY.md).
         """
         if pass_number >= self.final_pass:
             return True

@@ -43,7 +43,7 @@ from .compiled import CompiledCircuit, compile_circuit
 from .logic_sim import (
     FrameSimulator,
     Injection,
-    _apply_stuck,
+    apply_stuck,
     _blend,
     _combine_transition,
     register_backend,
@@ -53,7 +53,7 @@ from .logic_sim import (
 KERNEL_CACHE_LIMIT = 256
 
 #: Disk-cache format version for marshalled kernel code objects.
-KERNEL_CACHE_VERSION = 1
+KERNEL_CACHE_VERSION = 2
 
 #: Kernel compilations and their seconds, kept per thread so jobs the
 #: service runs concurrently in one process never count each other's.
@@ -112,11 +112,46 @@ def injection_signature(injections: Iterable[Injection]) -> Signature:
     return tuple(sig)
 
 
-def _force_lines(a: str, b: str, stuck: int, k: int) -> List[str]:
-    """Statements forcing the masked slots of ``(a, b)`` to the stuck value."""
+#: Inverting gate code -> its non-inverting twin (NAND, NOR, XNOR, NOT,
+#: CONST1), computed into the swapped output names.
+_TWIN = {1: 0, 3: 2, 5: 4, 6: 7, 9: 8}
+
+
+def gate_lines(
+    code: int, ins: Sequence[Tuple[str, str]], out: Tuple[str, str], one: str
+) -> List[str]:
+    """Statements computing one gate's output word into the names ``out``.
+
+    ``ins`` names each input's ``(p1, p0)`` pair and ``out`` the output's;
+    ``one`` is an expression for the all-slots word.  No expression needs
+    a mask: words stay inside it.
+    """
+    oa, ob = out
+    if code in _TWIN:
+        code, oa, ob = _TWIN[code], ob, oa
+    if code == 8:  # CONST0
+        return [f"{oa} = 0", f"{ob} = {one}"]
+    if code in (0, 2):  # AND / OR: the halves fold with dual operators
+        op1, op0 = (" & ", " | ") if code == 0 else (" | ", " & ")
+        return [f"{oa} = {op1.join(a for a, _ in ins)}",
+                f"{ob} = {op0.join(b for _, b in ins)}"]
+    # XOR folds the parity pairwise into the output; BUF copies its input
+    (a, b), lines = ins[0], []
+    for c, d in ins[1:]:
+        lines.append(f"{oa}, {ob} = ({a} & {d}) | ({b} & {c}), "
+                     f"({a} & {c}) | ({b} & {d})")
+        a, b = oa, ob
+    return lines or [f"{oa} = {a}", f"{ob} = {b}"]
+
+
+def force_lines(a: str, b: str, stuck: int, m: str, n: str) -> List[str]:
+    """Statements forcing the slots ``m`` selects of ``(a, b)`` to ``stuck``.
+
+    ``n`` is an expression for ``~m`` (within the word).
+    """
     if stuck == 1:
-        return [f"{a} = {a} | m{k}", f"{b} = {b} & n{k}"]
-    return [f"{a} = {a} & n{k}", f"{b} = {b} | m{k}"]
+        return [f"{a} = {a} | {m}", f"{b} = {b} & {n}"]
+    return [f"{a} = {a} & {n}", f"{b} = {b} | {m}"]
 
 
 def _transition_lines(a: str, b: str, stuck: int, k: int, j: int) -> List[str]:
@@ -203,7 +238,8 @@ def generate_kernel_source(
                 body.append(f"tc[{2 * j + 1}] = {raw_b}")
         for k in ks:
             if injections[k].model == "stuck_at":
-                body.extend(_force_lines(a, b, injections[k].stuck, k))
+                body.extend(force_lines(a, b, injections[k].stuck,
+                                        f"m{k}", f"n{k}"))
             else:
                 body.extend(
                     _transition_lines(a, b, injections[k].stuck, k, tslot[k])
@@ -225,8 +261,8 @@ def generate_kernel_source(
         ]
         if ks:
             for k in ks:
-                body.extend(_force_lines(f"a{idx}", f"b{idx}",
-                                         injections[k].stuck, k))
+                body.extend(force_lines(f"a{idx}", f"b{idx}",
+                                        injections[k].stuck, f"m{k}", f"n{k}"))
             # write the forced value back so reads see the faulted net
             body.append(f"v1[{idx}] = a{idx}")
             body.append(f"v0[{idx}] = b{idx}")
@@ -247,46 +283,7 @@ def generate_kernel_source(
 
         out = gate.out
         oa, ob = f"a{out}", f"b{out}"
-        code = gate.code
-        if code <= 3:  # AND / NAND / OR / NOR
-            if code <= 1:
-                one = " & ".join(a for a, _ in ops) if ops else "mask"
-                zero = " | ".join(b for _, b in ops) if ops else "0"
-            else:
-                one = " | ".join(a for a, _ in ops) if ops else "0"
-                zero = " & ".join(b for _, b in ops) if ops else "mask"
-            if code in (1, 3):  # inverted forms swap the planes
-                one, zero = zero, one
-            body.append(f"{oa} = {one}")
-            body.append(f"{ob} = {zero}")
-        elif code <= 5:  # XOR / XNOR: parity fold from constant 0
-            if not ops:
-                cur = ("0", "mask")
-            else:
-                cur = ops[0]
-                for j in range(1, len(ops)):
-                    xa, xb = cur
-                    ya, yb = ops[j]
-                    na, nb = f"x{pos}_{j}a", f"x{pos}_{j}b"
-                    body.append(f"{na} = ({xa} & {yb}) | ({xb} & {ya})")
-                    body.append(f"{nb} = ({xa} & {ya}) | ({xb} & {yb})")
-                    cur = (na, nb)
-            if code == 5:
-                cur = (cur[1], cur[0])
-            body.append(f"{oa} = {cur[0]}")
-            body.append(f"{ob} = {cur[1]}")
-        elif code == 6:  # NOT
-            body.append(f"{oa} = {ops[0][1]}")
-            body.append(f"{ob} = {ops[0][0]}")
-        elif code == 7:  # BUF
-            body.append(f"{oa} = {ops[0][0]}")
-            body.append(f"{ob} = {ops[0][1]}")
-        elif code == 8:  # CONST0
-            body.append(f"{oa} = 0")
-            body.append(f"{ob} = mask")
-        else:  # CONST1
-            body.append(f"{oa} = mask")
-            body.append(f"{ob} = 0")
+        body.extend(gate_lines(gate.code, ops, (oa, ob), "mask"))
 
         ks = stem_by_net.get(out)
         if ks:
@@ -505,7 +502,7 @@ class CodegenFrameSimulator(FrameSimulator):
             raw = val
             for inj in injs:
                 if inj.model == "stuck_at":
-                    val = _apply_stuck(val, inj.stuck, inj.mask)
+                    val = apply_stuck(val, inj.stuck, inj.mask)
                 else:
                     forced = _combine_transition(
                         raw, self._tff_prev[ff_pos], inj.stuck

@@ -20,7 +20,6 @@ from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..telemetry import NULL_RECORDER, Recorder
-from . import kernel_cache
 from .compiled import CompiledCircuit, compile_circuit
 from .encoding import PackedValue, X, full_mask, pack_const, unpack
 from .logic_sim import Injection, make_simulator, resolve_backend
@@ -74,6 +73,23 @@ class BlockGradeResult:
     detected: Dict[Fault, int] = field(default_factory=dict)
     per_block_new: List[int] = field(default_factory=list)
     good_state: List[int] = field(default_factory=list)
+
+
+def split_blocks(
+    vectors: Sequence[Vector], bases: Sequence[int]
+) -> List[List[List[int]]]:
+    """Split a flat test set into the blocks starting at ``bases``.
+
+    The blocks :meth:`FaultSimulator.grade_blocks` takes; offset 0 always
+    starts one, and empty blocks are left out.
+    """
+    starts = sorted(set(bases) | {0})
+    blocks = []
+    for i, start in enumerate(starts):
+        end = starts[i + 1] if i + 1 < len(starts) else len(vectors)
+        if end > start:
+            blocks.append([list(v) for v in vectors[start:end]])
+    return blocks
 
 
 @dataclass
@@ -185,7 +201,6 @@ class FaultSimulator:
             only for faults *not* detected by this sequence.
         """
         result = FaultSimResult()
-        cache0 = kernel_cache.stats_snapshot()
         with self.telemetry.span("sim.fault_sim"):
             if fault_states is None:
                 fault_states = {}
@@ -205,10 +220,6 @@ class FaultSimulator:
             for batch in batches:
                 self._run_batch(frames, batch, fault_states, result,
                                 stop_on_all_detected, record_signatures)
-        for name in ("hits", "misses", "corrupt"):
-            delta = kernel_cache.cache_stats()[name] - cache0[name]
-            if delta:
-                self.telemetry.count(f"sim.kernel_cache.{name}", delta)
         return result
 
     # ------------------------------------------------------------------

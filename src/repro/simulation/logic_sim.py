@@ -108,7 +108,7 @@ class Injection:
     model: str = "stuck_at"
 
 
-def _apply_stuck(value: PackedValue, stuck: int, mask: int) -> PackedValue:
+def apply_stuck(value: PackedValue, stuck: int, mask: int) -> PackedValue:
     """Force the masked slots of ``value`` to the stuck constant."""
     p1, p0 = value
     if stuck == 1:
@@ -417,7 +417,7 @@ class FrameSimulator:
             raw = val
             for inj in injs:
                 if inj.model == "stuck_at":
-                    val = _apply_stuck(val, inj.stuck, inj.mask)
+                    val = apply_stuck(val, inj.stuck, inj.mask)
                 else:
                     key = ("f", ff_pos)
                     self._tcur[key] = raw
@@ -458,13 +458,13 @@ class FrameSimulator:
             prev = self._tprev[idx]
             for inj in injs:
                 if inj.model == "stuck_at":
-                    p1, p0 = _apply_stuck((p1, p0), inj.stuck, inj.mask)
+                    p1, p0 = apply_stuck((p1, p0), inj.stuck, inj.mask)
                 else:
                     forced = _combine_transition(raw, prev, inj.stuck)
                     p1, p0 = _blend((p1, p0), forced, inj.mask)
             return p1, p0
         for inj in injs:
-            p1, p0 = _apply_stuck((p1, p0), inj.stuck, inj.mask)
+            p1, p0 = apply_stuck((p1, p0), inj.stuck, inj.mask)
         return p1, p0
 
     def _advance_frame(self) -> None:
@@ -496,13 +496,13 @@ class FrameSimulator:
         injs = self._pin.get(pos, ())
         if not self._has_transition:
             for inj in injs:
-                vals[inj.pin] = _apply_stuck(vals[inj.pin], inj.stuck, inj.mask)
+                vals[inj.pin] = apply_stuck(vals[inj.pin], inj.stuck, inj.mask)
             return vals
         raws: Dict[int, PackedValue] = {}
         for inj in injs:
             raw = raws.setdefault(inj.pin, vals[inj.pin])
             if inj.model == "stuck_at":
-                vals[inj.pin] = _apply_stuck(vals[inj.pin], inj.stuck, inj.mask)
+                vals[inj.pin] = apply_stuck(vals[inj.pin], inj.stuck, inj.mask)
             else:
                 key = ("p", pos, inj.pin)
                 self._tcur[key] = raw

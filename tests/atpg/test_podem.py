@@ -225,6 +225,21 @@ class TestDetectMode:
         assert len(sols) == 2 and sols[0] != sols[1]
 
 
+class TestFreshEngineStatus:
+    """An engine that has not searched yet claims no proof."""
+
+    def test_fresh_detect_and_justify_engines_report_limit(self):
+        cc = compile_circuit(s27())
+        redundant = compile_circuit(redundant_and())
+        for engine in (
+            PodemEngine(cc, fault=Fault("G0", 0), num_frames=2),
+            PodemEngine(redundant, fault=REDUNDANT_FAULT, num_frames=1),
+            PodemEngine(cc, targets={"G7": 1}),
+        ):
+            # LIMIT proves nothing; EXHAUSTED or WINDOW would claim a proof
+            assert engine.status is SearchStatus.LIMIT
+
+
 class TestJustifyMode:
     def test_single_frame_justify(self):
         cc = compile_circuit(s27())

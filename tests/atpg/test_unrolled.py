@@ -11,18 +11,19 @@ from repro.atpg.unrolled import (
     UnrolledModel,
     _baseline,
     _implication,
-    _stuck_mask,
 )
 from repro.atpg.values import D, DBAR, MASK2, XX, faulty_of, good_of, is_d, make9
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.circuits import s27, two_stage_pipeline
+from repro.circuits.resolve import resolve_circuit
+from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault, full_fault_list
 from repro.simulation import codegen
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, eval_packed, pack_const, unpack
 from repro.simulation.fault_sim import injection_for
-from repro.simulation.logic_sim import FrameSimulator, _eval_ints
+from repro.simulation.logic_sim import FrameSimulator, _eval_ints, apply_stuck
 
 from ..conftest import random_circuits
 
@@ -42,13 +43,13 @@ def full_sweep(cc, fault, num_frames):
     for frame in range(num_frames):
         active = frame >= model._inject_from
         if active and stem is not None and cc.is_source(stem):
-            p1, p0 = _stuck_mask(model.value(frame, stem), model._stuck)
+            p1, p0 = apply_stuck(model.value(frame, stem), model._stuck, 0b10)
             model.v1[frame][stem] = p1
             model.v0[frame][stem] = p0
         for pos, gate in enumerate(cc.gates):
             out = eval_packed(gate.gtype, model.effective_inputs(frame, pos), MASK2)
             if stem == gate.out and active:
-                out = _stuck_mask(out, model._stuck)
+                out = apply_stuck(out, model._stuck, 0b10)
             model.v1[frame][gate.out], model.v0[frame][gate.out] = out
         if frame + 1 < num_frames:
             model._latch(frame, [])
@@ -438,7 +439,42 @@ def step_circuit(gtype, fanin, readers):
 
 
 class TestStepTemplates:
-    """Each compiled step against both evaluators, over every input word."""
+    """Each compiled step against the evaluators, over every input word."""
+
+    @staticmethod
+    def check_steps(cc, cases):
+        """Run each ``(step, want_of)`` case on every input word of ``g``.
+
+        A step must write ``want_of(words)``, and log the old word and
+        schedule every reader only when that changes the output.
+        """
+        gate = cc.gates[cc.gate_of[cc.index["g"]]]
+        out = gate.out
+        scheduled = {(cc.gates[r].level, r) for r in cc.fanout_gates[out]}
+        v1 = [XX[0]] * cc.num_nets
+        v0 = [XX[1]] * cc.num_nets
+        pending = [set() for _ in range(cc.num_levels + 1)]
+        undo = []
+        for words in itertools.product(NINE, repeat=len(gate.fanin)):
+            for i, (p1, p0) in zip(gate.fanin, words):
+                v1[i], v0[i] = p1, p0
+            for step, want_of in cases:
+                want = want_of(words)
+                stale = NINE[want == NINE[0]]
+                v1[out], v0[out] = stale
+                step(v1, v0, pending, undo, 3)
+                assert (v1[out], v0[out]) == want, words
+                assert undo == [(3, out, *stale)], words
+                got = {(lvl, r) for lvl, bucket in enumerate(pending)
+                       for r in bucket}
+                assert got == scheduled, words
+                undo.clear()
+                for bucket in pending:
+                    bucket.clear()
+                step(v1, v0, pending, undo, 3)  # now it finds it current
+                assert (v1[out], v0[out]) == want, words
+                assert undo == [] and not any(pending), words
+        return scheduled
 
     @pytest.mark.parametrize("readers", (0, 2))
     @pytest.mark.parametrize(
@@ -450,30 +486,61 @@ class TestStepTemplates:
         cc = compile_circuit(step_circuit(gtype, fanin, readers))
         pos = cc.gate_of[cc.index["g"]]
         gate = cc.gates[pos]
-        step = _implication(cc).steps[pos]
-        scheduled = {(cc.gates[r].level, r) for r in cc.fanout_gates[gate.out]}
-        assert len(scheduled) == readers
-        for words in itertools.product(NINE, repeat=fanin):
-            v1 = [XX[0]] * cc.num_nets
-            v0 = [XX[1]] * cc.num_nets
-            for i, (p1, p0) in zip(gate.fanin, words):
-                v1[i], v0[i] = p1, p0
-            want = _eval_ints(gate.code, gate.fanin, v1, v0, MASK2)
+
+        def want_of(words):
+            v1 = [p1 for p1, _ in words]
+            v0 = [p0 for _, p0 in words]
+            want = _eval_ints(gate.code, range(fanin), v1, v0, MASK2)
             assert want == eval_packed(gtype, list(words), MASK2)
-            stale = next(word for word in NINE if word != want)
-            v1[gate.out], v0[gate.out] = stale
-            for changed in (True, False):  # the second run finds it current
-                pending = [set() for _ in range(cc.num_levels + 1)]
-                undo = []
-                step(v1, v0, pending, undo, 3)
-                assert (v1[gate.out], v0[gate.out]) == want, words
-                got = {(lvl, r) for lvl, bucket in enumerate(pending)
-                       for r in bucket}
-                if changed:
-                    assert undo == [(3, gate.out, *stale)], words
-                    assert got == scheduled, words
-                else:
-                    assert undo == [] and got == set(), words
+            return want
+
+        scheduled = self.check_steps(cc, [(_implication(cc).steps[pos], want_of)])
+        assert len(scheduled) == readers
+
+    @pytest.mark.parametrize("readers", (0, 2))
+    @pytest.mark.parametrize(
+        "gtype, fanin", SHAPES, ids=[f"{t.value}{n}" for t, n in SHAPES]
+    )
+    def test_site_steps_force_each_pin_and_the_output(
+        self, gtype, fanin, readers
+    ):
+        """A fault-site step equals the evaluator over its forced words."""
+        cc = compile_circuit(step_circuit(gtype, fanin, readers))
+        pos = cc.gate_of[cc.index["g"]]
+        cases = []
+        for pin in [*range(fanin), unrolled._OUT]:
+            for stuck in (0, 1):
+                def want_of(words, pin=pin, stuck=stuck):
+                    words = list(words)
+                    if pin == unrolled._OUT:
+                        return apply_stuck(
+                            eval_packed(gtype, words, MASK2), stuck, 0b10
+                        )
+                    words[pin] = apply_stuck(words[pin], stuck, 0b10)
+                    return eval_packed(gtype, words, MASK2)
+
+                cases.append((unrolled._step(cc, pos, pin, stuck), want_of))
+        self.check_steps(cc, cases)
+
+    def test_templates_grow_with_shapes_not_faults(self, monkeypatch):
+        """Rebuilding every collapsed s298 fault's model compiles nothing.
+
+        A fault-site step's template is keyed by the gate shape and the
+        injection (pin or output, stuck value), never by the fault.
+        """
+        monkeypatch.setattr(unrolled, "_TEMPLATES", {})
+        circuit = resolve_circuit("s298")
+        cc = compile_circuit(circuit)
+        faults = [f for name in MODELS for f in collapse_faults(circuit, name)]
+
+        def build_every_model():
+            for fault in faults:
+                UnrolledModel(cc, fault, num_frames=2)
+            return dict(unrolled._TEMPLATES)
+
+        first = build_every_model()
+        assert len(first) < len(faults) / 4
+        assert build_every_model() == first
 
     def test_steps_compile_no_kernels(self, monkeypatch):
         """Fresh templates and steps leave the kernel counters alone."""

@@ -13,11 +13,10 @@ import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.circuits import s27
-from repro.faults.model import full_fault_list
+from repro.hybrid import gahitec, gahitec_schedule
 from repro.simulation import kernel_cache
 from repro.simulation.codegen import compile_stats, kernel_for
 from repro.simulation.compiled import compile_circuit
-from repro.simulation.fault_sim import FaultSimulator
 from repro.telemetry import TelemetryRecorder
 
 @pytest.fixture
@@ -141,25 +140,30 @@ class TestCampaignWorkers:
 
 
 class TestTelemetryCounters:
-    def test_warm_run_reports_hits(self, cache_dir):
-        circuit = s27()
-        faults = full_fault_list(circuit)[:8]
-        vectors = [[1, 0, 1, 1], [0, 1, 0, 0]]
-        FaultSimulator(compile_circuit(circuit), width=8,
-                       backend="codegen").run(vectors, faults)
+    """A driver run counts its thread's kernel-cache activity once.
+
+    GA fitness compiles codegen kernels, so a GA-HITEC run on s27 reaches
+    the cache; a second run on a fresh circuit loads what the first wrote.
+    """
+
+    @staticmethod
+    def counters_of_gahitec_run():
         tel = TelemetryRecorder()
-        FaultSimulator(compile_circuit(circuit), width=8, backend="codegen",
-                       telemetry=tel).run(vectors, faults)
-        counters = tel.registry.counters
-        assert counters.get("sim.kernel_cache.hits", 0) >= 1
-        assert "sim.kernel_cache.corrupt" not in counters
+        gahitec(s27(), seed=0, telemetry=tel).run(
+            gahitec_schedule(x=4, num_passes=1, time_scale=None,
+                             backtrack_base=10, justify_depth=3)
+        )
+        return tel.registry.counters
+
+    def test_warm_run_reports_hits(self, cache_dir):
+        cold = self.counters_of_gahitec_run()
+        assert cold.get("sim.kernel_cache.writes", 0) >= 1
+        warm = self.counters_of_gahitec_run()
+        assert warm.get("sim.kernel_cache.hits", 0) >= 1
+        assert "sim.kernel_cache.writes" not in warm
+        assert "sim.kernel_cache.corrupt" not in warm
 
     def test_disabled_cache_reports_nothing(self, monkeypatch):
         monkeypatch.delenv(kernel_cache.ENV_VAR, raising=False)
-        circuit = s27()
-        tel = TelemetryRecorder()
-        FaultSimulator(compile_circuit(circuit), width=8, backend="codegen",
-                       telemetry=tel).run(
-            [[1, 0, 1, 1]], full_fault_list(circuit)[:4])
-        counters = tel.registry.counters
+        counters = self.counters_of_gahitec_run()
         assert not any(k.startswith("sim.kernel_cache") for k in counters)
