@@ -16,7 +16,7 @@ Two further metrics cover compilation cost:
 
 * the *grading* workload — several fault batches of **distinct** shapes
   graded cold (fresh process state), the regime of
-  ``FaultSimulator.grade_blocks`` and campaign merge, where codegen must
+  ``GradedTestSet`` and campaign merge, where codegen must
   exec-compile a kernel per shape;
 * the *cold vs warm* kernel-cache comparison — with a persistent cache
   directory, a warm process must report **zero** compilations.

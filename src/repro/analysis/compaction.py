@@ -59,8 +59,8 @@ def compact_test_set(
     Args:
         circuit: circuit under test.
         vectors: the full generated test set.
-        block_bases: starting offsets of each generated sequence (the
-            values stored in ``RunResult.detected``).
+        block_bases: starting offsets of each generated sequence
+            (``RunResult.blocks``).
         faults: fault list to preserve coverage against (defaults to the
             collapsed universe).
         width: fault-simulation word width.

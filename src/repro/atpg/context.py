@@ -130,7 +130,3 @@ class AtpgContext:
             sim = FaultSimulator(self.cc, width=width, telemetry=self.telemetry)
             self._simulators[width] = sim
         return sim
-
-    def verifier(self) -> FaultSimulator:
-        """The width-1 simulator used to confirm single candidates."""
-        return self.fault_simulator(width=1)

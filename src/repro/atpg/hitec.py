@@ -103,10 +103,14 @@ class SequentialTestGenerator:
 
     When the context carries a :class:`~repro.knowledge.StateKnowledge`
     store, known-justified frame-0 states short-circuit the justifier
-    (still verified before acceptance, with fallback to the real
-    justifier on a stale hit) and absolutely-unjustifiable states are
-    treated as exhausted without a search — which keeps UNTESTABLE
-    claims sound, since only absolute proofs are consulted.
+    (still verified before acceptance) and absolutely-unjustifiable
+    states are treated as exhausted without a search — which keeps
+    UNTESTABLE claims sound, since only absolute proofs are consulted.
+    A stale hit, one that fails verification, is handed to the pass's
+    justifier.  In a GA pass the GA then searches; in a deterministic
+    pass :func:`~repro.atpg.justify.justify_state` finds the same stale
+    sequence in the same store, so the candidate fails verification again
+    and counts as a verification reject.
     """
 
     def __init__(
@@ -287,7 +291,8 @@ class SequentialTestGenerator:
                 if self._confirm(candidate):
                     counters.justify_successes += 1
                     return candidate, JustifyStatus.JUSTIFIED
-                # stale sidecar entry: fall through to the real justifier
+                # stale entry: a GA justifier searches; justify_state
+                # returns the same sequence, which fails confirmation again
                 know.stats["stale_hits"] += 1
         counters.justify_calls += 1
         with self.ctx.telemetry.span("atpg.justify"):
@@ -317,11 +322,11 @@ class SequentialTestGenerator:
         """Fault-simulate the candidate from the actual start states."""
         filled = self._fill(result.sequence)
         states = (
-            {self._fault: list(self._start_fault)}
+            {self._fault: self._start_fault}
             if self._start_fault is not None
             else None
         )
-        outcome = self.ctx.verifier().run(
+        outcome = self.ctx.fault_simulator().run(
             filled,
             [self._fault],
             good_state=self._start_good,

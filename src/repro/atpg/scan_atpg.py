@@ -20,7 +20,7 @@ benchmarks read directly off the same tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
 from ..clock import monotonic
@@ -30,7 +30,7 @@ from ..faults.model import Fault
 from ..hybrid.results import PassStats, RunResult
 from ..simulation.compiled import CompiledCircuit, compile_circuit
 from ..simulation.encoding import X
-from ..simulation.fault_sim import FaultSimulator
+from ..simulation.fault_sim import FaultSimulator, GradedTestSet
 from .podem import Limits, PodemEngine, SearchStatus
 from .scoap import compute_testability
 
@@ -77,18 +77,15 @@ class ScanTestGenerator:
         params = params or ScanAtpgParams()
         tick = clock or monotonic
         start = tick()
-        remaining: List[Fault] = (
-            list(faults) if faults is not None else collapse_faults(self.scanned)
+        tests = GradedTestSet(
+            self.sim,
+            faults if faults is not None else collapse_faults(self.scanned),
         )
         result = RunResult(
             circuit_name=self.scanned.name,
             generator="SCAN",
-            total_faults=len(remaining),
+            total_faults=len(tests.remaining),
         )
-        test_set: List[List[int]] = []
-        good_state: List[int] = [X] * len(self.cc.ff_out)
-        fault_states: Dict[Fault, List[int]] = {}
-        detected: Dict[Fault, int] = {}
         untestable: List[Fault] = []
         aborted = 0
         targeted = 0
@@ -96,8 +93,8 @@ class ScanTestGenerator:
         deadline = (
             start + params.time_limit if params.time_limit is not None else None
         )
-        for fault in list(remaining):
-            if fault in detected:
+        for fault in list(tests.remaining):
+            if fault in tests.detected:
                 continue
             if deadline and tick() >= deadline:
                 break
@@ -105,42 +102,29 @@ class ScanTestGenerator:
             sequence, proof = self._target(fault, params, deadline, tick)
             if proof:
                 untestable.append(fault)
-                remaining.remove(fault)
+                tests.remaining.remove(fault)
                 continue
-            if sequence is None:
+            if sequence is None or not tests.apply(
+                sequence, keep=lambda d: fault in d
+            ):
                 aborted += 1
-                continue
-            trial = {f: list(s) for f, s in fault_states.items()}
-            outcome = self.sim.run(
-                sequence, remaining, good_state=good_state, fault_states=trial
-            )
-            if fault not in outcome.detected:
-                aborted += 1
-                continue
-            base = len(test_set)
-            result.blocks.append(base)
-            test_set.extend(sequence)
-            good_state = outcome.good_state
-            fault_states = trial
-            for f in outcome.detected:
-                detected[f] = base
-            remaining = [f for f in remaining if f not in outcome.detected]
 
         result.passes.append(
             PassStats(
                 number=1,
                 approach="scan",
-                detected=len(detected),
-                vectors=len(test_set),
+                detected=len(tests.detected),
+                vectors=len(tests.vectors),
                 time_s=tick() - start,
                 untestable=len(untestable),
                 targeted=targeted,
                 aborted=aborted,
             )
         )
-        result.test_set = test_set
-        result.detected = detected
+        result.test_set = tests.vectors
+        result.detected = tests.detected
         result.untestable = untestable
+        result.blocks = tests.blocks
         return result
 
     # ------------------------------------------------------------------

@@ -115,6 +115,7 @@ class RandomTestGenerator:
             base = len(test_set)
             test_set.extend(block)
             good_state = outcome.good_state
+            fault_states = outcome.fault_states
             if outcome.detected:
                 result.blocks.append(base)
                 for fault in outcome.detected:
@@ -196,10 +197,9 @@ class WeightedRandomTestGenerator(RandomTestGenerator):
         best_weights = self._weights
         for weights in options:
             block = self._block(weights, params.block_len)
-            trial = {f: list(s) for f, s in fault_states.items()}
             outcome = self.sim.run(
-                block, remaining, good_state=list(good_state),
-                fault_states=trial, stop_on_all_detected=False,
+                block, remaining, good_state=good_state,
+                fault_states=fault_states, stop_on_all_detected=False,
             )
             score = len(outcome.detected)
             if score > best_score:

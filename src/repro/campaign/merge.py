@@ -4,10 +4,10 @@ Per-item runs only know their own fault shard; the merge stage restores
 the whole-circuit view.  For each circuit it concatenates the accepted
 test sequences of every shard (in canonical item order, so the result is
 independent of which worker finished first), then re-fault-simulates them
-against the circuit's *full* target fault list via
-:meth:`~repro.simulation.fault_sim.FaultSimulator.grade_blocks` — crediting
-incidental cross-shard detections and dropping sequences that no longer
-add coverage.  Per-item telemetry reports roll up into one campaign-level
+against the circuit's *full* target fault list in a
+:class:`~repro.simulation.fault_sim.GradedTestSet` — crediting incidental
+cross-shard detections and dropping sequences that no longer add
+coverage.  Per-item telemetry reports roll up into one campaign-level
 ``repro-run-report/v1`` document whose headline numbers are the merged
 (cross-credited) truth.
 """
@@ -19,9 +19,9 @@ from typing import Any, Dict, List, Optional
 
 from ..knowledge import KnowledgeError, StateKnowledge
 from ..simulation.compiled import compile_circuit
-from ..simulation.fault_sim import FaultSimulator, split_blocks
+from ..simulation.fault_sim import FaultSimulator, GradedTestSet, split_blocks
 from ..circuits.resolve import resolve_circuit
-from ..telemetry import Recorder, RunReport, merge_run_reports
+from ..telemetry import RunReport, merge_run_reports
 from .queue import shard_faults
 from .spec import CampaignSpec
 
@@ -162,9 +162,7 @@ def _merge_knowledge(
 
 
 def merge_campaign(
-    spec: CampaignSpec,
-    payloads: Dict[str, Dict[str, Any]],
-    telemetry: Optional[Recorder] = None,
+    spec: CampaignSpec, payloads: Dict[str, Dict[str, Any]]
 ) -> CampaignResult:
     """Merge item payloads (from the journal) into the campaign result.
 
@@ -201,17 +199,14 @@ def merge_campaign(
             untestable=sorted(set(untestable)),
         )
         if sequences:
-            sim = FaultSimulator(
-                compile_circuit(circuit),
-                width=spec.width,
-                telemetry=telemetry,
-            )
-            grade = sim.grade_blocks(sequences, faults, drop_redundant=True)
-            for index in grade.kept:
-                merged.blocks.append(len(merged.vectors))
-                merged.vectors.extend(sequences[index])
-            merged.detected = sorted(str(f) for f in grade.detected)
-            merged.dropped_sequences = len(grade.dropped)
+            sim = FaultSimulator(compile_circuit(circuit), width=spec.width)
+            tests = GradedTestSet(sim, faults)
+            for sequence in sequences:
+                if not (tests.remaining and tests.apply(sequence)):
+                    merged.dropped_sequences += 1
+            merged.vectors = tests.vectors
+            merged.blocks = tests.blocks
+            merged.detected = sorted(str(f) for f in tests.detected)
         result.circuits[circuit_name] = merged
     result.items_done = len(payloads)
     if reports:

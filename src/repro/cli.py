@@ -208,8 +208,9 @@ def cmd_atpg(args: argparse.Namespace) -> int:
     print(result.summary())
     vectors = result.test_set
     if args.compact and vectors:
+        # preserve coverage of the faults the run reported coverage over
         compacted = compact_test_set(
-            circuit, vectors, list(result.detected.values())
+            circuit, vectors, result.blocks, faults=driver.all_faults
         )
         print(f"compaction: {compacted.original_vectors} -> "
               f"{compacted.compacted_vectors} vectors")

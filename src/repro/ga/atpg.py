@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
 from ..clock import monotonic
@@ -35,7 +35,7 @@ from ..faults.model import Fault
 from ..hybrid.results import PassStats, RunResult
 from ..simulation.compiled import CompiledCircuit, compile_circuit
 from ..simulation.encoding import X
-from ..simulation.fault_sim import FaultSimulator
+from ..simulation.fault_sim import FaultSimulator, GradedTestSet
 from .engine import GAParams, GeneticAlgorithm
 
 
@@ -89,26 +89,22 @@ class GASimulationTestGenerator:
         params = params or GAAtpgParams()
         tick = clock or monotonic
         start_time = tick()
-        remaining: List[Fault] = (
-            list(faults) if faults is not None else collapse_faults(self.circuit)
+        tests = GradedTestSet(
+            self.sim,
+            faults if faults is not None else collapse_faults(self.circuit),
         )
-        total = len(remaining)
         result = RunResult(
             circuit_name=self.circuit.name,
             generator="GA-SIM",
-            total_faults=total,
+            total_faults=len(tests.remaining),
         )
-        test_set: List[List[int]] = []
-        good_state: List[int] = [X] * len(self.cc.ff_out)
-        fault_states: Dict[Fault, List[int]] = {}
-        detected: Dict[Fault, int] = {}
 
         stale = 0
         round_no = 0
         while (
-            remaining
+            tests.remaining
             and stale < params.stale_rounds
-            and len(test_set) < params.max_vectors
+            and len(tests.vectors) < params.max_vectors
         ):
             if (
                 time_limit is not None
@@ -116,70 +112,46 @@ class GASimulationTestGenerator:
             ):
                 break
             round_no += 1
-            sequence = self._evolve_sequence(
-                params, remaining, good_state, fault_states
-            )
-            # trial states: only committed sequences may advance the real
-            # per-fault states, or they desynchronise from the test set
-            trial_states = {f: list(s) for f, s in fault_states.items()}
-            outcome = self.sim.run(
-                sequence, remaining,
-                good_state=list(good_state), fault_states=trial_states,
-            )
-            if outcome.detected:
-                base = len(test_set)
-                test_set.extend(sequence)
-                good_state = outcome.good_state
-                fault_states = trial_states
-                for fault in outcome.detected:
-                    detected[fault] = base
-                remaining = [f for f in remaining if f not in outcome.detected]
+            if tests.apply(self._evolve_sequence(params, tests)):
                 stale = 0
             else:
-                stale += 1  # discard: states stay aligned with the test set
+                stale += 1
 
             result.passes.append(
                 PassStats(
                     number=round_no,
                     approach="ga-sim",
-                    detected=len(detected),
-                    vectors=len(test_set),
+                    detected=len(tests.detected),
+                    vectors=len(tests.vectors),
                     time_s=tick() - start_time,
                     untestable=0,  # simulation alone can prove nothing
                 )
             )
 
-        result.test_set = test_set
-        result.detected = detected
+        result.test_set = tests.vectors
+        result.detected = tests.detected
         return result
 
     # ------------------------------------------------------------------
     def _evolve_sequence(
-        self,
-        params: GAAtpgParams,
-        remaining: Sequence[Fault],
-        good_state: Sequence[int],
-        fault_states: Dict[Fault, List[int]],
+        self, params: GAAtpgParams, tests: GradedTestSet
     ) -> List[List[int]]:
         n_bits = params.seq_len * self.n_pi
 
         def evaluator(genomes):
             scores = []
             for genome in genomes:
-                sequence = self._decode(genome, params.seq_len)
-                trial_states = {f: list(s) for f, s in fault_states.items()}
                 outcome = self.sim.run(
-                    sequence,
-                    remaining,
-                    good_state=list(good_state),
-                    fault_states=trial_states,
+                    self._decode(genome, params.seq_len),
+                    tests.remaining,
+                    good_state=tests.good_state,
+                    fault_states=tests.fault_states,
                     stop_on_all_detected=False,
                 )
                 active = sum(
                     1
-                    for f, state in trial_states.items()
-                    if f not in outcome.detected
-                    and self._diverged(state, outcome.good_state)
+                    for state in outcome.fault_states.values()
+                    if self._diverged(state, outcome.good_state)
                 )
                 scores.append(
                     len(outcome.detected) + params.activity_weight * active

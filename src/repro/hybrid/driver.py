@@ -46,7 +46,7 @@ from ..policy.features import fault_features
 from ..policy.model import FaultPolicy
 from ..policy.schedule import PolicyPlan, build_plan
 from ..simulation import codegen, kernel_cache
-from ..simulation.encoding import X
+from ..simulation.fault_sim import GradedTestSet
 from ..telemetry import (
     FaultRecord,
     PassReport,
@@ -181,13 +181,8 @@ class HybridTestGenerator:
             list(faults) if faults is not None else self.ctx.faults
         )
         # mutable run state
-        self.remaining: List[Fault] = []
-        self.detected: Dict[Fault, int] = {}
+        self.tests = GradedTestSet(self.fault_sim, self.all_faults)
         self.untestable: List[Fault] = []
-        self.test_set: List[List[int]] = []
-        self.blocks: List[int] = []
-        self.good_state: List[int] = [X] * len(self.cc.ff_out)
-        self.fault_states: Dict[Fault, List[int]] = {}
         self._records: Dict[Fault, FaultRecord] = {}
         self._deadline: Optional[float] = None
         #: set when :meth:`run` stopped early because its deadline passed
@@ -222,23 +217,19 @@ class HybridTestGenerator:
             if self.knowledge is not None
             else {}
         )
-        self.remaining = list(self.all_faults)
-        self.detected = {}
+        self.tests = GradedTestSet(self.fault_sim, self.all_faults)
         self.untestable = []
-        self.test_set = []
-        self.blocks = []
-        self.good_state = [X] * len(self.cc.ff_out)
-        self.fault_states = {}
         self._records = {}
         self._plan = self._resolve_plan(schedule)
         if self._plan is not None:
+            remaining = self.tests.remaining
             if self._plan.reorder:
-                ordered = self._plan.order(self.remaining)
-                moved = sum(1 for a, b in zip(ordered, self.remaining) if a is not b)
+                ordered = self._plan.order(remaining)
+                moved = sum(1 for a, b in zip(ordered, remaining) if a is not b)
                 if moved:
-                    self.remaining = ordered
+                    self.tests.remaining = remaining = ordered
                     tel.count("atpg.policy.faults_reordered", moved)
-            tel.count("atpg.policy.deferred", self._plan.deferred_count(self.remaining))
+            tel.count("atpg.policy.deferred", self._plan.deferred_count(remaining))
 
         report = RunReport(
             circuit=self.circuit.name,
@@ -261,8 +252,8 @@ class HybridTestGenerator:
                 "hybrid.pass", number=cfg.number, approach=cfg.justification
             ):
                 stats = self.run_pass(cfg)
-            stats.detected = len(self.detected)
-            stats.vectors = len(self.test_set)
+            stats.detected = len(self.tests.detected)
+            stats.vectors = len(self.tests.vectors)
             stats.untestable = len(self.untestable)
             stats.time_s = self.clock() - wall0
             result.passes.append(stats)
@@ -293,10 +284,10 @@ class HybridTestGenerator:
             if delta:
                 tel.count(f"sim.kernel_cache.{name}", delta)
 
-        result.test_set = list(self.test_set)
-        result.detected = dict(self.detected)
+        result.test_set = self.tests.vectors
+        result.detected = self.tests.detected
         result.untestable = list(self.untestable)
-        result.blocks = list(self.blocks)
+        result.blocks = self.tests.blocks
         result.deadline_expired = self.deadline_expired
         if self.knowledge is not None:
             result.knowledge_stats = self.knowledge.snapshot_stats()
@@ -340,11 +331,11 @@ class HybridTestGenerator:
                     mispredicted += 1
         if self._plan is not None and mispredicted:
             self.telemetry.count("atpg.policy.mispredictions", mispredicted)
-        report.detected = len(self.detected)
+        report.detected = len(self.tests.detected)
         report.untestable = len(self.untestable)
-        report.vectors = len(self.test_set)
+        report.vectors = len(self.tests.vectors)
         report.fault_coverage = (
-            len(self.detected) / report.total_faults
+            len(self.tests.detected) / report.total_faults
             if report.total_faults
             else 0.0
         )
@@ -374,9 +365,10 @@ class HybridTestGenerator:
         stats = PassStats(number=cfg.number, approach=cfg.justification)
         # a pass has one backtrack budget: its searches serve no other pass
         steps = JustifySteps()
-        before = len(self.detected)
-        for fault in list(self.remaining):
-            if fault in self.detected:
+        detected = self.tests.detected
+        before = len(detected)
+        for fault in list(self.tests.remaining):
+            if fault in detected:
                 continue  # dropped incidentally earlier in this pass
             if self._plan is not None and not self._plan.eligible(fault, cfg.number):
                 # the policy predicts this pass cannot resolve the
@@ -391,8 +383,8 @@ class HybridTestGenerator:
         if steps.built:
             self.telemetry.count("atpg.justify_steps", steps.built)
             self.telemetry.count("atpg.justify_step_reuses", steps.reuses)
-        stats.detected_new = len(self.detected) - before
-        for fault in self.detected:
+        stats.detected_new = len(detected) - before
+        for fault in detected:
             record = self._record_for(fault)
             if record.status != "detected":
                 record.status = "detected"
@@ -428,8 +420,8 @@ class HybridTestGenerator:
             fault,
             justifier,
             limits,
-            start_good_state=list(self.good_state),
-            start_fault_state=self.fault_states.get(fault),
+            start_good_state=self.tests.good_state,
+            start_fault_state=self.tests.fault_states.get(fault),
         )
         record.backtracks += result.backtracks
         record.ga_generations += tel.value("ga.generations") - ga_generations0
@@ -437,8 +429,13 @@ class HybridTestGenerator:
             record.knowledge_hits += self._knowledge_hit_total() - knowledge0
 
         if result.status is TestGenStatus.DETECTED:
-            # confirmed sequences arrive 0-filled, constraints applied
-            if self._validate_and_commit(fault, result.sequence):
+            # confirmed sequences arrive 0-filled, constraints applied;
+            # the test set keeps one only if it detects its target
+            tel.count("hybrid.validations")
+            with tel.span("hybrid.validate"):
+                kept = self.tests.apply(result.sequence, keep=lambda d: fault in d)
+            if kept:
+                tel.count("hybrid.commits")
                 record.status = "detected"
                 if result.justification_frames:
                     record.justification = (
@@ -454,7 +451,7 @@ class HybridTestGenerator:
         elif result.status is TestGenStatus.UNTESTABLE:
             record.status = "untestable"
             self.untestable.append(fault)
-            self.remaining.remove(fault)
+            self.tests.remaining.remove(fault)
         else:
             stats.aborted += 1
         record.time_s += self.clock() - started
@@ -472,7 +469,7 @@ class HybridTestGenerator:
             )
 
             def ga_justify(required: Dict[str, int]) -> JustifyResult:
-                start = self.good_state if self.use_current_state else None
+                start = self.tests.good_state if self.use_current_state else None
                 with self.telemetry.span("justify.ga"):
                     return self.ga_justifier.justify(
                         required,
@@ -501,39 +498,6 @@ class HybridTestGenerator:
                 )
 
         return det_justify
-
-    def _validate_and_commit(
-        self, target: Fault, sequence: List[List[int]]
-    ) -> bool:
-        """Fault-simulate the candidate; commit only if the target drops.
-
-        The candidate is applied from the current good state.  On success,
-        every remaining fault is credited with any incidental detection and
-        per-fault faulty states roll forward; on failure nothing changes.
-        """
-        trial_states = {f: list(s) for f, s in self.fault_states.items()}
-        self.telemetry.count("hybrid.validations")
-        with self.telemetry.span("hybrid.validate"):
-            sim = self.fault_sim.run(
-                sequence,
-                self.remaining,
-                good_state=self.good_state,
-                fault_states=trial_states,
-            )
-        if target not in sim.detected:
-            return False
-        self.telemetry.count("hybrid.commits")
-        base = len(self.test_set)
-        self.blocks.append(base)
-        self.test_set.extend(sequence)
-        self.good_state = sim.good_state
-        self.fault_states = {
-            f: s for f, s in trial_states.items() if f not in sim.detected
-        }
-        for fault in sim.detected:
-            self.detected[fault] = base
-        self.remaining = [f for f in self.remaining if f not in sim.detected]
-        return True
 
 
 def gahitec(circuit: Circuit, **kwargs) -> HybridTestGenerator:

@@ -28,16 +28,15 @@ from .logic_sim import (
 from .codegen import CodegenFrameSimulator, generate_kernel_source, kernel_for
 from . import kernel_cache
 from .fault_sim import (
-    BlockGradeResult,
     FaultSimResult,
     FaultSimulator,
+    GradedTestSet,
     Vector,
     fault_coverage,
     injection_for,
 )
 
 __all__ = [
-    "BlockGradeResult",
     "CodegenFrameSimulator",
     "kernel_cache",
     "CompiledCircuit",
@@ -45,6 +44,7 @@ __all__ = [
     "FaultSimResult",
     "FaultSimulator",
     "FrameSimulator",
+    "GradedTestSet",
     "Injection",
     "PackedValue",
     "Vector",

@@ -5,16 +5,18 @@ Faults are packed ``width`` at a time into the bit slots of one
 is simulated once per sequence.  A fault is *detected* at a frame when some
 primary output holds a known value in both circuits and the values differ.
 
-Each fault carries its own flip-flop state between calls, so the driver can
-fault-simulate only the newly appended test sequence after each accepted
-test instead of replaying the whole cumulative test set (the same
-incremental regime PROOFS runs inside HITEC).
+A run starts from given per-fault flip-flop states and returns the states
+it ends in, so a generator can fault-simulate only the newly appended test
+sequence after each accepted test instead of replaying the whole
+cumulative test set (the same incremental regime PROOFS runs inside
+HITEC).  :class:`GradedTestSet` runs that regime for every generator and
+for the campaign merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
@@ -55,33 +57,12 @@ def injection_for(cc: CompiledCircuit, fault: Fault, mask: int) -> Injection:
 Vector = Sequence[int]
 
 
-@dataclass
-class BlockGradeResult:
-    """Outcome of grading an ordered series of test-sequence blocks.
-
-    Attributes:
-        kept: indices of blocks that detected at least one new fault (all
-            blocks when redundant dropping is off).
-        dropped: indices of blocks that added no new detection.
-        detected: fault -> index of the block that first detected it.
-        per_block_new: newly detected fault count per block, in order.
-        good_state: fault-free flip-flop state after the kept blocks.
-    """
-
-    kept: List[int] = field(default_factory=list)
-    dropped: List[int] = field(default_factory=list)
-    detected: Dict[Fault, int] = field(default_factory=dict)
-    per_block_new: List[int] = field(default_factory=list)
-    good_state: List[int] = field(default_factory=list)
-
-
 def split_blocks(
     vectors: Sequence[Vector], bases: Sequence[int]
 ) -> List[List[List[int]]]:
     """Split a flat test set into the blocks starting at ``bases``.
 
-    The blocks :meth:`FaultSimulator.grade_blocks` takes; offset 0 always
-    starts one, and empty blocks are left out.
+    Offset 0 always starts a block, and empty blocks are left out.
     """
     starts = sorted(set(bases) | {0})
     blocks = []
@@ -178,11 +159,14 @@ class FaultSimulator:
         vectors: Sequence[Vector],
         faults: Sequence[Fault],
         good_state: Optional[Sequence[int]] = None,
-        fault_states: Optional[Dict[Fault, List[int]]] = None,
+        fault_states: Optional[Mapping[Fault, Sequence[int]]] = None,
         stop_on_all_detected: bool = True,
         record_signatures: bool = False,
     ) -> FaultSimResult:
         """Fault-simulate ``vectors`` against ``faults``.
+
+        The starting states are only read: the states the sequence leaves
+        behind come back on the result.
 
         Args:
             vectors: the test sequence (scalars in PI order, X allowed).
@@ -223,74 +207,11 @@ class FaultSimulator:
         return result
 
     # ------------------------------------------------------------------
-    def grade_blocks(
-        self,
-        blocks: Sequence[Sequence[Vector]],
-        faults: Sequence[Fault],
-        drop_redundant: bool = True,
-    ) -> BlockGradeResult:
-        """Grade an ordered series of test-sequence blocks incrementally.
-
-        Each block is applied from the good/faulty circuit states reached
-        after the previously *kept* blocks — the same incremental regime
-        the driver runs during validation, reused here so a campaign's
-        merge stage can re-grade many shards' tests against the full fault
-        list without replaying the cumulative set per block.  A block that
-        detects no still-undetected fault is dropped (when
-        ``drop_redundant``): its state changes are discarded, exactly as
-        if it had never been applied.
-
-        Args:
-            blocks: test sequences in application order (each a list of
-                vectors; campaign merge passes one accepted sequence per
-                block).
-            faults: the full fault list to grade against — typically a
-                whole circuit's collapsed universe, so detections are
-                credited across the shards that produced the blocks.
-            drop_redundant: drop blocks that add no new detection.
-        """
-        result = BlockGradeResult()
-        remaining: List[Fault] = list(faults)
-        good_state: Optional[List[int]] = None
-        fault_states: Dict[Fault, List[int]] = {}
-        with self.telemetry.span("sim.grade_blocks"):
-            for index, block in enumerate(blocks):
-                if not block or (drop_redundant and not remaining):
-                    result.dropped.append(index)
-                    result.per_block_new.append(0)
-                    continue
-                trial = {f: list(s) for f, s in fault_states.items()}
-                sim = self.run(
-                    block,
-                    remaining,
-                    good_state=good_state,
-                    fault_states=trial,
-                )
-                new = sim.detected
-                if new or not drop_redundant:
-                    result.kept.append(index)
-                    good_state = sim.good_state
-                    fault_states = {
-                        f: s for f, s in trial.items() if f not in new
-                    }
-                    fault_states.update(sim.fault_states)
-                    for fault in new:
-                        result.detected[fault] = index
-                    remaining = [f for f in remaining if f not in new]
-                else:
-                    result.dropped.append(index)
-                result.per_block_new.append(len(new))
-        result.good_state = list(good_state) if good_state else []
-        self.telemetry.count("sim.blocks_graded", len(blocks))
-        self.telemetry.count("sim.blocks_dropped", len(result.dropped))
-        return result
-
-    # ------------------------------------------------------------------
     def _run_batch(
         self,
         frames: List[List[PackedValue]],
         batch: List[Fault],
-        fault_states: Dict[Fault, List[int]],
+        fault_states: Mapping[Fault, Sequence[int]],
         result: FaultSimResult,
         stop_early: bool,
         record_signatures: bool = False,
@@ -358,7 +279,6 @@ class FaultSimulator:
         final = sim.get_state()
         for slot, fault in enumerate(batch):
             if detected_mask & (1 << slot):
-                fault_states.pop(fault, None)
                 continue
             state = []
             for p1, p0 in final:
@@ -367,7 +287,66 @@ class FaultSimulator:
                 zero = bool(p0 & bit)
                 state.append(X if one and zero else (1 if one else 0))
             result.fault_states[fault] = state
-            fault_states[fault] = state
+
+
+class GradedTestSet:
+    """A test set grown one sequence at a time under incremental grading.
+
+    Each candidate sequence is fault-simulated against the faults not yet
+    detected, from the good and faulty states the kept sequences leave
+    behind.  A kept sequence is appended, credits every fault it detects
+    to its starting offset and rolls the states forward; a rejected one
+    changes nothing.
+
+    Attributes:
+        sim: the fault simulator that grades every candidate.
+        remaining: faults not yet detected, in grading order; a generator
+            removes the faults it proves untestable.
+        vectors: the kept sequences, concatenated.
+        blocks: starting offset of each kept sequence in ``vectors``.
+        detected: fault -> starting offset of the sequence detecting it.
+        good_state: fault-free flip-flop state after ``vectors``.
+        fault_states: per remaining fault, its faulty flip-flop state after
+            ``vectors`` (all-X when absent).
+    """
+
+    def __init__(self, sim: FaultSimulator, faults: Sequence[Fault]):
+        self.sim = sim
+        self.remaining: List[Fault] = list(faults)
+        self.vectors: List[List[int]] = []
+        self.blocks: List[int] = []
+        self.detected: Dict[Fault, int] = {}
+        self.good_state: List[int] = [X] * len(sim.cc.ff_out)
+        self.fault_states: Dict[Fault, List[int]] = {}
+
+    def apply(
+        self,
+        sequence: Sequence[List[int]],
+        keep: Callable[[Dict[Fault, int]], bool] = bool,
+    ) -> bool:
+        """Grade ``sequence``; keep it when ``keep(detected)`` holds.
+
+        ``detected`` maps each remaining fault the sequence detects to
+        its frame; by default a sequence is kept when it detects any.
+        Returns whether the sequence was kept.
+        """
+        outcome = self.sim.run(
+            sequence,
+            self.remaining,
+            good_state=self.good_state,
+            fault_states=self.fault_states,
+        )
+        if not keep(outcome.detected):
+            return False
+        base = len(self.vectors)
+        self.blocks.append(base)
+        self.vectors.extend(sequence)
+        self.good_state = outcome.good_state
+        self.fault_states = outcome.fault_states
+        for fault in outcome.detected:
+            self.detected[fault] = base
+        self.remaining = [f for f in self.remaining if f not in outcome.detected]
+        return True
 
 
 def fault_coverage(

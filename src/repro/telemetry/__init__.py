@@ -16,7 +16,6 @@ from .metrics import (
     NullRecorder,
     Recorder,
     TelemetryRecorder,
-    make_recorder,
 )
 from .report import (
     FAULT_STATUSES,
@@ -43,7 +42,6 @@ __all__ = [
     "SCHEMA",
     "TelemetryRecorder",
     "diff_reports",
-    "make_recorder",
     "merge_run_reports",
     "render_diff",
     "validate_report",

@@ -22,7 +22,7 @@ Metric names are dotted paths; the full catalogue lives in
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from ..clock import perf_counter
 
@@ -151,9 +151,6 @@ class Recorder:
     def observe(self, name: str, value: float) -> None:
         """Record a histogram observation (no-op)."""
 
-    def event(self, name: str, **attrs: object) -> None:
-        """Record an instantaneous trace event (no-op)."""
-
     def span(self, name: str, **attrs: object) -> Any:
         """Context manager timing a phase (no-op)."""
         return _NULL_SPAN
@@ -233,17 +230,6 @@ class TelemetryRecorder(Recorder):
     def observe(self, name: str, value: float) -> None:
         self.registry.observe(name, value)
 
-    def event(self, name: str, **attrs: object) -> None:
-        if self.trace_enabled:
-            self.trace_events.append(
-                {
-                    "name": name,
-                    "ph": "i",
-                    "ts": (self.clock() - self._epoch) * 1e6,
-                    "args": attrs,
-                }
-            )
-
     def span(self, name: str, **attrs: object) -> _Span:
         return _Span(self, name, attrs)
 
@@ -291,16 +277,3 @@ class TelemetryRecorder(Recorder):
         with open(path, "w", encoding="utf-8") as handle:
             for event in self.trace_events:
                 handle.write(json.dumps(event) + "\n")
-
-
-def make_recorder(
-    enabled: bool, trace: bool = False
-) -> Optional[TelemetryRecorder]:
-    """A :class:`TelemetryRecorder` when asked for, else ``None``.
-
-    Convenience for CLI glue: components treat ``None`` as "use the
-    shared :data:`NULL_RECORDER`".
-    """
-    if not enabled and not trace:
-        return None
-    return TelemetryRecorder(trace=trace)

@@ -33,7 +33,6 @@ class TestSharedArtifacts:
         ctx = AtpgContext(s27())
         assert ctx.fault_simulator(64) is ctx.fault_simulator(64)
         assert ctx.fault_simulator(64) is not ctx.fault_simulator(32)
-        assert ctx.verifier() is ctx.fault_simulator(1)
 
 
 class TestConstraintsAndKnowledge:

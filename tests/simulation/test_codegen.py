@@ -25,7 +25,7 @@ from repro.simulation.codegen import (
 )
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, pack_const, unpack
-from repro.simulation.fault_sim import FaultSimulator, injection_for
+from repro.simulation.fault_sim import FaultSimulator, GradedTestSet, injection_for
 from repro.simulation.logic_sim import FrameSimulator, make_simulator, resolve_backend
 
 _ALL_COMB = [
@@ -165,18 +165,14 @@ class TestFaultEquivalence:
             [data.draw(st.integers(0, 2)) for _ in circuit.inputs]
             for _ in range(length)
         ]
-        states_ev, states_cg = {}, {}
         r_ev = FaultSimulator(circuit, width=8, backend="event").run(
-            vectors, faults, fault_states=states_ev,
-            stop_on_all_detected=False)
+            vectors, faults, stop_on_all_detected=False)
         r_cg = FaultSimulator(circuit, width=8, backend="codegen").run(
-            vectors, faults, fault_states=states_cg,
-            stop_on_all_detected=False)
+            vectors, faults, stop_on_all_detected=False)
         assert r_ev.detected == r_cg.detected  # same faults, same frames
         assert r_ev.fault_states == r_cg.fault_states
         assert r_ev.good_outputs == r_cg.good_outputs
         assert r_ev.good_state == r_cg.good_state
-        assert states_ev == states_cg
 
     def test_all_injection_kinds_explicit(self):
         # fanout net feeds a gate pin AND a flip-flop D pin, so the fault
@@ -232,24 +228,22 @@ class TestFaultEquivalence:
 
 
 def _run_both(circuit, vectors, faults, width, **kwargs):
-    """Fault-simulate on event and codegen, with carried states captured."""
-    runs = {}
-    for backend in ("event", "codegen"):
-        states = {}
-        sim = FaultSimulator(circuit, width=width, backend=backend)
-        res = sim.run(vectors, faults, fault_states=states, **kwargs)
-        runs[backend] = (res, states)
-    return runs
+    """Fault-simulate on event and codegen."""
+    return {
+        backend: FaultSimulator(circuit, width=width, backend=backend).run(
+            vectors, faults, **kwargs
+        )
+        for backend in ("event", "codegen")
+    }
 
 
 def _assert_equivalent(runs):
-    (ref, ref_states), (got, got_states) = runs["event"], runs["codegen"]
+    ref, got = runs["event"], runs["codegen"]
     assert got.detected == ref.detected
     assert list(got.detected) == list(ref.detected)  # insertion order too
     assert got.fault_states == ref.fault_states
     assert got.good_outputs == ref.good_outputs
     assert got.good_state == ref.good_state
-    assert got_states == ref_states
 
 
 class TestWidthsAndIncrementalRegimes:
@@ -297,6 +291,7 @@ class TestWidthsAndIncrementalRegimes:
                 detected.update(res.detected)
                 remaining = [f for f in remaining if f not in res.detected]
                 good = res.good_state
+                states = res.fault_states
             runs[backend] = (detected, states, good)
         assert runs["codegen"] == runs["event"]
 
@@ -309,9 +304,13 @@ class TestWidthsAndIncrementalRegimes:
         ]
         graded = {}
         for backend in ("event", "codegen"):
-            sim = FaultSimulator(circuit, width=32, backend=backend)
-            r = sim.grade_blocks(blocks, full_fault_list(circuit))
-            graded[backend] = (r.kept, r.dropped, r.detected, r.per_block_new)
+            tests = GradedTestSet(
+                FaultSimulator(circuit, width=32, backend=backend),
+                full_fault_list(circuit),
+            )
+            kept = [tests.apply(block) for block in blocks]
+            graded[backend] = (kept, tests.blocks, tests.detected,
+                               tests.fault_states)
         assert graded["codegen"] == graded["event"]
 
 

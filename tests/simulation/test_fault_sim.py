@@ -12,7 +12,12 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault, full_fault_list
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, pack_const, unpack
-from repro.simulation.fault_sim import FaultSimulator, fault_coverage, injection_for
+from repro.simulation.fault_sim import (
+    FaultSimulator,
+    GradedTestSet,
+    fault_coverage,
+    injection_for,
+)
 from repro.simulation.logic_sim import FrameSimulator
 
 from ..conftest import random_circuits
@@ -93,13 +98,14 @@ class TestDetectionRecords:
         c.add_output("y")
         fault = Fault("a", 0)
         sim = FaultSimulator(c)
-        states = {}
         # first call: the difference is captured in the flip-flop only
-        r1 = sim.run([[1]], [fault], fault_states=states)
+        r1 = sim.run([[1]], [fault])
         assert fault not in r1.detected
-        assert states[fault] == [0]  # faulty circuit latched the stuck 0
-        # second call continues from stored states: good q=1, faulty q=0
-        r2 = sim.run([[0]], [fault], good_state=r1.good_state, fault_states=states)
+        assert r1.fault_states[fault] == [0]  # faulty circuit latched the stuck 0
+        # second call continues from the carried states: good q=1, faulty q=0
+        r2 = sim.run(
+            [[0]], [fault], good_state=r1.good_state, fault_states=r1.fault_states
+        )
         assert fault in r2.detected
 
     def test_detected_faults_drop_from_states(self):
@@ -109,6 +115,67 @@ class TestDetectionRecords:
         vectors = [[rng.getrandbits(1) for _ in circuit.inputs] for _ in range(50)]
         result = FaultSimulator(circuit).run(vectors, faults)
         assert set(result.fault_states) == set(faults) - set(result.detected)
+
+    def test_run_leaves_its_start_states_unchanged(self):
+        circuit = s27()
+        faults = collapse_faults(circuit)
+        vectors = _random_vectors(circuit, 16, seed=2)
+        sim = FaultSimulator(circuit)
+        first = sim.run(vectors[:8], faults)
+        good = list(first.good_state)
+        states = {f: list(s) for f, s in first.fault_states.items()}
+        remaining = [f for f in faults if f not in first.detected]
+        second = sim.run(vectors[8:], remaining, good_state=good, fault_states=states)
+        assert second.detected  # the second run must have states to drop
+        assert good == first.good_state
+        assert states == first.fault_states
+
+
+def _random_vectors(circuit, count, seed):
+    rng = random.Random(seed)
+    return [[rng.getrandbits(1) for _ in circuit.inputs] for _ in range(count)]
+
+
+def _snapshot(tests):
+    return (
+        list(tests.remaining),
+        [list(v) for v in tests.vectors],
+        list(tests.blocks),
+        dict(tests.detected),
+        list(tests.good_state),
+        {f: list(s) for f, s in tests.fault_states.items()},
+    )
+
+
+class TestGradedTestSet:
+    """One class grows every test set under incremental grading."""
+
+    def test_rejected_sequence_changes_nothing(self):
+        circuit = s27()
+        vectors = _random_vectors(circuit, 16, seed=2)
+        tests = GradedTestSet(FaultSimulator(circuit), collapse_faults(circuit))
+        assert tests.apply(vectors[:8])
+        before = _snapshot(tests)
+        assert not tests.apply(vectors[8:], keep=lambda detected: False)
+        assert _snapshot(tests) == before
+
+    def test_kept_sequence_equals_one_run_from_the_same_states(self):
+        circuit = s27()
+        vectors = _random_vectors(circuit, 16, seed=2)
+        tests = GradedTestSet(FaultSimulator(circuit), collapse_faults(circuit))
+        assert tests.apply(vectors[:8])
+        remaining, _, blocks, detected, good, states = _snapshot(tests)
+        once = FaultSimulator(circuit).run(
+            vectors[8:], remaining, good_state=good, fault_states=states
+        )
+        assert once.detected
+        assert tests.apply(vectors[8:])
+        assert tests.vectors == vectors
+        assert tests.blocks == blocks + [8]
+        assert tests.detected == {**detected, **dict.fromkeys(once.detected, 8)}
+        assert tests.remaining == [f for f in remaining if f not in once.detected]
+        assert tests.good_state == once.good_state
+        assert tests.fault_states == once.fault_states
 
 
 class TestCoverageHelper:

@@ -19,7 +19,11 @@ from repro.faults.model import Fault
 from repro.simulation import kernel_cache
 from repro.simulation.codegen import compile_stats, kernel_for
 from repro.simulation.compiled import compile_circuit
-from repro.simulation.fault_sim import FaultSimulator, injection_for
+from repro.simulation.fault_sim import (
+    FaultSimulator,
+    GradedTestSet,
+    injection_for,
+)
 
 from ..conftest import random_circuits
 
@@ -109,11 +113,10 @@ class TestCarriedStateSoundness:
         # ff s-t-f: after d=1 then d=0 the latch holds raw 0, but the
         # forced (slow-to-fall) read of the net is still 1
         fault = Fault("ff", 1, model="transition")
-        states = {}
         sim = FaultSimulator(ff_circuit(), width=8, backend=backend)
-        result = sim.run([[1], [0]], [fault], fault_states=states)
+        result = sim.run([[1], [0]], [fault])
         assert not result.detected  # no feedback: never observable here
-        assert states[fault] == [0]
+        assert result.fault_states[fault] == [0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_incremental_detection_subset_of_scratch(self, backend):
@@ -152,6 +155,7 @@ class TestCarriedStateSoundness:
                 incremental |= set(res.detected)
                 remaining = [f for f in remaining if f not in res.detected]
                 good_state = res.good_state
+                states = res.fault_states
             assert incremental <= scratch, sorted(
                 str(f) for f in incremental - scratch
             )
@@ -231,14 +235,17 @@ class TestBackendEquivalence:
             ]
             for _ in range(3)
         ]
-        sim = FaultSimulator(circuit, width=8, backend=backend)
-        graded = sim.grade_blocks(blocks, faults)
-        oracle = FaultSimulator(circuit, width=8, backend="event").grade_blocks(
-            blocks, faults
-        )
-        assert graded.detected == oracle.detected
-        assert graded.per_block_new == oracle.per_block_new
-        assert graded.good_state == oracle.good_state
+
+        def grade(backend):
+            tests = GradedTestSet(
+                FaultSimulator(circuit, width=8, backend=backend), faults
+            )
+            kept = [tests.apply(block) for block in blocks]
+            return kept, tests.detected, tests.good_state, tests.fault_states
+
+        graded = grade(backend)
+        assert graded[1], "no block detected anything — dead test"
+        assert graded == grade("event")
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from repro.telemetry import (
     NullRecorder,
     Recorder,
     TelemetryRecorder,
-    make_recorder,
 )
 from repro.telemetry.metrics import _NULL_SPAN
 
@@ -39,7 +38,6 @@ class TestNullRecorder:
         NULL_RECORDER.count("x")
         NULL_RECORDER.count("x", 5)
         NULL_RECORDER.observe("y", 1.5)
-        NULL_RECORDER.event("z", detail=1)
         assert NULL_RECORDER.value("x") == 0
 
     def test_span_reuses_shared_singleton(self):
@@ -142,22 +140,16 @@ class TestTelemetryRecorder:
     def test_trace_disabled_keeps_no_events(self):
         rec = TelemetryRecorder(trace=False)
         with rec.span("phase"):
-            rec.event("tick", n=1)
+            pass
         assert rec.trace_events == []
         assert rec.value("phase.calls") == 1
-
-    def test_instant_events(self):
-        rec = TelemetryRecorder(trace=True, clock=FakeClock(step=0.5))
-        rec.event("mark", kind="checkpoint")
-        (event,) = rec.trace_events
-        assert event["ph"] == "i"
-        assert event["args"] == {"kind": "checkpoint"}
 
     def test_save_trace_writes_jsonl(self, tmp_path):
         rec = TelemetryRecorder(trace=True, clock=FakeClock(step=1.0))
         with rec.span("a"):
             pass
-        rec.event("b")
+        with rec.span("b"):
+            pass
         path = tmp_path / "trace.jsonl"
         rec.save_trace(str(path))
         lines = path.read_text().splitlines()
@@ -172,21 +164,6 @@ class TestTelemetryRecorder:
             pass
         hist = rec.registry.histograms["slow.seconds"]
         assert hist.total == pytest.approx(2.0)
-
-
-class TestMakeRecorder:
-    def test_disabled_returns_none(self):
-        assert make_recorder(False) is None
-
-    def test_enabled_returns_recorder(self):
-        rec = make_recorder(True)
-        assert isinstance(rec, TelemetryRecorder)
-        assert rec.trace_enabled is False
-
-    def test_trace_implies_recorder(self):
-        rec = make_recorder(False, trace=True)
-        assert isinstance(rec, TelemetryRecorder)
-        assert rec.trace_enabled is True
 
 
 class TestNoOpOverhead:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.cli import main, resolve_circuit
+from repro.cli import _read_vectors, main, resolve_circuit
 from repro.circuit.bench import load_bench
 from repro.circuit.verilog import load_verilog
 from repro.circuits import s27
+from repro.faults.collapse import collapse_faults
+from repro.simulation.fault_sim import FaultSimulator
 
 
 class TestConvert:
@@ -46,6 +48,28 @@ class TestCompactFlag:
         ])
         assert code == 0
         assert "compaction:" in capsys.readouterr().out
+
+    def test_compaction_keeps_the_runs_own_coverage(self, tmp_path, capsys):
+        # a transition run is compacted against its transition faults, not
+        # the stuck-at universe, so the compacted set loses no detection
+        run = [
+            "atpg", "s27", "--fault-model", "transition", "--baseline",
+            "--passes", "1", "--backtracks", "5", "--seed", "7",
+            "--time-scale", "1000",
+        ]
+        full = str(tmp_path / "full.vec")
+        compact = str(tmp_path / "compact.vec")
+        assert main(run + ["-o", full]) == 0
+        assert main(run + ["--compact", "-o", compact]) == 0
+        capsys.readouterr()
+        circuit = s27()
+        faults = collapse_faults(circuit, "transition")
+
+        def detected(path):
+            vectors = _read_vectors(path, len(circuit.inputs))
+            return len(FaultSimulator(circuit).run(vectors, faults).detected)
+
+        assert detected(compact) >= detected(full) > 0
 
 
 class TestDiagnoseCommand:
