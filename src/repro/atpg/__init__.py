@@ -1,7 +1,7 @@
 """Deterministic ATPG: PODEM over unrolled time frames, HITEC-style engine."""
 
 from .values import D, DBAR, MASK2, ONE, XX, ZERO, faulty_of, good_of, has_x, is_d, is_known, make9, show9
-from .scoap import HARD, Testability, compute_testability
+from .scoap import HARD, Testability, cached_testability, compute_testability
 from .unrolled import UnrolledModel
 from .podem import Limits, PodemEngine, SearchStatus, Solution
 from .constraints import InputConstraints, UNCONSTRAINED
@@ -40,6 +40,7 @@ __all__ = [
     "UnrolledModel",
     "XX",
     "ZERO",
+    "cached_testability",
     "compute_testability",
     "faulty_of",
     "good_of",

@@ -3,13 +3,14 @@
 Before this module, every layer that touched a circuit — the hybrid
 driver, :class:`~repro.atpg.hitec.SequentialTestGenerator`,
 :func:`~repro.atpg.justify.justify_state`, the GA justifier, the fault
-simulator — independently coerced ``Circuit | CompiledCircuit``, computed
-SCOAP testability, collapsed the fault universe, and built simulator
-instances.  :class:`AtpgContext` owns all of that once per circuit:
+simulator — independently coerced ``Circuit | CompiledCircuit``,
+collapsed the fault universe, and built simulator instances.
+:class:`AtpgContext` owns all of that once per circuit:
 
 * the :class:`~repro.simulation.compiled.CompiledCircuit` (compiled on
-  demand from a :class:`~repro.circuit.netlist.Circuit`);
-* SCOAP :class:`~repro.atpg.scoap.Testability` measures (lazy);
+  demand from a :class:`~repro.circuit.netlist.Circuit`), which itself
+  caches the circuit's fixed facts, SCOAP measures among them
+  (:func:`~repro.atpg.scoap.cached_testability`);
 * the collapsed fault universe (lazy);
 * fault-simulator handles, cached by word width;
 * the telemetry recorder;
@@ -35,7 +36,6 @@ from ..simulation.compiled import CompiledCircuit, compile_circuit
 from ..simulation.fault_sim import FaultSimulator
 from ..telemetry import NULL_RECORDER, Recorder
 from .constraints import InputConstraints, UNCONSTRAINED
-from .scoap import Testability, compute_testability
 
 #: Anything a context accepts as "the circuit".
 CircuitLike = Union[Circuit, CompiledCircuit]
@@ -46,8 +46,6 @@ class AtpgContext:
 
     Args:
         circuit: the circuit under test, compiled or not.
-        testability: precomputed SCOAP measures (computed lazily when
-            omitted).
         constraints: environment input constraints (``None`` or a trivial
             constraint set both normalise to unconstrained).
         telemetry: shared metrics recorder (defaults to the no-op).
@@ -61,7 +59,6 @@ class AtpgContext:
     def __init__(
         self,
         circuit: CircuitLike,
-        testability: Optional[Testability] = None,
         constraints: Optional[InputConstraints] = None,
         telemetry: Optional[Recorder] = None,
         knowledge: Optional[StateKnowledge] = None,
@@ -76,18 +73,10 @@ class AtpgContext:
         self.telemetry: Recorder = telemetry or NULL_RECORDER
         self.knowledge = knowledge
         self.fault_model = resolve_fault_model(fault_model).name
-        self._testability = testability
         self._faults: Optional[List[Fault]] = None
         self._simulators: Dict[int, FaultSimulator] = {}
 
     # -- lazy shared artifacts -----------------------------------------
-    @property
-    def testability(self) -> Testability:
-        """SCOAP measures, computed once per context."""
-        if self._testability is None:
-            self._testability = compute_testability(self.cc)
-        return self._testability
-
     @property
     def faults(self) -> List[Fault]:
         """The collapsed fault universe, computed once per context."""

@@ -196,7 +196,6 @@ class SequentialTestGenerator:
                 break
             engine = PodemEngine(
                 self.cc, fault=fault, num_frames=frames,
-                testability=self.ctx.testability,
                 constraints=self.ctx.active_constraints,
             )
             counters.excite_attempts += 1

@@ -35,7 +35,6 @@ from ..knowledge import StateKnowledge
 from ..simulation.compiled import CompiledCircuit
 from .constraints import InputConstraints
 from .podem import Limits, PodemEngine, SearchStatus, Solution
-from .scoap import Testability, compute_testability
 
 
 class JustifyStatus(enum.Enum):
@@ -121,12 +120,12 @@ class StepCursor:
 class JustifySteps:
     """Memo of single-step JUSTIFY searches, by ordered cube and budget.
 
-    A JUSTIFY engine reads only the circuit, the SCOAP measures, the
+    A JUSTIFY engine reads only the circuit (and its SCOAP measures), the
     constraints and its ordered targets (the first unmet one is its next
     objective), so its solutions and their backtrack counts are fixed; a
     budget only cuts the stream where backtracks first exceed it.  A memo
-    serves one circuit, testability and constraint set, and its solutions
-    are shared by every caller, so they must not change.
+    serves one circuit and constraint set, and its solutions are shared
+    by every caller, so they must not change.
 
     Attributes:
         built: single-step searches built.
@@ -140,15 +139,14 @@ class JustifySteps:
 
     def query(
         self, cc: CompiledCircuit, required: Dict[str, int], limits: Limits,
-        testability: Testability, constraints: "Optional[InputConstraints]",
+        constraints: "Optional[InputConstraints]",
     ) -> StepCursor:
         """A cursor over the solutions that set ``required`` in one step."""
         key = (tuple(required.items()), limits.max_backtracks)
         stream = self._streams.get(key)
         if stream is None:
             stream = self._streams[key] = _Stream(PodemEngine(
-                cc, targets=required, testability=testability,
-                constraints=constraints,
+                cc, targets=required, constraints=constraints,
             ))
             self.built += 1
         else:
@@ -161,7 +159,6 @@ def justify_state(
     required: Dict[str, int],
     max_depth: int,
     limits: Limits,
-    testability: Optional[Testability] = None,
     solutions_per_step: int = 8,
     constraints: "Optional[InputConstraints]" = None,
     knowledge: "Optional[StateKnowledge]" = None,
@@ -174,7 +171,6 @@ def justify_state(
         required: cared flip-flop values {ff net name: 0/1}.
         max_depth: maximum number of reverse time frames to chain.
         limits: shared search budget (backtracks count across all steps).
-        testability: SCOAP measures (computed once if omitted).
         solutions_per_step: alternative single-frame solutions to try before
             giving up on a partial requirement.
         constraints: environment-imposed input constraints applied to every
@@ -187,10 +183,9 @@ def justify_state(
             responsible for passing a store whose constraint fingerprint
             matches ``constraints``.
         steps: memo of single-step searches to read and extend, shared by
-            calls on the same circuit, testability and constraints; one
-            private to the call when omitted.
+            calls on the same circuit and constraints; one private to the
+            call when omitted.
     """
-    meas = testability or compute_testability(cc)
     if steps is None:
         steps = JustifySteps()
     # Three distinct failure bits so knowledge recording stays sound:
@@ -230,7 +225,7 @@ def justify_state(
         key = frozenset(req.items())
         if key in seen:
             return None  # state-requirement loop: cannot make progress
-        cursor = steps.query(cc, req, limits, meas, constraints)
+        cursor = steps.query(cc, req, limits, constraints)
         tried = 0
         for sol in cursor:
             if (

@@ -30,7 +30,7 @@ from ..faults.model import Fault
 from ..simulation.compiled import CompiledCircuit
 from ..simulation.encoding import X
 from .constraints import InputConstraints
-from .scoap import Testability, compute_testability
+from .scoap import cached_testability
 from .unrolled import Leaf, UndoRecord, UnrolledModel
 
 
@@ -97,7 +97,6 @@ class PodemEngine:
         fault: target fault (``None`` in JUSTIFY mode).
         num_frames: window size (DETECT) or 1 (JUSTIFY).
         targets: JUSTIFY-mode goals, as {D-input net name: 0/1}.
-        testability: SCOAP measures (computed on demand if omitted).
     """
 
     def __init__(
@@ -106,7 +105,6 @@ class PodemEngine:
         fault: Optional[Fault] = None,
         num_frames: int = 1,
         targets: Optional[Dict[str, int]] = None,
-        testability: Optional[Testability] = None,
         constraints: "Optional[InputConstraints]" = None,
         observe_ppo: bool = False,
     ):
@@ -117,7 +115,6 @@ class PodemEngine:
         self.cc = cc
         self.fault = fault
         self.model = UnrolledModel(cc, fault, num_frames)
-        self.meas = testability or compute_testability(cc)
         self.observe_ppo = observe_ppo
         self._hold_pins: set = set()
         if constraints is not None and not constraints.is_trivial:
@@ -251,9 +248,10 @@ class PodemEngine:
             if edge_reachable or model.d_reaches_window_edge():
                 self.window_hit = True
             return None
+        meas = cached_testability(self.cc)
         for frame, pos in sorted(
             frontier,
-            key=lambda fp: (fp[0], self.meas.co[self.cc.gates[fp[1]].out]),
+            key=lambda fp: (fp[0], meas.co[self.cc.gates[fp[1]].out]),
         ):
             gate = self.cc.gates[pos]
             ctrl = CONTROLLING_VALUE.get(gate.gtype)
@@ -265,8 +263,7 @@ class PodemEngine:
                     if want is not None:
                         return (frame, src, want)
                     return (
-                        frame, src,
-                        0 if self.meas.cc0[src] <= self.meas.cc1[src] else 1,
+                        frame, src, 0 if meas.cc0[src] <= meas.cc1[src] else 1
                     )
         # No frontier gate offers a good-X input, yet an X path exists: the
         # remaining unknowns are faulty-slot-only and resolve as more leaves
@@ -276,12 +273,12 @@ class PodemEngine:
     def _fill_objective(self) -> Optional[Tuple[int, int, int]]:
         """Pick an unassigned leaf when no frontier objective is available."""
         model = self.model
+        meas = cached_testability(self.cc)
         for frame in range(model.num_frames):
             for idx in self.cc.pi:
                 if model.good(frame, idx) == X:
                     return (
-                        frame, idx,
-                        0 if self.meas.cc0[idx] <= self.meas.cc1[idx] else 1,
+                        frame, idx, 0 if meas.cc0[idx] <= meas.cc1[idx] else 1
                     )
         for idx in self.cc.ff_out:
             if model.good(0, idx) == X:
@@ -294,6 +291,7 @@ class PodemEngine:
         """Walk an objective back to an unassigned leaf (classic PODEM)."""
         cc = self.cc
         model = self.model
+        meas = cached_testability(cc)
         guard = 0
         while True:
             guard += 1
@@ -343,11 +341,11 @@ class PodemEngine:
                 return None
             if need == ctrl:
                 # one controlling input suffices: pick the easiest
-                idx = min(xs, key=lambda src: self.meas.cc(src, ctrl))
+                idx = min(xs, key=lambda src: meas.cc(src, ctrl))
                 value = ctrl
             else:
                 # all inputs must be non-controlling: attack the hardest first
-                idx = max(xs, key=lambda src: self.meas.cc(src, 1 - ctrl))
+                idx = max(xs, key=lambda src: meas.cc(src, 1 - ctrl))
                 value = 1 - ctrl
 
     def _assign_decision(self, frame: int, idx: int, value: int):

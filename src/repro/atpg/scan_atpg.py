@@ -32,7 +32,6 @@ from ..simulation.compiled import CompiledCircuit, compile_circuit
 from ..simulation.encoding import X
 from ..simulation.fault_sim import FaultSimulator, GradedTestSet
 from .podem import Limits, PodemEngine, SearchStatus
-from .scoap import compute_testability
 
 
 @dataclass
@@ -62,7 +61,6 @@ class ScanTestGenerator:
         self.original = circuit
         self.scanned, self.chain = insert_scan(circuit)
         self.cc: CompiledCircuit = compile_circuit(self.scanned)
-        self.meas = compute_testability(self.cc)
         self.sim = FaultSimulator(self.cc, width=width)
         self.n_pi_orig = len(circuit.inputs)
 
@@ -130,13 +128,7 @@ class ScanTestGenerator:
     # ------------------------------------------------------------------
     def _target(self, fault: Fault, params: ScanAtpgParams, deadline, tick):
         """One scan test (load + capture + unload), or an untestable proof."""
-        engine = PodemEngine(
-            self.cc,
-            fault=fault,
-            num_frames=1,
-            testability=self.meas,
-            observe_ppo=True,
-        )
+        engine = PodemEngine(self.cc, fault=fault, num_frames=1, observe_ppo=True)
         limits = Limits(max_backtracks=params.max_backtracks,
                         deadline=deadline, clock=tick)
         sol = engine.run(limits)

@@ -4,20 +4,22 @@ Combinational 0/1-controllabilities (CC0/CC1) and observabilities (CO) in
 the classic Goldstein formulation, with two sequential adaptations:
 
 * flip-flop outputs (pseudo primary inputs) get a fixed, deliberately high
-  controllability ``ppi_cost``, biasing the backtrace toward primary inputs
-  so deterministic search leaves as few state requirements as possible for
-  the justifier;
+  controllability :data:`PPI_COST`, biasing the backtrace toward primary
+  inputs so deterministic search leaves as few state requirements as
+  possible for the justifier;
 * flip-flop D inputs (pseudo primary outputs) get observability
-  ``ppo_cost``, biasing D-drive toward real primary outputs.
+  :data:`PPO_COST`, biasing D-drive toward real primary outputs.
 
 These are heuristics — any finite values keep PODEM correct; the numbers
-only shape the search order.
+only shape the search order.  The measures depend on the circuit alone,
+so :func:`cached_testability` computes them once per compiled circuit and
+every search, policy feature and plan reads that one shared object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from ..circuit.gates import GateType
 from ..simulation.compiled import CompiledCircuit
@@ -25,10 +27,19 @@ from ..simulation.compiled import CompiledCircuit
 #: A large-but-finite stand-in for "very hard"; avoids float('inf') sums.
 HARD = 1 << 20
 
+#: Controllability charged for using a flip-flop output.
+PPI_COST = 50
 
-@dataclass
+#: Observability charged for driving a fault effect into a flip-flop D
+#: input instead of a primary output.
+PPO_COST = 30
+
+
+@dataclass(frozen=True)
 class Testability:
     """Per-net controllability/observability estimates (index-addressed).
+
+    Shared by every reader of one compiled circuit, so it is immutable.
 
     Attributes:
         cc0: cost of setting each net to 0.
@@ -36,33 +47,33 @@ class Testability:
         co: cost of observing each net at a primary output.
     """
 
-    cc0: List[int]
-    cc1: List[int]
-    co: List[int]
+    cc0: Tuple[int, ...]
+    cc1: Tuple[int, ...]
+    co: Tuple[int, ...]
 
     def cc(self, idx: int, value: int) -> int:
         """Controllability of ``value`` (0 or 1) on net ``idx``."""
         return self.cc1[idx] if value == 1 else self.cc0[idx]
 
 
-def compute_testability(
-    cc: CompiledCircuit, ppi_cost: int = 50, ppo_cost: int = 30
-) -> Testability:
-    """Compute SCOAP-lite measures for a compiled circuit.
+def cached_testability(cc: CompiledCircuit) -> Testability:
+    """The circuit's SCOAP measures, computed on first use and cached on
+    ``cc``; racing builds are equal."""
+    facts = vars(cc)
+    if "_testability" not in facts:
+        facts.setdefault("_testability", compute_testability(cc))
+    return facts["_testability"]
 
-    Args:
-        cc: the compiled circuit.
-        ppi_cost: controllability charged for using a flip-flop output.
-        ppo_cost: observability charged for driving a fault effect into a
-            flip-flop D input instead of a primary output.
-    """
+
+def compute_testability(cc: CompiledCircuit) -> Testability:
+    """Compute SCOAP-lite measures for a compiled circuit (uncached)."""
     n = cc.num_nets
     cc0 = [HARD] * n
     cc1 = [HARD] * n
     for i in cc.pi:
         cc0[i] = cc1[i] = 1
     for i in cc.ff_out:
-        cc0[i] = cc1[i] = ppi_cost
+        cc0[i] = cc1[i] = PPI_COST
 
     for gate in cc.gates:  # already in level order
         ins0 = [cc0[i] for i in gate.fanin]
@@ -104,7 +115,7 @@ def compute_testability(
     for i in cc.po:
         co[i] = 0
     for i in cc.ff_in:
-        co[i] = min(co[i], ppo_cost)
+        co[i] = min(co[i], PPO_COST)
     for gate in reversed(cc.gates):
         out_co = co[gate.out]
         if out_co >= HARD:
@@ -131,4 +142,4 @@ def compute_testability(
                 raise ValueError(f"unexpected gate type {t}")
             co[src] = min(co[src], cost)
 
-    return Testability(cc0=cc0, cc1=cc1, co=co)
+    return Testability(cc0=tuple(cc0), cc1=tuple(cc1), co=tuple(co))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
 from ..clock import monotonic
@@ -28,8 +28,7 @@ from ..faults.collapse import collapse_faults
 from ..faults.model import Fault
 from ..hybrid.results import PassStats, RunResult
 from ..simulation.compiled import compile_circuit
-from ..simulation.encoding import X
-from ..simulation.fault_sim import FaultSimulator
+from ..simulation.fault_sim import FaultSimulator, GradedTestSet
 
 
 @dataclass
@@ -77,29 +76,33 @@ class RandomTestGenerator:
         time_limit: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> RunResult:
-        """Generate until coverage stalls; returns cumulative statistics."""
+        """Generate until coverage stalls; returns cumulative statistics.
+
+        Every block is kept while the run goes on, because the next block
+        starts from the states it leaves; the test set ends with the last
+        block that detected a fault, and ``blocks`` holds the offsets of
+        the detecting blocks.
+        """
         params = params or RandomAtpgParams()
         tick = clock or monotonic
         start = tick()
-        remaining: List[Fault] = (
-            list(faults) if faults is not None else collapse_faults(self.circuit)
+        tests = GradedTestSet(
+            self.sim,
+            faults if faults is not None else collapse_faults(self.circuit),
         )
         result = RunResult(
             circuit_name=self.circuit.name,
             generator=self.name,
-            total_faults=len(remaining),
+            total_faults=len(tests.remaining),
         )
-        test_set: List[List[int]] = []
-        good_state: List[int] = [X] * len(self.cc.ff_out)
-        fault_states: Dict[Fault, List[int]] = {}
-        detected: Dict[Fault, int] = {}
+        end = 0  # the test set ends after the last detecting block
         stale = 0
         block_no = 0
 
         while (
-            remaining
+            tests.remaining
             and stale < params.stale_blocks
-            and len(test_set) < params.max_vectors
+            and len(tests.vectors) < params.max_vectors
         ):
             if (
                 time_limit is not None
@@ -107,20 +110,11 @@ class RandomTestGenerator:
             ):
                 break
             block_no += 1
-            block = self._next_block(params, remaining, good_state, fault_states)
-            outcome = self.sim.run(
-                block, remaining, good_state=good_state,
-                fault_states=fault_states,
-            )
-            base = len(test_set)
-            test_set.extend(block)
-            good_state = outcome.good_state
-            fault_states = outcome.fault_states
-            if outcome.detected:
-                result.blocks.append(base)
-                for fault in outcome.detected:
-                    detected[fault] = base
-                remaining = [f for f in remaining if f not in outcome.detected]
+            found = len(tests.detected)
+            tests.apply(self._next_block(params, tests), keep=lambda d: True)
+            if len(tests.detected) > found:
+                result.blocks.append(tests.blocks[-1])
+                end = len(tests.vectors)
                 stale = 0
             else:
                 stale += 1
@@ -128,22 +122,18 @@ class RandomTestGenerator:
                 PassStats(
                     number=block_no,
                     approach=self.name.lower(),
-                    detected=len(detected),
-                    vectors=len(test_set),
+                    detected=len(tests.detected),
+                    vectors=end,
                     time_s=tick() - start,
                 )
             )
 
-        result.test_set = test_set
-        result.detected = detected
+        result.test_set = tests.vectors[:end]
+        result.detected = tests.detected
         return result
 
     def _next_block(
-        self,
-        params: RandomAtpgParams,
-        remaining: Sequence[Fault],
-        good_state: Sequence[int],
-        fault_states: Dict[Fault, List[int]],
+        self, params: RandomAtpgParams, tests: GradedTestSet
     ) -> List[List[int]]:
         return self._block(self.weights(), params.block_len)
 
@@ -183,11 +173,7 @@ class WeightedRandomTestGenerator(RandomTestGenerator):
         ]
 
     def _next_block(
-        self,
-        params: RandomAtpgParams,
-        remaining: Sequence[Fault],
-        good_state: Sequence[int],
-        fault_states: Dict[Fault, List[int]],
+        self, params: RandomAtpgParams, tests: GradedTestSet
     ) -> List[List[int]]:
         options = [self.weights()] + [
             self._perturb() for _ in range(self.candidates - 1)
@@ -198,8 +184,8 @@ class WeightedRandomTestGenerator(RandomTestGenerator):
         for weights in options:
             block = self._block(weights, params.block_len)
             outcome = self.sim.run(
-                block, remaining, good_state=good_state,
-                fault_states=fault_states, stop_on_all_detected=False,
+                block, tests.remaining, good_state=tests.good_state,
+                fault_states=tests.fault_states, stop_on_all_detected=False,
             )
             score = len(outcome.detected)
             if score > best_score:

@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..knowledge import KnowledgeError, StateKnowledge
-from ..simulation.compiled import compile_circuit
 from ..simulation.fault_sim import FaultSimulator, GradedTestSet, split_blocks
-from ..circuits.resolve import resolve_circuit
 from ..telemetry import RunReport, merge_run_reports
-from .queue import shard_faults
 from .spec import CampaignSpec
+from .warm import CampaignWarmState
 
 
 @dataclass
@@ -162,13 +160,17 @@ def _merge_knowledge(
 
 
 def merge_campaign(
-    spec: CampaignSpec, payloads: Dict[str, Dict[str, Any]]
+    spec: CampaignSpec,
+    payloads: Dict[str, Dict[str, Any]],
+    warm: CampaignWarmState,
 ) -> CampaignResult:
     """Merge item payloads (from the journal) into the campaign result.
 
     ``payloads`` maps item id -> the ``item_done`` payload dict.  Items
     are processed in sorted item-id order, which equals shard order, so
-    the merged output is independent of worker scheduling.
+    the merged output is independent of worker scheduling.  ``warm`` is
+    the campaign's warm state, built from ``spec``: each circuit's
+    compiled form and target faults come from it.
     """
     result = CampaignResult(name=spec.name, spec_hash=spec.spec_hash())
     reports: List[RunReport] = []
@@ -191,16 +193,15 @@ def merge_campaign(
                 result.knowledge_stats[key] = (
                     result.knowledge_stats.get(key, 0) + int(value)
                 )
-        circuit = resolve_circuit(circuit_name)
-        faults = shard_faults(spec, circuit_name)
+        state = warm.circuits[circuit_name]
         merged = CircuitMergeResult(
             circuit=circuit_name,
-            total_faults=len(faults),
+            total_faults=len(state.faults),
             untestable=sorted(set(untestable)),
         )
         if sequences:
-            sim = FaultSimulator(compile_circuit(circuit), width=spec.width)
-            tests = GradedTestSet(sim, faults)
+            sim = FaultSimulator(state.cc, width=spec.width)
+            tests = GradedTestSet(sim, state.faults)
             for sequence in sequences:
                 if not (tests.remaining and tests.apply(sequence)):
                     merged.dropped_sequences += 1

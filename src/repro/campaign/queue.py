@@ -2,11 +2,11 @@
 
 :func:`build_items` turns a :class:`~repro.campaign.spec.CampaignSpec`
 into the campaign's complete, deterministic list of work items: each
-circuit's collapsed fault list (sorted, optionally capped) is partitioned
-into contiguous shards of at most ``shard_size`` faults.  Item identities,
-fault slices, and seeds depend only on the spec, so a resumed campaign
-rebuilds exactly the same catalogue and the journal only has to remember
-which item *states* were reached.
+circuit's target fault list, read from the campaign's warm state, is
+partitioned into contiguous shards of at most ``shard_size`` faults.
+Item identities, fault slices, and seeds depend only on the spec, so a
+resumed campaign rebuilds exactly the same catalogue and the journal
+only has to remember which item *states* were reached.
 
 :class:`WorkQueue` is the in-memory state machine the runner drives:
 pending → running → done / failed, with bounded retries.  Failures
@@ -23,10 +23,10 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional
 
-from ..faults.collapse import collapse_faults
 from ..faults.model import Fault
 from ..circuits.resolve import resolve_circuit
 from .spec import CampaignError, CampaignSpec, derive_seed
+from .warm import CampaignWarmState
 
 
 class ItemState(enum.Enum):
@@ -65,11 +65,12 @@ class WorkItem:
 
 
 def shard_faults(spec: CampaignSpec, circuit_name: str) -> List[Fault]:
-    """The circuit's target fault list in canonical (sorted) order."""
-    faults = collapse_faults(resolve_circuit(circuit_name), spec.fault_model)
-    if spec.fault_limit is not None:
-        faults = faults[: spec.fault_limit]
-    return faults
+    """The circuit's target fault list in canonical (sorted) order.
+
+    Resolves the circuit afresh; a campaign reads the same list from its
+    warm state instead.
+    """
+    return spec.faults_for(resolve_circuit(circuit_name))
 
 
 def _hash_faults(faults: List[Fault]) -> str:
@@ -77,11 +78,15 @@ def _hash_faults(faults: List[Fault]) -> str:
     return hashlib.sha256(names.encode("utf-8")).hexdigest()[:12]
 
 
-def build_items(spec: CampaignSpec) -> List[WorkItem]:
-    """The campaign's full, deterministic work-item catalogue."""
+def build_items(spec: CampaignSpec, warm: CampaignWarmState) -> List[WorkItem]:
+    """The campaign's full, deterministic work-item catalogue.
+
+    ``warm`` is the campaign's warm state, built from ``spec``; each
+    circuit's target faults come from it.
+    """
     items: List[WorkItem] = []
     for circuit_name in spec.circuits:
-        faults = shard_faults(spec, circuit_name)
+        faults = warm.circuits[circuit_name].faults
         if not faults:
             continue
         for shard, start in enumerate(range(0, len(faults), spec.shard_size)):

@@ -143,7 +143,15 @@ class CampaignRunner:
         """Execute the campaign to completion (fresh or resumed)."""
         wall0 = self.clock()
         phase_times: Dict[str, float] = {}
-        items = build_items(self.spec)
+        # warm fork: build every per-circuit artifact once, in the
+        # parent, before any worker exists — children inherit it COW,
+        # and the catalogue and the merge read their circuits from it.
+        # It comes before the first journal write, so a spec whose
+        # inputs cannot load leaves no journal behind.
+        t0 = self.clock()
+        warm_state = CampaignWarmState.build(self.spec)
+        phase_times["warm_s"] = self.clock() - t0
+        items = build_items(self.spec, warm_state)
         restored: Optional[JournalState] = None
         if resume:
             restored = self._validate_resume(items)
@@ -155,13 +163,6 @@ class CampaignRunner:
                 f"journal {self.journal_path} already exists — "
                 f"use `repro campaign resume` to continue it"
             )
-        # warm fork: build every per-circuit artifact once, in the
-        # parent, before any worker exists — children inherit it COW.
-        # It comes before the first journal write, so a spec whose
-        # inputs cannot load leaves no journal behind.
-        t0 = self.clock()
-        warm_state = CampaignWarmState.build(self.spec)
-        phase_times["warm_s"] = self.clock() - t0
         payloads: Dict[str, Dict[str, Any]] = {}
         with Journal(self.journal_path) as journal:
             if restored is None:
@@ -200,7 +201,7 @@ class CampaignRunner:
                 )
             phase_times["solve_s"] = self.clock() - t0 - phase_times["fork_s"]
             t0 = self.clock()
-            result = merge_campaign(self.spec, payloads)
+            result = merge_campaign(self.spec, payloads, warm_state)
             phase_times["merge_s"] = self.clock() - t0
             result.items_failed = len(queue.failed_items())
             result.wall_time_s = self.clock() - wall0

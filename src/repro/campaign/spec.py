@@ -21,8 +21,10 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..circuit.netlist import Circuit
+from ..faults.collapse import collapse_faults
 from ..faults.model import (
     DEFAULT_FAULT_MODEL,
+    Fault,
     FaultModelError,
     resolve_fault_model,
 )
@@ -167,7 +169,12 @@ class CampaignSpec:
         if not isinstance(self.circuits, tuple):
             object.__setattr__(self, "circuits", tuple(self.circuits))
 
-    # -- schedules -----------------------------------------------------
+    # -- per-circuit work ----------------------------------------------
+    def faults_for(self, circuit: Circuit) -> List[Fault]:
+        """The circuit's target faults: collapsed in canonical order under
+        the spec's fault model, capped at ``fault_limit``."""
+        return collapse_faults(circuit, self.fault_model)[: self.fault_limit]
+
     def schedule_for(self, circuit: Circuit) -> List[PassConfig]:
         """The pass schedule every work item of ``circuit`` runs."""
         if self.baseline:

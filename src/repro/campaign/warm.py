@@ -1,17 +1,20 @@
 """Warm-fork state: build per-circuit ATPG artifacts once, before forking.
 
 Per-fault work items must not re-derive their circuit's fixed artifacts:
-resolve and compile the circuit, compute SCOAP testability, collapse the
-fault universe, parse the knowledge preload, and build the policy plan.
-For per-fault items that fixed cost dwarfs the ATPG itself.  So
-:class:`~repro.campaign.runner.CampaignRunner` calls
-:meth:`CampaignWarmState.build` once, in the parent, and passes the
-state to every item it runs inline and to every worker it forks
-(:func:`~repro.campaign.worker.worker_main`); forked children inherit
-the state, and every compiled artifact it references, copy-on-write.
-:func:`~repro.campaign.worker.run_item` reads everything it needs from
-the state it is handed and derives nothing itself, and this is the only
-campaign module that loads a knowledge sidecar or a policy artifact.
+resolve and compile the circuit, compute SCOAP testability (cached on the
+compiled form), collapse the fault universe, parse the knowledge preload,
+and build the policy plan.  For per-fault items that fixed cost dwarfs
+the ATPG itself.  So :class:`~repro.campaign.runner.CampaignRunner` calls
+:meth:`CampaignWarmState.build` once, in the parent, before anything else,
+and reads every circuit from it: the item catalogue
+(:func:`~repro.campaign.queue.build_items`), every item it runs inline or
+in a worker it forks (:func:`~repro.campaign.worker.worker_main`), and
+the merge (:func:`~repro.campaign.merge.merge_campaign`).  Forked
+children inherit the state, and every compiled artifact it references,
+copy-on-write.  :func:`~repro.campaign.worker.run_item` reads everything
+it needs from the state it is handed and derives nothing itself, and
+this is the only campaign module that loads a knowledge sidecar or a
+policy artifact.
 
 Keeping the *same* ``Circuit`` object alive matters more than it looks:
 :func:`~repro.simulation.compiled.compile_circuit` caches by object
@@ -29,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..atpg.scoap import Testability, compute_testability
+from ..atpg.scoap import cached_testability
 from ..circuit.netlist import Circuit
 from ..circuits.resolve import resolve_circuit
-from ..faults.collapse import collapse_faults
 from ..faults.model import Fault
 from ..knowledge import (
     KnowledgeError,
@@ -53,10 +55,9 @@ class CircuitWarmState:
     Attributes:
         circuit: the resolved circuit — the canonical object identity all
             compile-cache hits key off.
-        cc: its compiled form.
-        testability: SCOAP measures.
-        faults: the collapsed fault list with the spec's ``fault_limit``
-            applied — the campaign's target list in canonical order.
+        cc: its compiled form, SCOAP measures already cached on it.
+        faults: the campaign's target list in canonical order
+            (:meth:`~repro.campaign.spec.CampaignSpec.faults_for`).
         knowledge_doc: the parsed ``repro-knowledge/v1`` store for this
             circuit from the spec's preload sidecar, or ``None``.  Kept
             serialized: each item deserializes its own private copy, so
@@ -72,7 +73,6 @@ class CircuitWarmState:
 
     circuit: Circuit
     cc: CompiledCircuit
-    testability: Testability
     faults: List[Fault]
     knowledge_doc: Optional[Dict[str, Any]] = None
     policy_plan: Optional[PolicyPlan] = None
@@ -92,15 +92,8 @@ class CampaignWarmState:
 
     @classmethod
     def build(cls, spec: CampaignSpec) -> "CampaignWarmState":
-        """Resolve, compile, and warm every circuit the spec targets.
-
-        Skipped entirely in drill mode (``synthetic_item_seconds``):
-        drills measure orchestration, not ATPG, and must not pay compile
-        cost for circuits they never simulate.
-        """
+        """Resolve, compile, and warm every circuit the spec targets."""
         circuits: Dict[str, CircuitWarmState] = {}
-        if spec.synthetic_item_seconds is not None:
-            return cls(circuits)
         policy: Optional[FaultPolicy] = None
         if spec.policy_file:
             # unlike the knowledge preload, the policy affects results
@@ -113,9 +106,8 @@ class CampaignWarmState:
         for name in spec.circuits:
             circuit = resolve_circuit(name)
             cc = compile_circuit(circuit)
-            faults = collapse_faults(circuit, spec.fault_model)
-            if spec.fault_limit is not None:
-                faults = faults[: spec.fault_limit]
+            cached_testability(cc)  # before the fork, so every worker inherits it
+            faults = spec.faults_for(circuit)
             doc: Optional[Dict[str, Any]] = None
             if spec.knowledge and spec.knowledge_file:
                 try:
@@ -128,16 +120,12 @@ class CampaignWarmState:
                     store = None  # an accelerator, never a failed campaign
                 if store is not None:
                     doc = store.to_dict()
-            testability = compute_testability(cc)
             plan: Optional[PolicyPlan] = None
             if policy is not None:
-                plan = build_plan(
-                    policy, cc, testability, faults, final_pass=spec.passes
-                )
+                plan = build_plan(policy, cc, faults, final_pass=spec.passes)
             circuits[name] = CircuitWarmState(
                 circuit=circuit,
                 cc=cc,
-                testability=testability,
                 faults=faults,
                 knowledge_doc=doc,
                 policy_plan=plan,

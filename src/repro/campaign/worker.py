@@ -73,10 +73,10 @@ def run_item(
     """Execute one work item; deterministic given the item's seed.
 
     ``warm`` is the campaign's warm state, built from ``spec``: the item
-    reads its circuit, fault shard, testability, knowledge preload and
-    policy plan from it.  Each item runs with a private knowledge store,
-    optionally preloaded from the spec's fixed sidecar, so reruns and
-    resumes reproduce results exactly.
+    reads its circuit, fault shard, knowledge preload and policy plan
+    from it.  Each item runs with a private knowledge store, optionally
+    preloaded from the spec's fixed sidecar, so reruns and resumes
+    reproduce results exactly.
 
     Raises :class:`CampaignError` when the circuit's current fault list no
     longer matches the hash recorded when the campaign was planned (code
@@ -118,7 +118,6 @@ def run_item(
         generator_name="HITEC" if spec.baseline else "GA-HITEC",
         clock=clock,
         knowledge=knowledge,
-        testability=state.testability,
         policy=state.policy_plan,
         telemetry=recorder,
         fault_model=spec.fault_model,

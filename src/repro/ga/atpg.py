@@ -129,6 +129,7 @@ class GASimulationTestGenerator:
             )
 
         result.test_set = tests.vectors
+        result.blocks = tests.blocks
         result.detected = tests.detected
         return result
 

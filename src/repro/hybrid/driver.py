@@ -36,7 +36,7 @@ from ..atpg.context import AtpgContext
 from ..atpg.hitec import SequentialTestGenerator, TestGenStatus
 from ..atpg.justify import JustifyResult, JustifySteps, justify_state
 from ..atpg.podem import Limits
-from ..atpg.scoap import Testability
+from ..atpg.scoap import cached_testability
 from ..circuit.netlist import Circuit
 from ..clock import monotonic
 from ..faults.model import DEFAULT_FAULT_MODEL, Fault
@@ -89,8 +89,6 @@ class HybridTestGenerator:
             :class:`~repro.knowledge.StateKnowledge` (e.g. from a campaign
             sidecar) is used directly after a circuit/fingerprint check;
             ``False`` disables reuse entirely.
-        testability: precomputed SCOAP measures (e.g. from a campaign's
-            warm fork state); computed lazily when omitted.
         policy: learned fault-scheduling policy (``repro.policy``).
             Either a trained :class:`~repro.policy.model.FaultPolicy`
             (a per-circuit plan is built when :meth:`run` knows the
@@ -122,7 +120,6 @@ class HybridTestGenerator:
         telemetry: Optional[Recorder] = None,
         clock: Optional[Callable[[], float]] = None,
         knowledge: "bool | StateKnowledge" = True,
-        testability: Optional[Testability] = None,
         policy: "FaultPolicy | PolicyPlan | None" = None,
         fault_model: str = DEFAULT_FAULT_MODEL,
     ):
@@ -136,19 +133,17 @@ class HybridTestGenerator:
         self.max_frames = max_frames
         self.constraints = constraints or UNCONSTRAINED
         self.constraints.validate(circuit)
-        # One shared context owns the compiled circuit, testability,
-        # simulator handles, and the knowledge store for every engine
-        # this driver builds.
+        # One shared context owns the compiled circuit, simulator handles,
+        # and the knowledge store for every engine this driver builds.
         self.ctx = AtpgContext(
             circuit,
-            testability=testability,
             constraints=self.constraints,
             telemetry=telemetry,
             fault_model=fault_model,
         )
         self.cc = self.ctx.cc
         self.telemetry = self.ctx.telemetry
-        self.meas = self.ctx.testability
+        cached_testability(self.cc)  # set-up work, not the first search's
         if isinstance(knowledge, StateKnowledge):
             if knowledge.circuit and knowledge.circuit != circuit.name:
                 raise KnowledgeError(
@@ -308,11 +303,7 @@ class HybridTestGenerator:
             plan = self.policy
             return plan if plan.circuit == self.circuit.name else None
         return build_plan(
-            self.policy,
-            self.cc,
-            self.meas,
-            self.all_faults,
-            final_pass=schedule[-1].number,
+            self.policy, self.cc, self.all_faults, final_pass=schedule[-1].number
         )
 
     def _finalize_report(self, report: RunReport) -> None:
@@ -320,7 +311,7 @@ class HybridTestGenerator:
         mispredicted = 0
         for fault in self.all_faults:
             record = self._record_for(fault)
-            record.features = fault_features(self.cc, self.meas, fault)
+            record.features = fault_features(self.cc, fault)
             report.faults.append(record)
             if self._plan is not None:
                 plan = self._plan.plan_for(fault)
@@ -487,7 +478,6 @@ class HybridTestGenerator:
                     required,
                     max_depth=cfg.justify_depth,
                     limits=limits,
-                    testability=self.meas,
                     constraints=(
                         None
                         if self.constraints.is_trivial

@@ -9,7 +9,7 @@ turns those reports into a deployable policy:
 * :mod:`repro.policy.features` — a per-fault static feature vector
   (SCOAP controllabilities/observability at the fault site, fanout,
   logic depth, sequential depth, fault polarity/type) computed from the
-  compiled circuit and its :class:`~repro.atpg.scoap.Testability`;
+  compiled circuit and its cached SCOAP measures;
 * :mod:`repro.policy.dataset` — joins features with mined dispositions
   into labeled training rows;
 * :mod:`repro.policy.model` — a dependency-free gradient-boosted

@@ -89,34 +89,31 @@ class _FeatureBackfill:
     """Per-circuit SCOAP feature recomputation for feature-less rows."""
 
     def __init__(self) -> None:
-        self._by_circuit: Dict[str, Optional[Tuple[object, object]]] = {}
+        self._by_circuit: Dict[str, Optional[object]] = {}
 
     def features(
         self, circuit_name: str, fault_name: str
     ) -> Optional[Dict[str, float]]:
         if circuit_name not in self._by_circuit:
             self._by_circuit[circuit_name] = self._resolve(circuit_name)
-        pair = self._by_circuit[circuit_name]
-        if pair is None:
+        cc = self._by_circuit[circuit_name]
+        if cc is None:
             return None
-        cc, testability = pair
         try:
             fault = parse_fault(fault_name)
-            return fault_features(cc, testability, fault)  # type: ignore[arg-type]
+            return fault_features(cc, fault)  # type: ignore[arg-type]
         except (ValueError, KeyError):
             return None
 
     @staticmethod
-    def _resolve(circuit_name: str) -> Optional[Tuple[object, object]]:
-        from ..atpg.scoap import compute_testability
+    def _resolve(circuit_name: str) -> Optional[object]:
         from ..circuits.resolve import resolve_circuit
         from ..simulation.compiled import compile_circuit
 
         try:
-            cc = compile_circuit(resolve_circuit(circuit_name))
+            return compile_circuit(resolve_circuit(circuit_name))
         except Exception:
             return None
-        return cc, compute_testability(cc)
 
 
 def _label_row(

@@ -1,10 +1,10 @@
 """Per-fault static feature vectors for the scheduling policy.
 
-Every feature is a deterministic function of the compiled circuit, its
-SCOAP :class:`~repro.atpg.scoap.Testability`, and the fault itself — no
-run-time state — so a vector computed while *recording* a report equals
-the vector computed later while *applying* a trained policy to the same
-circuit.  The driver embeds these vectors in each
+Every feature is a deterministic function of the compiled circuit (its
+SCOAP measures among them, :func:`~repro.atpg.scoap.cached_testability`)
+and the fault itself — no run-time state — so a vector computed while
+*recording* a report equals the vector computed later while *applying* a
+trained policy to the same circuit.  The driver embeds these vectors in each
 :class:`~repro.telemetry.report.FaultRecord`, making reports
 self-contained training data (no circuit re-resolution needed).
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..atpg.scoap import HARD, Testability
+from ..atpg.scoap import HARD, cached_testability
 from ..faults.model import DEFAULT_FAULT_MODEL, Fault
 from ..simulation.compiled import CompiledCircuit
 
@@ -42,9 +42,7 @@ FEATURE_NAMES = (
 )
 
 
-def fault_features(
-    cc: CompiledCircuit, testability: Testability, fault: Fault
-) -> Dict[str, float]:
+def fault_features(cc: CompiledCircuit, fault: Fault) -> Dict[str, float]:
     """The static feature dict for one fault on one compiled circuit.
 
     SCOAP costs at or above :data:`~repro.atpg.scoap.HARD` are clamped
@@ -52,6 +50,7 @@ def fault_features(
     "very hard" magnitude instead of unbounded sums.
     """
     idx = cc.index[fault.net]
+    testability = cached_testability(cc)
     cc0 = min(testability.cc0[idx], HARD)
     cc1 = min(testability.cc1[idx], HARD)
     co = min(testability.co[idx], HARD)
@@ -97,12 +96,7 @@ def feature_vector(features: Dict[str, float]) -> List[float]:
 
 
 def features_for_faults(
-    cc: CompiledCircuit,
-    testability: Testability,
-    faults: Sequence[Fault],
+    cc: CompiledCircuit, faults: Sequence[Fault]
 ) -> Dict[str, Dict[str, float]]:
     """Feature dicts for a whole fault list, keyed by ``str(fault)``."""
-    return {
-        str(fault): fault_features(cc, testability, fault)
-        for fault in faults
-    }
+    return {str(fault): fault_features(cc, fault) for fault in faults}

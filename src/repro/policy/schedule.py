@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..atpg.scoap import Testability
 from ..faults.model import Fault
 from ..simulation.compiled import CompiledCircuit
 from .features import fault_features, feature_vector
@@ -101,7 +100,6 @@ class PolicyPlan:
 def build_plan(
     policy: FaultPolicy,
     cc: CompiledCircuit,
-    testability: Testability,
     faults: Sequence[Fault],
     final_pass: int,
 ) -> Optional[PolicyPlan]:
@@ -116,7 +114,7 @@ def build_plan(
     defer_threshold = float(policy.options.get("defer_threshold", 0.25))
     plans: Dict[str, FaultPlan] = {}
     for fault in faults:
-        x = feature_vector(fault_features(cc, testability, fault))
+        x = feature_vector(fault_features(cc, fault))
         detect_score, resolve_pass, cost = policy.predict(x)
         deferred = detect_score < defer_threshold
         if deferred:

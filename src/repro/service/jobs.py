@@ -41,6 +41,7 @@ from ..campaign import (
     CampaignError,
     CampaignRunner,
     CampaignSpec,
+    CampaignWarmState,
     JournalState,
     knowledge_sidecar_path,
     merge_campaign,
@@ -421,7 +422,13 @@ class JobManager:
 
     def _remerge(self, job: Job):
         state = JournalState.replay(job.journal_path)
-        result = merge_campaign(job.spec, dict(state.done))
+        try:
+            warm = CampaignWarmState.build(job.spec)
+        except (CampaignError, OSError) as exc:  # e.g. a deleted input
+            raise ServiceError(
+                409, f"job {job.job_id}: cannot re-merge its report: {exc}"
+            ) from None
+        result = merge_campaign(job.spec, dict(state.done), warm)
         if result.report is not None:
             result.report.save(job.report_path)
         if job.spec.knowledge and result.knowledge:

@@ -3,6 +3,7 @@
 from repro.atpg.constraints import InputConstraints
 from repro.atpg.context import AtpgContext
 from repro.atpg.hitec import SequentialTestGenerator
+from repro.atpg.scoap import cached_testability
 from repro.circuits import s27, two_stage_pipeline
 from repro.ga.justification import GAStateJustifier
 from repro.simulation.compiled import CompiledCircuit, compile_circuit
@@ -23,7 +24,7 @@ class TestConstruction:
 class TestSharedArtifacts:
     def test_testability_and_faults_are_cached(self):
         ctx = AtpgContext(s27())
-        assert ctx.testability is ctx.testability
+        assert cached_testability(ctx.cc) is cached_testability(ctx.cc)
         first = ctx.faults
         assert first == ctx.faults
         first.clear()  # callers get copies; the cache must survive

@@ -21,7 +21,6 @@ from repro.atpg import justify as justify_mod
 from repro.atpg import podem as podem_mod
 from repro.atpg.justify import JustifySteps, justify_state
 from repro.atpg.podem import Limits, PodemEngine, SearchStatus
-from repro.atpg.scoap import compute_testability
 from repro.circuits import iscas89
 from repro.faults.collapse import collapse_faults
 from repro.hybrid import driver as driver_mod
@@ -40,8 +39,7 @@ EXHAUSTIBLE = {"ffr11": 0, "ffr13": 0, "ffc2": 1}
 
 @pytest.fixture(scope="module")
 def s298():
-    cc = compile_circuit(iscas89("s298"))
-    return cc, compute_testability(cc)
+    return compile_circuit(iscas89("s298"))
 
 
 def _key(sol):
@@ -60,14 +58,14 @@ def take(iterator, n):
     return out
 
 
-def fresh(cc, meas, cube, budget, n):
+def fresh(cc, cube, budget, n):
     """What a fresh engine gives for ``cube`` when ``n`` solutions are taken."""
-    engine = PodemEngine(cc, targets=cube, testability=meas)
+    engine = PodemEngine(cc, targets=cube)
     return take(engine.solutions(Limits(budget)), n), engine.status
 
 
-def query(steps, cc, meas, cube, limits, n):
-    cursor = steps.query(cc, cube, limits, meas, None)
+def query(steps, cc, cube, limits, n):
+    cursor = steps.query(cc, cube, limits, None)
     return take(iter(cursor), n), cursor.status
 
 
@@ -85,34 +83,34 @@ class TickClock:
 # ----------------------------------------------------------------------
 class TestResumableEngine:
     def test_next_solution_gives_the_solutions_stream(self, s298):
-        cc, meas = s298
-        expected, status = fresh(cc, meas, CUBE, 40, None)
+        cc = s298
+        expected, status = fresh(cc, CUBE, 40, None)
         limits = Limits(40)
-        engine = PodemEngine(cc, targets=CUBE, testability=meas)
+        engine = PodemEngine(cc, targets=CUBE)
         assert take(iter(lambda: engine.next_solution(limits), None), None) == (
             expected
         )
         assert engine.status is status
 
     def test_a_budget_cut_resumes_under_a_larger_budget(self, s298):
-        cc, meas = s298
-        engine = PodemEngine(cc, targets=CUBE, testability=meas)
+        cc = s298
+        engine = PodemEngine(cc, targets=CUBE)
         first = take(engine.solutions(Limits(3)), None)
         assert engine.status is SearchStatus.LIMIT
         rest = take(engine.solutions(Limits(40)), None)
-        assert first + rest == fresh(cc, meas, CUBE, 40, None)[0]
+        assert first + rest == fresh(cc, CUBE, 40, None)[0]
 
     def test_each_call_continues_after_the_last_yield(self, s298):
-        cc, meas = s298
-        engine = PodemEngine(cc, targets=CUBE, testability=meas)
+        cc = s298
+        engine = PodemEngine(cc, targets=CUBE)
         pulled = [next(engine.solutions(Limits(40)), None) for _ in range(4)]
         assert [_key(s) for s in pulled if s is not None] == (
-            fresh(cc, meas, CUBE, 40, 4)[0]
+            fresh(cc, CUBE, 40, 4)[0]
         )
 
     def test_an_exhausted_space_stays_exhausted(self, s298):
-        cc, meas = s298
-        engine = PodemEngine(cc, targets=EXHAUSTIBLE, testability=meas)
+        cc = s298
+        engine = PodemEngine(cc, targets=EXHAUSTIBLE)
         assert take(engine.solutions(Limits(10_000)), None)
         assert engine.status is SearchStatus.EXHAUSTED
         assert engine.next_solution(Limits(10_000)) is None
@@ -153,32 +151,31 @@ class TestStreamEquivalence:
     def test_every_query_equals_a_fresh_engine(self, drawn):
         circuit, pool, plan = drawn
         cc = compile_circuit(circuit)
-        meas = compute_testability(cc)
         steps = JustifySteps()
         for index, budget, n in plan:
             cube = pool[index]
-            got = query(steps, cc, meas, cube, Limits(budget), n)
-            assert got == fresh(cc, meas, cube, budget, n)
+            got = query(steps, cc, cube, Limits(budget), n)
+            assert got == fresh(cc, cube, budget, n)
         assert steps.built + steps.reuses == len(plan)
 
     def test_order_and_budget_are_part_of_the_key(self, s298):
-        cc, meas = s298
+        cc = s298
         turned = dict(reversed(list(CUBE.items())))
         steps = JustifySteps()
         # a smaller budget after a larger one, then replays of each
         plan = [(CUBE, 40, None), (CUBE, 3, None), (turned, 40, 2),
                 (CUBE, 40, 1), (turned, 40, None), (CUBE, 3, 2)]
         for cube, budget, n in plan:
-            got = query(steps, cc, meas, cube, Limits(budget), n)
-            assert got == fresh(cc, meas, cube, budget, n)
+            got = query(steps, cc, cube, Limits(budget), n)
+            assert got == fresh(cc, cube, budget, n)
         assert (steps.built, steps.reuses) == (3, 3)
 
     def test_two_interleaved_cursors_each_see_the_whole_stream(self, s298):
-        cc, meas = s298
-        expected, status = fresh(cc, meas, CUBE, 40, None)
+        cc = s298
+        expected, status = fresh(cc, CUBE, 40, None)
         steps = JustifySteps()
-        first = steps.query(cc, CUBE, Limits(40), meas, None)
-        second = steps.query(cc, CUBE, Limits(40), meas, None)
+        first = steps.query(cc, CUBE, Limits(40), None)
+        second = steps.query(cc, CUBE, Limits(40), None)
         a, b = iter(first), iter(second)
         seen_a, seen_b = take(a, 1), take(b, 2)
         seen_a += take(a, 2)
@@ -191,27 +188,27 @@ class TestStreamEquivalence:
 
 class TestDeadline:
     def test_a_deadline_cut_keeps_the_search_for_the_next_query(self, s298):
-        cc, meas = s298
-        expected, status = fresh(cc, meas, CUBE, 40, None)
+        cc = s298
+        expected, status = fresh(cc, CUBE, 40, None)
         steps = JustifySteps()
         cut = Limits(40, deadline=25.0, clock=TickClock())
-        got, cut_status = query(steps, cc, meas, CUBE, cut, None)
+        got, cut_status = query(steps, cc, CUBE, cut, None)
         assert cut_status is SearchStatus.LIMIT
         assert 0 < len(got) < len(expected) and got == expected[: len(got)]
         (stream,) = steps._streams.values()
         assert stream.engine is not None
-        assert query(steps, cc, meas, CUBE, Limits(40), None) == (expected, status)
+        assert query(steps, cc, CUBE, Limits(40), None) == (expected, status)
         assert steps.built == 1
 
     def test_a_replay_checks_the_deadline(self, s298):
-        cc, meas = s298
+        cc = s298
         steps = JustifySteps()
-        full = query(steps, cc, meas, CUBE, Limits(40), None)
+        full = query(steps, cc, CUBE, Limits(40), None)
         expired = Limits(40, deadline=0.0, clock=lambda: 1.0)
-        assert query(steps, cc, meas, CUBE, expired, None) == (
+        assert query(steps, cc, CUBE, expired, None) == (
             [], SearchStatus.LIMIT
         )
-        assert query(steps, cc, meas, CUBE, Limits(40), None) == full
+        assert query(steps, cc, CUBE, Limits(40), None) == full
 
 
 class TestRelease:
@@ -220,18 +217,18 @@ class TestRelease:
         (10_000, SearchStatus.EXHAUSTED),
     ])
     def test_a_final_stream_holds_no_engine(self, s298, budget, status):
-        cc, meas = s298
+        cc = s298
         steps = JustifySteps()
-        got = query(steps, cc, meas, EXHAUSTIBLE, Limits(budget), None)
-        assert got == fresh(cc, meas, EXHAUSTIBLE, budget, None)
+        got = query(steps, cc, EXHAUSTIBLE, Limits(budget), None)
+        assert got == fresh(cc, EXHAUSTIBLE, budget, None)
         (stream,) = steps._streams.values()
         assert stream.engine is None
         assert stream.status is status
 
     def test_an_unfinished_stream_keeps_its_engine(self, s298):
-        cc, meas = s298
+        cc = s298
         steps = JustifySteps()
-        query(steps, cc, meas, CUBE, Limits(40), 1)
+        query(steps, cc, CUBE, Limits(40), 1)
         (stream,) = steps._streams.values()
         assert stream.engine is not None
 
@@ -258,7 +255,6 @@ class TestJustifyStateDifferential:
     def test_a_shared_memo_changes_no_result(self, name, seed, with_store):
         circuit = iscas89(name)
         cc = compile_circuit(circuit)
-        meas = compute_testability(cc)
         rng = random.Random(seed)
         pool = _cubes(circuit, rng, 8)
         calls = [
@@ -272,7 +268,7 @@ class TestJustifyStateDifferential:
             results = [
                 justify_state(
                     cc, cube, max_depth=depth, limits=Limits(budget),
-                    testability=meas, solutions_per_step=per_step,
+                    solutions_per_step=per_step,
                     knowledge=store, steps=shared,
                 )
                 for cube, depth, budget, per_step in calls

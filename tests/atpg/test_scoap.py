@@ -1,10 +1,20 @@
 """Tests for the SCOAP-style testability measures."""
 
-from repro.atpg.scoap import HARD, compute_testability
+import dataclasses
+import gc
+import weakref
+
+import pytest
+
+from repro.atpg import podem, scoap
+from repro.atpg.justify import justify_state
+from repro.atpg.podem import Limits, PodemEngine
+from repro.atpg.scoap import HARD, compute_testability, cached_testability
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
-from repro.circuits import s27
-from repro.simulation.compiled import compile_circuit
+from repro.circuits import iscas89, s27
+from repro.faults.collapse import collapse_faults
+from repro.simulation.compiled import CompiledCircuit, compile_circuit
 
 
 def measures(circuit):
@@ -166,3 +176,48 @@ class TestHandComputedCircuit:
         # a and b: through g1 with the sibling input held at 1
         assert m.co[idx["a"]] == 5
         assert m.co[idx["b"]] == 5
+
+
+class TestCache:
+    def test_engines_and_justification_read_one_object(self, monkeypatch):
+        """Two engines and a justification on one compiled circuit, none
+        handed SCOAP, compute it once and read the same object."""
+        computed, read = [], []
+        real_compute = scoap.compute_testability
+
+        def compute(cc):
+            computed.append(real_compute(cc))
+            return computed[-1]
+
+        def reader(cc):
+            read.append(cached_testability(cc))
+            return read[-1]
+
+        monkeypatch.setattr(scoap, "compute_testability", compute)
+        monkeypatch.setattr(podem, "cached_testability", reader)
+        cc = CompiledCircuit(iscas89("s298"))  # a fresh form, cache empty
+        for fault in collapse_faults(cc.circuit)[:2]:
+            PodemEngine(cc, fault=fault, num_frames=2).run(Limits(20))
+        justify_state(cc, {"ffr11": 0, "ffc3": 1}, max_depth=2,
+                      limits=Limits(20))
+        assert len(computed) == 1
+        assert len(read) > 2 and all(m is computed[0] for m in read)
+
+    def test_cached_measures_keep_no_circuit_alive(self):
+        """Reference counting alone frees the measures with the compiled
+        form: nothing cached on it refers back to it."""
+        cc = compile_circuit(s27())
+        ref = weakref.ref(cached_testability(cc))
+        gc.disable()
+        try:
+            del cc
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_shared_measures_cannot_change(self):
+        m = cached_testability(compile_circuit(s27()))
+        with pytest.raises(TypeError):
+            m.cc0[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.co = ()

@@ -8,8 +8,9 @@ from repro.baselines import (
     RandomTestGenerator,
     WeightedRandomTestGenerator,
 )
-from repro.circuits import s27
+from repro.circuits import iscas89, s27
 from repro.faults.collapse import collapse_faults
+from repro.simulation.fault_sim import FaultSimulator
 
 
 @pytest.mark.parametrize("gen_cls", [RandomTestGenerator,
@@ -46,6 +47,18 @@ class TestBaselines:
     def test_never_claims_untestable(self, gen_cls):
         result = gen_cls(s27(), seed=1).run(RandomAtpgParams())
         assert result.untestable == []
+
+    def test_last_emitted_block_detects_a_fault(self, gen_cls):
+        """The blocks that ended the run by detecting nothing are not
+        emitted: the test set ends with the last detecting block."""
+        circuit = iscas89("s298")
+        params = RandomAtpgParams(block_len=16, stale_blocks=2)
+        result = gen_cls(circuit, seed=1).run(params)
+        last = result.blocks[-1]
+        assert last + params.block_len == len(result.test_set)
+        sim, faults = FaultSimulator(circuit), collapse_faults(circuit)
+        before = sim.run(result.test_set[:last], faults).detected
+        assert set(sim.run(result.test_set, faults).detected) > set(before)
 
 
 class TestWeightedSpecifics:

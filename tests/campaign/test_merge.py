@@ -20,7 +20,7 @@ def payloads_for(s):
     warm = CampaignWarmState.build(s)
     return {
         item.item_id: run_item(s, item, warm).to_dict()
-        for item in build_items(s)
+        for item in build_items(s, warm)
     }
 
 
@@ -28,7 +28,7 @@ class TestMergeCampaign:
     def test_coverage_at_least_union_of_shards(self):
         s = spec()
         payloads = payloads_for(s)
-        result = merge_campaign(s, payloads)
+        result = merge_campaign(s, payloads, CampaignWarmState.build(s))
         merged = result.circuits["s27"]
         shard_detected = set()
         for payload in payloads.values():
@@ -38,7 +38,7 @@ class TestMergeCampaign:
 
     def test_drops_redundant_sequences(self):
         s = spec()
-        result = merge_campaign(s, payloads_for(s))
+        result = merge_campaign(s, payloads_for(s), CampaignWarmState.build(s))
         merged = result.circuits["s27"]
         assert merged.dropped_sequences > 0
         assert len(merged.blocks) == len(set(merged.blocks))
@@ -47,14 +47,14 @@ class TestMergeCampaign:
         s = spec()
         payloads = payloads_for(s)
         reversed_payloads = dict(reversed(list(payloads.items())))
-        a = merge_campaign(s, payloads)
-        b = merge_campaign(s, reversed_payloads)
+        a = merge_campaign(s, payloads, CampaignWarmState.build(s))
+        b = merge_campaign(s, reversed_payloads, CampaignWarmState.build(s))
         assert a.circuits["s27"].vectors == b.circuits["s27"].vectors
         assert a.circuits["s27"].detected == b.circuits["s27"].detected
 
     def test_rolled_up_report_carries_merged_truth(self):
         s = spec()
-        result = merge_campaign(s, payloads_for(s))
+        result = merge_campaign(s, payloads_for(s), CampaignWarmState.build(s))
         report = result.report
         assert report is not None
         assert report.circuit == "campaign:m"
@@ -67,13 +67,13 @@ class TestMergeCampaign:
         s = spec()
         payloads = payloads_for(s)
         payloads.pop(sorted(payloads)[0])
-        result = merge_campaign(s, payloads)
+        result = merge_campaign(s, payloads, CampaignWarmState.build(s))
         assert result.items_done == len(payloads)
         assert 0.0 < result.fault_coverage <= 1.0
 
     def test_summary_lines(self):
         s = spec()
-        result = merge_campaign(s, payloads_for(s))
+        result = merge_campaign(s, payloads_for(s), CampaignWarmState.build(s))
         text = result.summary()
         assert "campaign m" in text and "s27" in text
         digest = result.summary_dict()

@@ -19,6 +19,7 @@ import repro.campaign.worker as campaign_worker
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
+    CampaignWarmState,
     build_items,
     read_events,
 )
@@ -32,6 +33,11 @@ def spec(**overrides):
                 passes=1, fault_limit=10)
     base.update(overrides)
     return CampaignSpec(**base)
+
+
+def items_of(s):
+    """The catalogue, read from the spec's warm state."""
+    return build_items(s, CampaignWarmState.build(s))
 
 
 def without_timing(value):
@@ -71,7 +77,7 @@ class TestPoolProtocol:
         result = CampaignRunner(s, journal, workers=3).run()
         events = read_events(journal)
         done = [e["item"] for e in events if e["type"] == "item_done"]
-        catalogue = [i.item_id for i in build_items(s)]
+        catalogue = [i.item_id for i in items_of(s)]
         assert sorted(done) == sorted(catalogue)  # none lost, none twice
         assert result.items_done == len(catalogue)
         assert result.items_failed == 0
@@ -109,7 +115,7 @@ class TestPoolProtocol:
         assert all(e["attempt"] == 1 for e in interrupted)
         assert all(e["attempt"] == 1 for e in of("item_done"))
         done = sorted(e["item"] for e in of("item_done"))
-        assert done == sorted(i.item_id for i in build_items(spec()))
+        assert done == sorted(i.item_id for i in items_of(spec()))
         assert of("item_failed") == []
         assert len({e["pid"] for e in of("item_started")}) > 2
         assert (result.circuits["s27"].vectors
@@ -292,7 +298,7 @@ class TestPoolProtocol:
         merged = json.loads(out.read_text())
         assert merged["vectors"] == reference.circuits["s27"].vectors
         assert merged["detected"] == reference.circuits["s27"].detected
-        assert merged["b_items_done"] == len(build_items(spec()))
+        assert merged["b_items_done"] == len(items_of(spec()))
 
 
 class TestWorkerCountDeterminism:
@@ -324,7 +330,7 @@ class TestWorkerCountDeterminism:
         ref_journal = str(tmp_path / "ref.jsonl")
         reference = CampaignRunner(spec(), ref_journal, workers=2).run()
         events = read_events(ref_journal)
-        catalogue = [i.item_id for i in build_items(spec())]
+        catalogue = [i.item_id for i in items_of(spec())]
         partial = tmp_path / "partial.jsonl"
         with open(partial, "w") as handle:
             for event in events:
@@ -377,7 +383,7 @@ class TestWorkerCountDeterminism:
                 e["item"]: without_timing(e["payload"])
                 for e in read_events(journal) if e["type"] == "item_done"
             }
-        assert sorted(payloads[1]) == [i.item_id for i in build_items(s)]
+        assert sorted(payloads[1]) == [i.item_id for i in items_of(s)]
         assert payloads[2] == payloads[1]
         assert sorted(preload) == sorted(s.circuits)
         for payload in payloads[1].values():

@@ -5,6 +5,7 @@ import pytest
 from repro.campaign import (
     CampaignError,
     CampaignSpec,
+    CampaignWarmState,
     ItemState,
     WorkQueue,
     build_items,
@@ -19,10 +20,15 @@ def spec(**overrides):
     return CampaignSpec(**base)
 
 
+def items_of(s):
+    """The catalogue, read from the spec's warm state."""
+    return build_items(s, CampaignWarmState.build(s))
+
+
 class TestBuildItems:
     def test_shards_cover_fault_list(self):
         s = spec()
-        items = build_items(s)
+        items = items_of(s)
         faults = shard_faults(s, "s27")
         assert sum(i.count for i in items) == len(faults)
         assert [i.start for i in items] == list(
@@ -30,35 +36,35 @@ class TestBuildItems:
         )
 
     def test_item_ids_are_stable(self):
-        assert [i.item_id for i in build_items(spec())][:2] == [
+        assert [i.item_id for i in items_of(spec())][:2] == [
             "s27/000", "s27/001",
         ]
 
     def test_deterministic_catalogue(self):
-        a, b = build_items(spec()), build_items(spec())
+        a, b = items_of(spec()), items_of(spec())
         assert a == b
 
     def test_seed_changes_with_spec_seed(self):
-        a = build_items(spec(seed=1))[0]
-        b = build_items(spec(seed=2))[0]
+        a = items_of(spec(seed=1))[0]
+        b = items_of(spec(seed=2))[0]
         assert a.seed != b.seed
 
     def test_fault_limit_caps_items(self):
-        items = build_items(spec(fault_limit=3))
+        items = items_of(spec(fault_limit=3))
         assert len(items) == 1 and items[0].count == 3
 
     def test_empty_campaign_rejected(self):
         with pytest.raises(CampaignError):
-            build_items(spec(fault_limit=0))
+            items_of(spec(fault_limit=0))
 
 
 class TestSeedForAttempt:
     def test_first_attempt_keeps_item_seed(self):
-        item = build_items(spec())[0]
+        item = items_of(spec())[0]
         assert seed_for_attempt(item, 1) == item.seed
 
     def test_retries_perturb_deterministically(self):
-        item = build_items(spec())[0]
+        item = items_of(spec())[0]
         second = seed_for_attempt(item, 2)
         assert second != item.seed
         assert second == seed_for_attempt(item, 2)
@@ -67,7 +73,7 @@ class TestSeedForAttempt:
 
 class TestWorkQueue:
     def make(self, max_attempts=2):
-        items = build_items(spec())
+        items = items_of(spec())
         return items, WorkQueue(items, max_attempts=max_attempts)
 
     def test_take_claims_each_item_once(self):

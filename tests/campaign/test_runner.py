@@ -1,18 +1,24 @@
 """CampaignRunner: inline and pooled execution, journaling, resume."""
 
 import json
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
-import repro.campaign.queue as campaign_queue
 import repro.campaign.runner as campaign_runner
+import repro.campaign.spec as campaign_spec
 from repro.campaign import (
     CampaignError,
     CampaignRunner,
     CampaignSpec,
+    CampaignWarmState,
     read_events,
+    shard_faults,
 )
+from repro.circuits.resolve import resolve_circuit
+from repro.faults.collapse import collapse_faults
 from repro.simulation import kernel_cache
 
 
@@ -65,6 +71,46 @@ class TestInlineRun:
         assert not journal.exists()
 
 
+def calls_through_every_module(monkeypatch, fn):
+    """The first argument of every call of ``fn``, through whichever
+    ``repro`` module imported it."""
+    firsts = []
+
+    def counted(first, *args, **kwargs):
+        firsts.append(first)
+        return fn(first, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "repro":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return firsts
+
+
+class TestWarmStateIsTheOnlySource:
+    def test_a_run_resolves_and_collapses_each_circuit_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The catalogue, the items and the merge all read the warm state."""
+        resolved = calls_through_every_module(monkeypatch, resolve_circuit)
+        collapsed = calls_through_every_module(monkeypatch, collapse_faults)
+        s = spec(circuits=("s27", "s298"), passes=1, fault_limit=6,
+                 shard_size=3, baseline=True)
+        result, _ = run_campaign(tmp_path, s)
+        assert result.items_failed == 0 and result.detected > 0
+        assert Counter(resolved) == {"s27": 1, "s298": 1}
+        assert Counter(c.name for c in collapsed) == {"s27": 1, "s298": 1}
+
+    def test_drills_read_the_same_warm_state(self):
+        s = spec(circuits=("s27", "s298"), fault_limit=5,
+                 synthetic_item_seconds=0.0)
+        warm = CampaignWarmState.build(s)
+        assert sorted(warm.circuits) == ["s27", "s298"]
+        for name, state in warm.circuits.items():
+            assert state.faults == shard_faults(s, name)
+
+
 class TestConcurrentRunners:
     def test_items_never_rebuild_their_fault_list(self, tmp_path, monkeypatch):
         """Two runners in two threads of one process, as the service runs
@@ -74,7 +120,7 @@ class TestConcurrentRunners:
         barrier = threading.Barrier(2, timeout=60)
         local = threading.local()
         collapsed_in_item = []
-        real_collapse = campaign_queue.collapse_faults
+        real_collapse = campaign_spec.collapse_faults
         real_run_item = campaign_runner.run_item
 
         def collapse_faults(*args, **kwargs):
@@ -92,7 +138,7 @@ class TestConcurrentRunners:
             finally:
                 local.in_item = False
 
-        monkeypatch.setattr(campaign_queue, "collapse_faults", collapse_faults)
+        monkeypatch.setattr(campaign_spec, "collapse_faults", collapse_faults)
         monkeypatch.setattr(campaign_runner, "run_item", run_item)
         specs = {
             "a": spec(fault_limit=8),

@@ -39,10 +39,15 @@ def run(s, item, **kwargs):
     return run_item(s, item, CampaignWarmState.build(s), **kwargs)
 
 
+def items_of(s):
+    """The catalogue, read from the spec's warm state."""
+    return build_items(s, CampaignWarmState.build(s))
+
+
 class TestRunItem:
     def test_produces_detections_and_report(self):
         s = spec()
-        outcome = run(s, build_items(s)[0])
+        outcome = run(s, items_of(s)[0])
         assert outcome.total_faults == 8
         assert outcome.detected
         assert outcome.vectors and outcome.blocks[0] == 0
@@ -51,26 +56,26 @@ class TestRunItem:
 
     def test_same_item_same_payload(self):
         s = spec()
-        item = build_items(s)[0]
+        item = items_of(s)[0]
         a = _strip_times(run(s, item).to_dict())
         b = _strip_times(run(s, item).to_dict())
         assert a == b
 
     def test_seed_changes_payload_fields(self):
         s = spec()
-        item = build_items(s)[0]
+        item = items_of(s)[0]
         other = replace(item, seed=item.seed + 1)
         assert run(s, item).seed != run(s, other).seed
 
     def test_fault_hash_drift_rejected(self):
         s = spec()
-        item = replace(build_items(s)[0], fault_hash="0" * 12)
+        item = replace(items_of(s)[0], fault_hash="0" * 12)
         with pytest.raises(CampaignError, match="drifted"):
             run(s, item)
 
     def test_timeout_with_fake_clock(self):
         s = spec(item_timeout_s=5.0)
-        item = build_items(s)[0]
+        item = items_of(s)[0]
         ticks = [0.0]
 
         def clock():
@@ -82,6 +87,6 @@ class TestRunItem:
 
     def test_synthetic_drill_mode_skips_atpg(self):
         s = spec(synthetic_item_seconds=0.0)
-        outcome = run(s, build_items(s)[0])
+        outcome = run(s, items_of(s)[0])
         assert outcome.vectors == [] and outcome.detected == []
         assert outcome.total_faults == 8

@@ -6,6 +6,7 @@ from repro.analysis import evaluate_test_set
 from repro.circuits import s27, two_stage_pipeline
 from repro.faults.collapse import collapse_faults
 from repro.ga.atpg import GAAtpgParams, GASimulationTestGenerator
+from repro.simulation.fault_sim import GradedTestSet, split_blocks
 
 
 class TestGASimulation:
@@ -36,6 +37,24 @@ class TestGASimulation:
 
     def test_generator_label(self, result):
         assert result.generator == "GA-SIM"
+
+    def test_blocks_split_into_the_kept_sequences(self, monkeypatch):
+        kept = []
+        real_apply = GradedTestSet.apply
+
+        def apply(self, sequence, keep=bool):
+            if not real_apply(self, sequence, keep):
+                return False
+            kept.append([list(v) for v in sequence])
+            return True
+
+        monkeypatch.setattr(GradedTestSet, "apply", apply)
+        result = GASimulationTestGenerator(s27(), seed=1).run(
+            GAAtpgParams(population_size=8, generations=2, seq_len=4,
+                         stale_rounds=2)
+        )
+        assert len(kept) > 1
+        assert split_blocks(result.test_set, result.blocks) == kept
 
 
 class TestTermination:

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.atpg.podem import Limits
-from repro.atpg.scoap import compute_testability
+from repro.atpg.scoap import cached_testability
 from repro.circuits import iscas89, s27
 from repro.faults.collapse import collapse_faults
 from repro.ga import justification
@@ -64,14 +64,15 @@ class TestSeedDeterminism:
         assert fake.test_set == real.test_set
 
     def test_precomputed_testability_matches_lazy(self):
-        """The warm-fork invariant: handing the driver a precomputed
-        SCOAP table (as campaign workers inherit from the pre-fork warm
-        state) changes nothing about the results."""
+        """The warm-fork invariant: a driver on a circuit whose SCOAP
+        measures are already cached on its compiled form (as campaign
+        workers inherit them from the pre-fork warm state) gives the
+        results of a cold one."""
         circuit = s27()
-        warm = HybridTestGenerator(
-            circuit, seed=7,
-            testability=compute_testability(compile_circuit(circuit)),
-        )
+        cc = compile_circuit(circuit)
+        measures = cached_testability(cc)
+        warm = HybridTestGenerator(circuit, seed=7)
+        assert warm.cc is cc and cached_testability(warm.cc) is measures
         schedule = gahitec_schedule(x=8, num_passes=2, time_scale=None)
         warm_result = warm.run(schedule)
         cold_result = run_once(seed=7)

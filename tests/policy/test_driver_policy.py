@@ -87,10 +87,7 @@ class TestPolicyDriver:
         from repro.policy.schedule import build_plan
 
         driver = gahitec(s27(), seed=3)
-        plan = build_plan(
-            policy, driver.cc, driver.meas, driver.all_faults,
-            final_pass=3,
-        )
+        plan = build_plan(policy, driver.cc, driver.all_faults, final_pass=3)
         steered = gahitec(s27(), seed=3, policy=plan)
         schedule = gahitec_schedule(x=8, num_passes=3, time_scale=None)
         result = steered.run(schedule)

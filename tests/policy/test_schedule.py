@@ -2,7 +2,6 @@
 
 import json
 
-from repro.atpg.scoap import compute_testability
 from repro.circuits import s27
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault
@@ -15,39 +14,39 @@ from .test_model import toy_rows, train_policy
 
 def fixtures():
     cc = compile_circuit(s27())
-    return cc, compute_testability(cc), collapse_faults(cc.circuit)
+    return cc, collapse_faults(cc.circuit)
 
 
 class TestBuildPlan:
     def test_plan_covers_every_fault(self):
-        cc, meas, faults = fixtures()
+        cc, faults = fixtures()
         policy = train_policy(toy_rows())
-        plan = build_plan(policy, cc, meas, faults, final_pass=3)
+        plan = build_plan(policy, cc, faults, final_pass=3)
         assert plan is not None
         assert set(plan.plans) == {str(f) for f in faults}
         assert plan.circuit == "s27"
         assert plan.fingerprint == policy.fingerprint
 
     def test_foreign_circuit_gets_no_plan(self):
-        cc, meas, faults = fixtures()
+        cc, faults = fixtures()
         rows = toy_rows()
         for row in rows.rows:
             row.circuit = "s298"
         policy = train_policy(rows)
-        assert build_plan(policy, cc, meas, faults, final_pass=3) is None
+        assert build_plan(policy, cc, faults, final_pass=3) is None
 
     def test_start_pass_clamped_to_schedule(self):
-        cc, meas, faults = fixtures()
+        cc, faults = fixtures()
         policy = train_policy(toy_rows())
-        plan = build_plan(policy, cc, meas, faults, final_pass=2)
+        plan = build_plan(policy, cc, faults, final_pass=2)
         assert all(
             1 <= p.start_pass <= 2 for p in plan.plans.values()
         )
 
     def test_deferred_faults_start_at_final_pass(self):
-        cc, meas, faults = fixtures()
+        cc, faults = fixtures()
         policy = train_policy(toy_rows())
-        plan = build_plan(policy, cc, meas, faults, final_pass=3)
+        plan = build_plan(policy, cc, faults, final_pass=3)
         for fault_plan in plan.plans.values():
             if fault_plan.deferred:
                 assert fault_plan.start_pass == 3
@@ -55,7 +54,7 @@ class TestBuildPlan:
     def test_retired_options_leave_the_plan_unchanged(self):
         """Artifacts written while GA-budget shrinking existed carry it
         switched off; they load with today's options and plan alike."""
-        cc, meas, faults = fixtures()
+        cc, faults = fixtures()
         doc = train_policy(toy_rows()).to_dict()
         old = json.loads(json.dumps(doc))
         old["options"].update(shrink_ga=False, cheap_cost=None)
@@ -63,16 +62,16 @@ class TestBuildPlan:
 
         def plan_of(data):
             policy = FaultPolicy.from_dict(data)
-            plan = build_plan(policy, cc, meas, faults, final_pass=3)
+            plan = build_plan(policy, cc, faults, final_pass=3)
             return {name: vars(p) for name, p in plan.plans.items()}
 
         assert plan_of(old) == plan_of(doc)
 
     def test_determinism(self):
-        cc, meas, faults = fixtures()
+        cc, faults = fixtures()
         policy = train_policy(toy_rows())
-        a = build_plan(policy, cc, meas, faults, final_pass=3)
-        b = build_plan(policy, cc, meas, faults, final_pass=3)
+        a = build_plan(policy, cc, faults, final_pass=3)
+        b = build_plan(policy, cc, faults, final_pass=3)
         assert {k: vars(v) for k, v in a.plans.items()} == {
             k: vars(v) for k, v in b.plans.items()
         }

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import os
 
 import pytest
 
@@ -186,6 +187,21 @@ class TestRecovery:
         # resubmitting the same spec dedups against the recovered job
         again, created = manager.submit(spec)
         assert not created and again is job
+
+    def test_missing_report_is_re_merged_from_the_journal(self, tmp_path):
+        spec = CampaignSpec(circuits=("s27",), name="remerge", seed=3,
+                            shard_size=4, fault_limit=8, passes=1)
+        result = CampaignRunner(
+            spec, str(tmp_path / f"{spec.spec_hash()}.jsonl")
+        ).run()
+        manager = JobManager(str(tmp_path))
+        manager.recover()
+        job = manager.get(spec.spec_hash())
+        assert job.state == DONE and not os.path.exists(job.report_path)
+        report = manager.report_of(job.job_id)
+        assert report["detected"] == result.report.detected > 0
+        assert report["vectors"] == result.report.vectors
+        assert os.path.exists(job.report_path)
 
     def test_unfinished_journal_recovers_as_queued_resume(self, tmp_path):
         spec = drill_spec()

@@ -1,10 +1,11 @@
 """POST /policies uploads and policy-steered job submission."""
 
 import asyncio
+import os
 
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.policy.dataset import dataset_from_reports
-from repro.policy.model import train_policy
+from repro.policy.model import FaultPolicy, train_policy
 
 from ..policy.test_model import shrink_ga_doc
 from .test_http import SPEC, ServiceHarness
@@ -121,3 +122,24 @@ class TestPolicyEndpoint:
         # policy counters rolled up into the served report
         counters = served.get("metrics", {}).get("counters", {})
         assert any(k.startswith("atpg.policy.") for k in counters)
+
+    def test_report_of_a_job_whose_policy_is_gone_is_a_4xx(self, tmp_path):
+        """Re-merging a report reads the spec's warm state, policy plan
+        included; a deleted artifact is the client's 409, not a 500."""
+        policy = str(tmp_path / "policy.json")
+        FaultPolicy.from_dict(trained_policy_doc(tmp_path)).save(policy)
+        spec = CampaignSpec.from_dict(dict(SPEC, policy_file=policy))
+        root = tmp_path / "svc"
+        root.mkdir()
+        CampaignRunner(spec, str(root / f"{spec.spec_hash()}.jsonl")).run()
+        os.remove(policy)
+
+        async def scenario():
+            async with ServiceHarness(root) as svc:
+                return await svc.request(
+                    "GET", f"/jobs/{spec.spec_hash()}/report"
+                )
+
+        status, body = asyncio.run(scenario())
+        assert status == 409
+        assert "policy" in body["error"] and "\n" not in body["error"]
