@@ -123,9 +123,13 @@ class JustifySteps:
     A JUSTIFY engine reads only the circuit (and its SCOAP measures), the
     constraints and its ordered targets (the first unmet one is its next
     objective), so its solutions and their backtrack counts are fixed; a
-    budget only cuts the stream where backtracks first exceed it.  A memo
-    serves one circuit and constraint set, and its solutions are shared
-    by every caller, so they must not change.
+    budget only cuts the stream where backtracks first exceed it.  So one
+    memo may serve any number of faults, passes and campaign items, as
+    long as they share one compiled circuit and constraint set: the memo
+    binds both on its first query and refuses any other.  A driver keeps
+    one per pass; a campaign keeps one per circuit in each process, on
+    its warm state.  The solutions are shared by every caller, so they
+    must not change, and no two threads may share a memo.
 
     Attributes:
         built: single-step searches built.
@@ -134,6 +138,10 @@ class JustifySteps:
 
     def __init__(self) -> None:
         self._streams: Dict[Tuple[tuple, int], _Stream] = {}
+        #: the compiled circuit and constraints of the first query
+        self._bound: Optional[
+            Tuple[CompiledCircuit, Optional[InputConstraints]]
+        ] = None
         self.built = 0
         self.reuses = 0
 
@@ -142,6 +150,14 @@ class JustifySteps:
         constraints: "Optional[InputConstraints]",
     ) -> StepCursor:
         """A cursor over the solutions that set ``required`` in one step."""
+        if self._bound is None:
+            self._bound = (cc, constraints)
+        elif cc is not self._bound[0] or constraints != self._bound[1]:
+            raise ValueError(
+                f"JustifySteps memo serves {self._bound[0].circuit.name} with "
+                f"constraints {self._bound[1]}; refused a query for "
+                f"{cc.circuit.name} with constraints {constraints}"
+            )
         key = (tuple(required.items()), limits.max_backtracks)
         stream = self._streams.get(key)
         if stream is None:
@@ -183,8 +199,8 @@ def justify_state(
             responsible for passing a store whose constraint fingerprint
             matches ``constraints``.
         steps: memo of single-step searches to read and extend, shared by
-            calls on the same circuit and constraints; one private to the
-            call when omitted.
+            calls on the same compiled circuit and constraints; one
+            private to the call when omitted.
     """
     if steps is None:
         steps = JustifySteps()

@@ -242,6 +242,9 @@ class UnrolledModel:
         #: each frame's steps; from the launch frame on, a faulty model's
         #: list carries the fault-site step
         self._steps: List[List[Step]] = [self._tables.steps] * num_frames
+        #: (frame, net) pairs where the injection itself can put a D/D̄,
+        #: from which :meth:`d_frontier` walks
+        self._d_seeds: List[Tuple[int, int]] = []
         site_gate: Optional[int] = None
         if fault is not None:
             if fault.model != DEFAULT_FAULT_MODEL:
@@ -263,6 +266,12 @@ class UnrolledModel:
                 injected[site_gate] = _step(cc, site_gate, pin, site.stuck)
                 for frame in range(self._inject_from, num_frames):
                     self._steps[frame] = injected
+            first, seed = self._inject_from, site.net
+            if site.ff_pos is not None:  # forced where frame 1 on latches
+                first, seed = max(1, first), cc.ff_out[site.ff_pos]
+            elif site.gate_pos is not None:
+                seed = cc.gates[site.gate_pos].out
+            self._d_seeds = [(frame, seed) for frame in range(first, num_frames)]
 
         base1, base0 = _baseline(cc, num_frames)
         self.v1: List[List[int]] = [list(row) for row in base1]
@@ -443,29 +452,55 @@ class UnrolledModel:
     def d_frontier(self) -> List[Tuple[int, int]]:
         """Gates with a D/D̄ input and an X-bearing output, as (frame, pos).
 
+        Sorted by (frame, position), the order ``PodemEngine._objective``
+        breaks its ties in.  Walks the fault's D region from the
+        injection instead of scanning the window: three-valued
+        evaluation is monotone, so a D/D̄ lies only at the injection or
+        downstream of another one, in its frame or past a flip-flop
+        (docs/ALGORITHMS.md has the argument).  From the launch frame on,
+        the pin-fault gate is tested on its inputs as it sees them
+        (:meth:`effective_inputs`): its force can put a D on the pin, or
+        remove one arriving on the source.
+
         Works on raw value words: a slot pair is D/D̄ when both two-bit
         halves are known (``p1 ^ p0 == 0b11``) and the good and faulty
         bits of ``p1`` differ; the output bears X when ``p1 & p0 != 0``.
         """
-        frontier: List[Tuple[int, int]] = []
-        gates = self.cc.gates
-        pin_gate = self._pin_gate
-        for frame in range(self.num_frames):
+        gates, fanout = self.cc.gates, self.cc.fanout_gates
+        ff_outs = self._tables.ff_outs
+        pin_gate, launch = self._pin_gate, self._inject_from
+        last = self.num_frames - 1
+        frontier: Set[Tuple[int, int]] = set()
+        seen: Set[Tuple[int, int]] = set()
+        stack = list(self._d_seeds)
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            frame, idx = node
             v1, v0 = self.v1[frame], self.v0[frame]
-            for pos, gate in enumerate(gates):
-                out = gate.out
-                if not (v1[out] & v0[out]):  # fully known output: not frontier
-                    continue
-                if pos == pin_gate:
-                    if any(is_d(v) for v in self.effective_inputs(frame, pos)):
-                        frontier.append((frame, pos))
-                    continue
-                for i in gate.fanin:
-                    a1, a0 = v1[i], v0[i]
-                    if (a1 ^ a0) == MASK2 and (a1 & 1) != (a1 >> 1):
-                        frontier.append((frame, pos))
-                        break
-        return frontier
+            a1 = v1[idx]
+            if (a1 ^ v0[idx]) != MASK2 or (a1 & 1) == (a1 >> 1):
+                continue  # not D/D̄
+            for pos in fanout[idx]:
+                if pos == pin_gate and frame >= launch:
+                    continue  # its forced pin is tested below
+                out = gates[pos].out
+                if v1[out] & v0[out]:
+                    frontier.add((frame, pos))
+                else:
+                    stack.append((frame, out))
+            if frame < last and idx in ff_outs:
+                stack.extend((frame + 1, out) for out in ff_outs[idx])
+        if pin_gate is not None:
+            out = gates[pin_gate].out
+            for frame in range(launch, self.num_frames):
+                if self.v1[frame][out] & self.v0[frame][out] and any(
+                    is_d(v) for v in self.effective_inputs(frame, pin_gate)
+                ):
+                    frontier.add((frame, pin_gate))
+        return sorted(frontier)
 
     def d_reaches_window_edge(self) -> bool:
         """True when a fault effect sits at the last frame's D inputs.

@@ -22,16 +22,22 @@ identity, so every downstream layer that accepts a ``Circuit`` (the
 driver, its fault simulators) transparently reuses the warm compile
 without any plumbing.
 
-Every artifact the state holds is a deterministic function of the spec,
-so an item's result depends only on the spec and the item, never on
-which process built the state.
+Every artifact the state holds but one is a deterministic function of
+the spec.  The exception is each circuit's memo of single-step JUSTIFY
+searches (:class:`~repro.atpg.justify.JustifySteps`), built empty and
+filled by the items a process runs: inline, one memo serves every item;
+each forked worker inherits it empty and fills its own copy.  A memo's
+replays give exactly what fresh searches would, so an item's result
+still depends only on the spec and the item, never on which process ran
+it or what ran there before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..atpg.justify import JustifySteps
 from ..atpg.scoap import cached_testability
 from ..circuit.netlist import Circuit
 from ..circuits.resolve import resolve_circuit
@@ -69,6 +75,11 @@ class CircuitWarmState:
             items then run the static schedule).  The plan is immutable
             and deterministic, so sharing one object across items is
             safe.
+        justify_steps: the memo of single-step JUSTIFY searches that
+            every item run in this process reads and extends, built
+            empty.  It changes no result, only what an item searches
+            afresh; it is never journaled or merged, and no two threads
+            may share it.
     """
 
     circuit: Circuit
@@ -76,6 +87,7 @@ class CircuitWarmState:
     faults: List[Fault]
     knowledge_doc: Optional[Dict[str, Any]] = None
     policy_plan: Optional[PolicyPlan] = None
+    justify_steps: JustifySteps = field(default_factory=JustifySteps)
 
     def knowledge_store(self) -> Optional[StateKnowledge]:
         """A fresh, private preloaded store (or None without a preload)."""

@@ -76,7 +76,9 @@ def run_item(
     reads its circuit, fault shard, knowledge preload and policy plan
     from it.  Each item runs with a private knowledge store, optionally
     preloaded from the spec's fixed sidecar, so reruns and resumes
-    reproduce results exactly.
+    reproduce results exactly.  Its driver reads and extends the
+    circuit's memo of single-step searches, whose replays are exact, so
+    what ran before in this process changes no result.
 
     Raises :class:`CampaignError` when the circuit's current fault list no
     longer matches the hash recorded when the campaign was planned (code
@@ -121,6 +123,7 @@ def run_item(
         policy=state.policy_plan,
         telemetry=recorder,
         fault_model=spec.fault_model,
+        justify_steps=state.justify_steps,
     )
     deadline = (
         tick() + spec.item_timeout_s

@@ -104,6 +104,10 @@ class HybridTestGenerator:
             (``"stuck_at"`` default, ``"transition"``).  Defines the
             default fault universe, the engines' detection semantics,
             and the knowledge environment fingerprint.
+        justify_steps: memo of single-step JUSTIFY searches that every
+            pass reads and extends; a campaign hands each item its
+            circuit's memo.  ``None`` (default) gives each pass a memo of
+            its own, dropped when the pass returns.
     """
 
     def __init__(
@@ -122,6 +126,7 @@ class HybridTestGenerator:
         knowledge: "bool | StateKnowledge" = True,
         policy: "FaultPolicy | PolicyPlan | None" = None,
         fault_model: str = DEFAULT_FAULT_MODEL,
+        justify_steps: Optional[JustifySteps] = None,
     ):
         self.circuit = circuit
         self.seed = seed
@@ -169,6 +174,7 @@ class HybridTestGenerator:
         self.ga_justifier = GAStateJustifier(self.ctx, rng=self.rng)
         self.generator_name = generator_name
         self.use_current_state = use_current_state
+        self.justify_steps = justify_steps
 
         self.policy = policy
         self._plan: Optional[PolicyPlan] = None
@@ -354,8 +360,14 @@ class HybridTestGenerator:
     def run_pass(self, cfg: PassConfig) -> PassStats:
         """Make one pass through the remaining fault list."""
         stats = PassStats(number=cfg.number, approach=cfg.justification)
-        # a pass has one backtrack budget: its searches serve no other pass
-        steps = JustifySteps()
+        # the memo's key holds the budget, so a campaign's memo serves
+        # every pass of every item; a driver of its own keeps one per
+        # pass, since both schedules grow the budget from pass to pass
+        # and an older pass's searches never come back
+        steps = self.justify_steps
+        if steps is None:
+            steps = JustifySteps()
+        built0, reuses0 = steps.built, steps.reuses
         detected = self.tests.detected
         before = len(detected)
         for fault in list(self.tests.remaining):
@@ -371,9 +383,10 @@ class HybridTestGenerator:
                 break
             stats.targeted += 1
             self._target_fault(fault, cfg, stats, steps)
-        if steps.built:
-            self.telemetry.count("atpg.justify_steps", steps.built)
-            self.telemetry.count("atpg.justify_step_reuses", steps.reuses)
+        built, reuses = steps.built - built0, steps.reuses - reuses0
+        if built or reuses:
+            self.telemetry.count("atpg.justify_steps", built)
+            self.telemetry.count("atpg.justify_step_reuses", reuses)
         stats.detected_new = len(detected) - before
         for fault in detected:
             record = self._record_for(fault)

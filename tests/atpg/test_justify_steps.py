@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.atpg import justify as justify_mod
 from repro.atpg import podem as podem_mod
+from repro.atpg.constraints import InputConstraints
 from repro.atpg.justify import JustifySteps, justify_state
 from repro.atpg.podem import Limits, PodemEngine, SearchStatus
 from repro.circuits import iscas89
@@ -231,6 +232,37 @@ class TestRelease:
         query(steps, cc, CUBE, Limits(40), 1)
         (stream,) = steps._streams.values()
         assert stream.engine is not None
+
+
+class TestGuard:
+    """A memo serves the compiled circuit and constraints of its first
+    query and refuses any other with one line."""
+
+    def refused(self, steps, cc, cube, constraints):
+        with pytest.raises(ValueError, match="JustifySteps memo") as info:
+            steps.query(cc, cube, Limits(3), constraints)
+        assert "\n" not in str(info.value)
+
+    def test_another_compiled_circuit_is_refused(self, s298):
+        steps = JustifySteps()
+        expected = query(steps, s298, CUBE, Limits(40), None)
+        self.refused(steps, compile_circuit(iscas89("s27")), {"G5": 1}, None)
+        # the same netlist compiled again is another compiled circuit
+        self.refused(steps, compile_circuit(iscas89("s298")), CUBE, None)
+        assert query(steps, s298, CUBE, Limits(40), None) == expected
+        assert (steps.built, steps.reuses) == (1, 1)
+
+    def test_another_constraint_set_is_refused(self):
+        cc = compile_circuit(iscas89("s27"))
+        fixed = InputConstraints(fixed={"G0": 0})
+        steps = JustifySteps()
+        steps.query(cc, {"G5": 1}, Limits(3), fixed)
+        self.refused(steps, cc, {"G5": 1}, None)
+        self.refused(steps, cc, {"G5": 1}, InputConstraints(fixed={"G0": 1}))
+        self.refused(steps, cc, {"G5": 1}, InputConstraints(hold={"G0"}))
+        # an equal constraint set is the same one
+        steps.query(cc, {"G5": 1}, Limits(3), InputConstraints(fixed={"G0": 0}))
+        assert (steps.built, steps.reuses) == (1, 1)
 
 
 # ----------------------------------------------------------------------

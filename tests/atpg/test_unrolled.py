@@ -26,6 +26,7 @@ from repro.simulation.fault_sim import injection_for
 from repro.simulation.logic_sim import FrameSimulator, _eval_ints, apply_stuck
 
 from ..conftest import random_circuits
+from .test_regressions import shared_d_circuit
 
 MODELS = ("stuck_at", "transition")
 
@@ -557,3 +558,163 @@ class TestStepTemplates:
                 model.assign(0, idx, 1)
         assert unrolled._TEMPLATES  # the models compiled their templates
         assert codegen.compile_stats() == before
+
+
+# ----------------------------------------------------------------------
+def scan_frontier(model):
+    """Reference D-frontier: the scan of every gate of every frame that
+    ``UnrolledModel.d_frontier`` replaced by a walk of the D region."""
+    frontier = []
+    pin_gate = model._pin_gate
+    for frame in range(model.num_frames):
+        v1, v0 = model.v1[frame], model.v0[frame]
+        for pos, gate in enumerate(model.cc.gates):
+            out = gate.out
+            if not (v1[out] & v0[out]):  # fully known output: not frontier
+                continue
+            if pos == pin_gate:
+                if any(is_d(v) for v in model.effective_inputs(frame, pos)):
+                    frontier.append((frame, pos))
+                continue
+            for i in gate.fanin:
+                a1, a0 = v1[i], v0[i]
+                if (a1 ^ a0) == MASK2 and (a1 & 1) != (a1 >> 1):
+                    frontier.append((frame, pos))
+                    break
+    return frontier
+
+
+def walk_ops(model, ops):
+    """Apply ``ops`` and check ``d_frontier`` against the scan after each.
+
+    Each op is (leaf choice, 0/1/2): 0 or 1 assigns an X leaf, or
+    releases an assigned one to X; 2 unassigns the latest step.
+    Returns how many checks saw a non-empty frontier.
+    """
+    cc = model.cc
+    leaves = [(f, i) for f in range(model.num_frames) for i in cc.pi]
+    leaves += [(0, i) for i in cc.ff_out]
+    undos = []
+    assert model.d_frontier() == scan_frontier(model)
+    nonempty = 0
+    for choice, value in ops:
+        if value == 2:
+            if not undos:
+                continue
+            model.unassign(undos.pop())
+        else:
+            leaf = leaves[choice % len(leaves)]
+            undos.append(model.assign(*leaf, X if model.good(*leaf) != X else value))
+        frontier = model.d_frontier()
+        assert frontier == scan_frontier(model), (str(model.fault), model.num_frames)
+        nonempty += bool(frontier)
+    return nonempty
+
+
+#: a fixed op sequence for the named cases
+OPS = [(k * 7 + 3, (k * 5) % 3) for k in range(24)]
+
+
+def pin_force_circuit():
+    """g = AND(q, a), q = DFF(NOT(g)), output y = BUF(q).
+
+    With g's pin 0 stuck-at-1 and q = 0, a = 1 in frame 0, the forced pin
+    makes g a D̄ and q a D in frame 1, where the force turns that D back
+    into a 1: g's source holds a D, yet g sees none.
+    """
+    c = Circuit("pin_force")
+    c.add_input("a")
+    c.add_gate("g", GateType.AND, ["q", "a"])
+    c.add_gate("n", GateType.NOT, ["g"])
+    c.add_gate("q", GateType.DFF, ["n"])
+    c.add_gate("y", GateType.BUF, ["q"])
+    c.add_output("y")
+    return c
+
+
+class TestDFrontierWalk:
+    """``d_frontier`` walks the D region and must equal the scan."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        circuit=random_circuits(),
+        ops=st.lists(
+            st.tuples(st.integers(0, 63), st.integers(0, 2)),
+            min_size=1, max_size=12,
+        ),
+        offset=st.integers(0, 3),
+    )
+    def test_walk_equals_the_scan_after_every_step(self, circuit, ops, offset):
+        cc = compile_circuit(circuit)
+        for name in MODELS:
+            for k, fault in enumerate(collapse_faults(circuit, name)):
+                model = UnrolledModel(cc, fault, 1 + (k + offset) % 4)
+                walk_ops(model, ops)
+
+    @pytest.mark.parametrize(
+        "kind", ["pi stem", "ff-output stem", "gate-output stem"]
+    )
+    def test_stems(self, kind):
+        circuit = s27()
+        cc = compile_circuit(circuit)
+        faults = [
+            f for name in MODELS for f in full_fault_list(circuit, name)
+            if injection_kind(circuit, f) == kind
+        ]
+        assert faults
+        nonempty = sum(
+            walk_ops(UnrolledModel(cc, fault, frames), OPS)
+            for fault in faults for frames in range(1, 5)
+        )
+        assert nonempty
+
+    def test_a_pin_force_removes_the_d_on_its_source(self):
+        cc = compile_circuit(pin_force_circuit())
+        q, a, g = cc.index["q"], cc.index["a"], cc.index["g"]
+        g_pos = cc.gate_of[g]
+        model = UnrolledModel(cc, Fault("q", 1, gate="g", pin=0), num_frames=2)
+        model.assign(0, q, 0)
+        # the forced pin reads a D̄ while its source holds none
+        assert not is_d(model.value(0, q))
+        assert model.d_frontier() == scan_frontier(model) == [(0, g_pos)]
+        model.assign(0, a, 1)
+        # frame 1: a D on the source, none through the force
+        assert is_d(model.value(1, q))
+        assert good_of(model.value(1, g)) == X
+        assert (1, g_pos) not in model.d_frontier()
+        assert model.d_frontier() == scan_frontier(model)
+
+    def test_a_flip_flop_d_pin_fault(self):
+        cc = compile_circuit(shared_d_circuit())
+        g0, g3 = cc.gate_of[cc.index["g0"]], cc.gate_of[cc.index["g3"]]
+        model = UnrolledModel(cc, Fault("g3", 0, gate="ff0", pin=0), num_frames=3)
+        model.assign(0, cc.index["pi0"], 0)
+        # only ff0 latches the stuck value: a D from frame 1 on
+        assert is_d(model.value(1, cc.index["ff0"]))
+        assert not is_d(model.value(1, cc.index["ff1"]))
+        assert model.d_frontier() == scan_frontier(model) == sorted([(1, g0), (1, g3)])
+        assert walk_ops(model, OPS)
+
+    def test_a_transition_fault_launched_in_frame_1(self):
+        circuit = s27()
+        cc = compile_circuit(circuit)
+        nonempty = 0
+        for fault in collapse_faults(circuit, "transition"):
+            for frames in (2, 3, 4):
+                model = UnrolledModel(cc, fault, frames)
+                assert model.launch_frame == 1
+                nonempty += walk_ops(model, OPS)
+                assert all(frame >= 1 for frame, _ in model.d_frontier())
+        assert nonempty
+
+    def test_a_d_input_net_feeding_two_flip_flops(self):
+        cc = compile_circuit(shared_d_circuit())
+        g0 = cc.gate_of[cc.index["g0"]]
+        model = UnrolledModel(cc, Fault("ff0", 0, gate="g3", pin=1), num_frames=2)
+        model.assign(0, cc.index["ff0"], 1)
+        model.assign(0, cc.index["pi0"], 1)
+        # g3 latches a D̄ into ff0 and ff1; only ff0 is read
+        assert is_d(model.value(1, cc.index["ff0"]))
+        assert is_d(model.value(1, cc.index["ff1"]))
+        assert model.d_frontier() == scan_frontier(model) == [(1, g0)]
+        assert walk_ops(model, OPS)

@@ -1,25 +1,32 @@
 """CampaignRunner: inline and pooled execution, journaling, resume."""
 
+import gc
 import json
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import pytest
 
 import repro.campaign.runner as campaign_runner
 import repro.campaign.spec as campaign_spec
+from repro.atpg.justify import JustifySteps
 from repro.campaign import (
     CampaignError,
     CampaignRunner,
     CampaignSpec,
     CampaignWarmState,
+    build_items,
     read_events,
+    run_item,
     shard_faults,
 )
 from repro.circuits.resolve import resolve_circuit
 from repro.faults.collapse import collapse_faults
 from repro.simulation import kernel_cache
+
+from .test_pool import without_timing
 
 
 def spec(**overrides):
@@ -109,6 +116,101 @@ class TestWarmStateIsTheOnlySource:
         assert sorted(warm.circuits) == ["s27", "s298"]
         for name, state in warm.circuits.items():
             assert state.faults == shard_faults(s, name)
+
+
+def run_items(s, private):
+    """Run every item of ``s`` in this process through one warm state; with
+    ``private`` each item gets a memo of its own.  Returns the payloads
+    (without ``kernel_compiles``: the second run finds every GA kernel
+    compiled) and how many single-step searches the items built and
+    reused."""
+    warm = CampaignWarmState.build(s)
+    payloads, built, reuses = [], 0, 0
+    for item in build_items(s, warm):
+        state = warm.circuits[item.circuit]
+        if private:
+            state.justify_steps = JustifySteps()
+        built0, reuses0 = state.justify_steps.built, state.justify_steps.reuses
+        payloads.append(without_timing(run_item(s, item, warm).to_dict()))
+        built += state.justify_steps.built - built0
+        reuses += state.justify_steps.reuses - reuses0
+    return payloads, built, reuses
+
+
+def watch_warm_states(monkeypatch, keep):
+    """Hand every warm state the runner builds to ``keep``."""
+    real = CampaignWarmState.build.__func__
+
+    def build(cls, s):
+        warm = real(cls, s)
+        keep(warm)
+        return warm
+
+    monkeypatch.setattr(CampaignWarmState, "build", classmethod(build))
+
+
+class TestJustifyMemoScope:
+    """A campaign keeps one memo of single-step searches per circuit in
+    each process, and an item's payload does not depend on it."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(seed=7, passes=3, seq_len=4, fault_limit=16),
+        dict(seed=3, passes=1, baseline=True, fault_model="transition",
+             fault_limit=40),
+        # the memo serves both budgets
+        dict(seed=1, passes=2, baseline=True, fault_limit=12),
+    ], ids=["gahitec", "hitec-transition", "hitec-two-passes"])
+    def test_a_shared_memo_changes_no_payload(self, overrides):
+        s = spec(circuits=("s27", "s298"), shard_size=1, backtracks=5,
+                 justify_depth=3, **overrides)
+        shared, shared_built, shared_reuses = run_items(s, private=False)
+        private, private_built, private_reuses = run_items(s, private=True)
+        assert shared == private
+        # later items replay searches earlier items built
+        assert shared_built < private_built
+        assert shared_built + shared_reuses == private_built + private_reuses
+
+    def test_a_pooled_run_leaves_the_parents_memo_empty(
+        self, tmp_path, monkeypatch
+    ):
+        built = []
+        watch_warm_states(monkeypatch, built.append)
+        s = spec(circuits=("s27", "s298"), passes=1, baseline=True,
+                 fault_limit=6, shard_size=1, backtracks=5, justify_depth=3)
+        result, _ = run_campaign(tmp_path, s, workers=2)
+        assert result.items_failed == 0 and result.detected > 0
+        (warm,) = built
+        for state in warm.circuits.values():
+            memo = state.justify_steps
+            assert (memo.built, memo.reuses, memo._streams) == (0, 0, {})
+
+    def test_an_inline_runs_memo_is_freed_when_run_returns(
+        self, tmp_path, monkeypatch
+    ):
+        memos, filled = [], []
+        watch_warm_states(monkeypatch, lambda warm: memos.extend(
+            weakref.ref(state.justify_steps) for state in warm.circuits.values()
+        ))
+        real_run_item = campaign_runner.run_item
+
+        def counted(s, item, warm, *args, **kwargs):
+            outcome = real_run_item(s, item, warm, *args, **kwargs)
+            filled.append(warm.circuits[item.circuit].justify_steps.built)
+            return outcome
+
+        monkeypatch.setattr(campaign_runner, "run_item", counted)
+        s = spec(circuits=("s27", "s298"), passes=1, baseline=True,
+                 fault_limit=6, shard_size=1, backtracks=5, justify_depth=3)
+        gc.collect()
+        gc.disable()
+        try:
+            result, _ = run_campaign(tmp_path, s)
+            alive = [memo() is not None for memo in memos]
+        finally:
+            gc.enable()
+        assert result.items_failed == 0
+        assert len(memos) == 2 and max(filled) > 0
+        assert alive == [False, False]
 
 
 class TestConcurrentRunners:
