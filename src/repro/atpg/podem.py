@@ -71,13 +71,11 @@ class Solution:
     Attributes:
         vectors: per-frame primary-input scalars (0/1/X), frames 0..k.
         required_state: cared frame-0 flip-flop values {net: 0/1}.
-        detect_frame: frame whose PO shows the fault effect (DETECT mode).
         backtracks: cumulative backtracks when this solution was found.
     """
 
     vectors: List[List[int]]
     required_state: Dict[str, int]
-    detect_frame: int
     backtracks: int
 
 
@@ -383,10 +381,10 @@ class PodemEngine:
         model = self.model
         if self.fault is not None:
             hit = model.detected_at(self.observe_ppo)
-            detect_frame = hit[0] if hit else model.num_frames - 1
-            vectors = model.extract_vectors(detect_frame)
+            vectors = model.extract_vectors(
+                hit[0] if hit else model.num_frames - 1
+            )
         else:
-            detect_frame = 0
             vectors = model.extract_vectors(0)
         required = model.required_state()
         if required:
@@ -394,7 +392,6 @@ class PodemEngine:
         return Solution(
             vectors=vectors,
             required_state=required,
-            detect_frame=detect_frame,
             backtracks=self.backtracks,
         )
 

@@ -519,10 +519,6 @@ class UnrolledModel:
             return g == X or g != self._stuck
         return False
 
-    def x_path_exists(self, frontier: Sequence[Tuple[int, int]]) -> bool:
-        """Check some frontier gate still has an all-X path to a PO."""
-        return self.x_path_info(frontier)[0]
-
     def x_path_info(
         self, frontier: Sequence[Tuple[int, int]]
     ) -> Tuple[bool, bool]:

@@ -45,7 +45,6 @@ class WorkItem:
     Attributes:
         item_id: stable identifier, ``<circuit>/<shard index>``.
         circuit: circuit specifier (resolvable name or path).
-        shard: 0-based shard index within the circuit.
         start: offset of the shard in the circuit's collapsed fault list
             (after the spec's ``fault_limit`` cap).
         count: number of faults in the shard.
@@ -57,7 +56,6 @@ class WorkItem:
 
     item_id: str
     circuit: str
-    shard: int
     start: int
     count: int
     seed: int
@@ -96,7 +94,6 @@ def build_items(spec: CampaignSpec, warm: CampaignWarmState) -> List[WorkItem]:
                 WorkItem(
                     item_id=item_id,
                     circuit=circuit_name,
-                    shard=shard,
                     start=start,
                     count=len(chunk),
                     seed=derive_seed(spec.seed, item_id),

@@ -9,7 +9,7 @@ any other module reads ``time.time`` / ``time.monotonic`` /
 ``time.perf_counter`` directly, so a stray direct read cannot silently
 re-introduce untestable timeout paths.
 
-``time.sleep`` (a delay, not a clock read) and ``time.process_time``
+``time.sleep`` (a delay, not a clock read) and ``time.thread_time``
 (CPU accounting, not wall clock) remain allowed everywhere.
 """
 

@@ -212,10 +212,6 @@ class FaultModel:
             machine diverges in.  0 for stuck-at (always active); 1 for
             transition, where frame 0 sets the pre-transition value and
             the launch happens at the frame boundary.
-        local_collapse: whether gate-local structural-equivalence rules
-            (controlling-value, BUF/NOT folding) are sound.  They are not
-            for transition faults — a test for a slow-to-rise gate input
-            need not launch a transition on the gate output.
         untestable_proofs: whether the unrolled engine's untestability
             proofs are sound under this model.  False for transition:
             the engine searches an approximation of the two-frame
@@ -226,7 +222,6 @@ class FaultModel:
     suffixes: Mapping[int, str] = {}
     min_window: int = 1
     inject_from_frame: int = 0
-    local_collapse: bool = True
     untestable_proofs: bool = True
 
     def full_faults(self, circuit: Circuit) -> List[Fault]:
@@ -245,7 +240,6 @@ class StuckAtModel(FaultModel):
     suffixes = {0: "s-a-0", 1: "s-a-1"}
     min_window = 1
     inject_from_frame = 0
-    local_collapse = True
     untestable_proofs = True
 
     def collapse(self, circuit: Circuit) -> List[Fault]:
@@ -263,7 +257,6 @@ class TransitionModel(FaultModel):
     suffixes = {0: "s-t-r", 1: "s-t-f"}
     min_window = 2
     inject_from_frame = 1
-    local_collapse = False
     untestable_proofs = False
 
     def collapse(self, circuit: Circuit) -> List[Fault]:

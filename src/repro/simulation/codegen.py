@@ -4,10 +4,12 @@ For each compiled circuit (and each *shape* of injected faults) this
 module emits the full levelized combinational sweep as one specialized
 Python function — straight-line bitwise expressions over local variables,
 no per-gate dispatch, no tuple allocation, no attribute lookups — and
-``exec``-compiles it once.  :class:`CodegenFrameSimulator` is a drop-in
-replacement for the event-driven :class:`~repro.simulation.logic_sim.
-FrameSimulator` that runs the kernel instead of propagating events; the
-event backend remains the differential-testing oracle.
+``exec``-compiles it once.  :class:`CodegenFrameSimulator` settles the
+gates of :class:`~repro.simulation.logic_sim.FrameSimulator`'s state
+machine with the kernel instead of propagating events; the event backend
+remains the differential-testing oracle.  The kernel forces the
+gate-level injections (gate-output stems and pins) only: the simulator
+forces source stems as it writes them and D pins at the clock edge.
 
 Kernels are cached on the :class:`~repro.simulation.compiled.
 CompiledCircuit` itself, keyed by an *injection signature*: the fault
@@ -21,7 +23,7 @@ A generated kernel looks like::
 
     def _kernel(v1, v0, mask, m0):
         n0 = ~m0
-        a3 = v1[3]; b3 = v0[3]          # read sources
+        a3 = v1[3]; b3 = v0[3]          # read sources, already forced
         a7 = a3 & a5; b7 = b3 | b5      # AND gate, inlined
         a7 = a7 | m0; b7 = b7 & n0      # stem s-a-1 on the masked slots
         v1[7] = a7; v0[7] = b7          # write back
@@ -36,18 +38,10 @@ from collections import OrderedDict
 from types import CodeType
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..circuit.netlist import Circuit
 from ..clock import perf_counter
 from . import kernel_cache
-from .compiled import CompiledCircuit, compile_circuit
-from .logic_sim import (
-    FrameSimulator,
-    Injection,
-    apply_stuck,
-    _blend,
-    _combine_transition,
-    register_backend,
-)
+from .compiled import CompiledCircuit
+from .logic_sim import FrameSimulator, Injection, register_backend
 
 #: Kernels cached per compiled circuit; evicted LRU beyond this many shapes.
 KERNEL_CACHE_LIMIT = 256
@@ -81,7 +75,7 @@ def _canonical(injections: Iterable[Injection]) -> List[Injection]:
     """Combinational injections in the canonical (signature) order.
 
     Flip-flop D-pin injections are excluded: they act at the clock edge,
-    outside the combinational sweep, and are handled by the simulator.
+    outside the combinational sweep, and the simulator forces them.
     """
     comb = [inj for inj in injections if inj.ff_pos is None]
     return sorted(
@@ -173,25 +167,6 @@ def _transition_lines(a: str, b: str, stuck: int, k: int, j: int) -> List[str]:
     return lines
 
 
-def _kernel_transition_slots(
-    cc: CompiledCircuit, injections: Sequence[Injection]
-) -> List[int]:
-    """Canonical indices of transition injections the *kernel* handles.
-
-    Gate-output stems and gate-input pins are baked into the sweep (the
-    kernel recomputes their raw value every call, captures it, and
-    applies the previous-frame combine).  Transition stems on *sources*
-    are excluded: the stored source value would be the forced one, so the
-    simulator keeps a raw shadow and pre-forces them before the sweep.
-    """
-    return [
-        k
-        for k, inj in enumerate(injections)
-        if inj.model != "stuck_at"
-        and (inj.gate_pos is not None or cc.gate_of[inj.net] is not None)
-    ]
-
-
 def generate_kernel_source(
     cc: CompiledCircuit,
     injections: Sequence[Injection],
@@ -200,17 +175,18 @@ def generate_kernel_source(
 ) -> str:
     """Emit the specialized full-sweep function for one injection shape.
 
-    ``injections`` must already be in canonical order (mask argument ``k``
-    corresponds to ``injections[k]``).  ``writeback`` restricts which gate
-    outputs are stored back into the value arrays (``None`` stores all);
-    sources the kernel forces are always written back.
+    ``injections`` are gate-level injections (gate-output stems and gate
+    pins) in canonical order: mask argument ``k`` corresponds to
+    ``injections[k]``.  Sources are only read; the simulator forces their
+    stems as it writes them.  ``writeback`` restricts which gate outputs
+    are stored back into the value arrays (``None`` stores all).
 
-    Transition injections at gate outputs / gate pins add parameters: a
-    previous-raw pair ``tp{k}``/``tq{k}`` per transition slot and one
-    shared capture buffer ``tc`` the kernel writes each site's current
-    raw value into (the simulator rolls it into the prevs at each clock).
+    Each transition injection adds a previous-raw pair ``tp{k}``/``tq{k}``
+    of parameters, and all of them share one capture buffer ``tc`` the
+    kernel writes each site's current raw value into (the simulator rolls
+    it into the prevs at each clock).
     """
-    tks = _kernel_transition_slots(cc, injections)
+    tks = [k for k, inj in enumerate(injections) if inj.model != "stuck_at"]
     tslot = {k: j for j, k in enumerate(tks)}
     params = ["v1", "v0", "mask"] + [f"m{k}" for k in range(len(injections))]
     for k in tks:
@@ -245,27 +221,12 @@ def generate_kernel_source(
                     _transition_lines(a, b, injections[k].stuck, k, tslot[k])
                 )
 
-    # sources: primary inputs and flip-flop outputs.  Transition stems on
-    # sources are *not* forced here — the simulator pre-forces the stored
-    # value from its raw shadow (the array already holds the forced value
-    # when the kernel reads it).
+    # sources: primary inputs and flip-flop outputs, already forced
     for idx in range(cc.num_nets):
         if cc.gate_of[idx] is not None:
             continue
         body.append(f"a{idx} = v1[{idx}]")
         body.append(f"b{idx} = v0[{idx}]")
-        ks = [
-            k
-            for k in stem_by_net.get(idx, ())
-            if injections[k].model == "stuck_at"
-        ]
-        if ks:
-            for k in ks:
-                body.extend(force_lines(f"a{idx}", f"b{idx}",
-                                        injections[k].stuck, f"m{k}", f"n{k}"))
-            # write the forced value back so reads see the faulted net
-            body.append(f"v1[{idx}] = a{idx}")
-            body.append(f"v0[{idx}] = b{idx}")
 
     # gates, already in level order
     for pos, gate in enumerate(cc.gates):
@@ -361,22 +322,16 @@ def kernel_for(
 
 
 class CodegenFrameSimulator(FrameSimulator):
-    """Frame simulator whose settle phase is one generated-kernel call.
+    """Frame simulator whose gates settle in one generated-kernel call.
 
-    Same constructor, state and frame-advance API as
-    :class:`~repro.simulation.logic_sim.FrameSimulator`; only the
-    propagation strategy differs (full specialized sweep instead of
-    event-driven selective trace).  Registered as backend ``"codegen"``.
+    The state, the source writes and the clock edge are
+    :class:`~repro.simulation.logic_sim.FrameSimulator`'s; only how the
+    gates settle differs: one specialized full sweep with the gate-level
+    injections baked in, instead of event-driven selective trace.
+    Registered as backend ``"codegen"``.
     """
 
-    def __init__(
-        self,
-        circuit: "Circuit | CompiledCircuit",
-        width: int = 64,
-        injections: Iterable[Injection] = (),
-    ):
-        injections = list(injections)
-        super().__init__(circuit, width=width, injections=injections)
+    def _init_gates(self, injections: List[Injection]) -> None:
         self._canon = _canonical(injections)
         self._kernel_masks = tuple(inj.mask for inj in self._canon)
         # Only the nets the frame loop observes are stored back by the hot
@@ -384,148 +339,41 @@ class CodegenFrameSimulator(FrameSimulator):
         # other net falls back to a full-writeback kernel.
         self._observed = frozenset(self.cc.po) | frozenset(self.cc.ff_in)
         self._kernel = kernel_for(self.cc, self._canon, self._observed)
-        self._full_kernel = None
-        # get_state must resettle only when a stem fault forces a flip-flop
-        # output (the kernel re-asserts the force and writes it back)
-        ff_out = set(self.cc.ff_out)
-        self._state_needs_settle = any(
-            inj.gate_pos is None and inj.net in ff_out for inj in self._canon
-        )
-        # -- transition-model plumbing ---------------------------------
-        x1, x0 = self._x
-        #: canonical slots whose transition combine the kernel computes
-        self._tks = _kernel_transition_slots(self.cc, self._canon)
-        #: capture buffer the kernel writes site raws into (2 per slot)
-        self._tcap: List[int] = [x1, x0] * len(self._tks)
-        #: previous-frame raw planes, flat in tks order (tp0, tq0, ...)
-        self._tprev_flat: List[int] = [x1, x0] * len(self._tks)
-        #: transition stems on sources -> simulator pre-forces from shadow
-        self._tsrc: Dict[int, List[Injection]] = {}
-        self._src_shadow: Dict[int, Tuple[int, int]] = {}
-        self._tsrc_prev: Dict[int, Tuple[int, int]] = {}
-        for inj in self._canon:
-            if inj.model != "stuck_at" and inj.gate_pos is None \
-                    and self.cc.gate_of[inj.net] is None:
-                self._tsrc.setdefault(inj.net, []).append(inj)
-                self._src_shadow[inj.net] = (x1, x0)
-                self._tsrc_prev[inj.net] = (x1, x0)
-        #: transition D-pin sites, forced at the clock edge
-        self._tff_prev: Dict[int, Tuple[int, int]] = {
-            ff_pos: (x1, x0)
-            for ff_pos, injs in self._ff_pin.items()
-            if any(i.model != "stuck_at" for i in injs)
-        }
+        self._full_kernel: Optional[Callable[..., None]] = None
+        #: per transition injection, its site's raw words from the last
+        #: sweep (the kernel's capture buffer) and from the previous frame
+        n = sum(2 for inj in self._canon if inj.model != "stuck_at")
+        self._tcap: List[int] = [0] * n
+        self._tprev: List[int] = [0] * n
+        self._stale = True
+
+    def _reset_gates(self) -> None:
+        x = list(self._x) * (len(self._tcap) // 2)
+        self._tcap[:] = x
+        self._tprev[:] = x
+        self._stale = True
+
+    def _changed(self, nets: List[int]) -> None:
+        self._stale = True
+
+    def _roll(self) -> None:
+        if self._tcap:
+            self._tprev[:] = self._tcap
+            self._stale = True
 
     def settle(self) -> None:
-        """Run the generated full sweep if any source changed."""
-        if not self._dirty:
-            return
-        if self._has_transition:
-            if self._tsrc:
-                self._assert_tsrc()
-            if self._tks:
-                self._kernel(self.v1, self.v0, self.mask,
-                             *self._kernel_masks, *self._tprev_flat,
-                             self._tcap)
-            else:
-                self._kernel(self.v1, self.v0, self.mask,
-                             *self._kernel_masks)
+        """Run the generated full sweep if anything changed since the last."""
+        if self._stale:
+            self._sweep(self._kernel)
+            self._stale = False
+
+    def _sweep(self, kernel: Callable[..., None]) -> None:
+        if self._tcap:
+            kernel(self.v1, self.v0, self.mask, *self._kernel_masks,
+                   *self._tprev, self._tcap)
         else:
-            self._kernel(self.v1, self.v0, self.mask, *self._kernel_masks)
-        self._dirty = False
+            kernel(self.v1, self.v0, self.mask, *self._kernel_masks)
 
-    def _assert_tsrc(self) -> None:
-        """Re-force transition source stems from their raw shadows."""
-        v1, v0 = self.v1, self.v0
-        for idx, injs in self._tsrc.items():
-            raw = self._src_shadow[idx]
-            p1, p0 = raw
-            prev = self._tsrc_prev[idx]
-            for inj in injs:
-                forced = _combine_transition(raw, prev, inj.stuck)
-                p1, p0 = _blend((p1, p0), forced, inj.mask)
-            v1[idx] = p1
-            v0[idx] = p0
-
-    def reset(self) -> None:
-        super().reset()
-        if self._has_transition:
-            x1, x0 = self._x
-            self._tcap[:] = [x1, x0] * len(self._tks)
-            self._tprev_flat[:] = [x1, x0] * len(self._tks)
-            for idx in self._tsrc:
-                self._src_shadow[idx] = (x1, x0)
-                self._tsrc_prev[idx] = (x1, x0)
-            for ff_pos in self._tff_prev:
-                self._tff_prev[ff_pos] = (x1, x0)
-
-    def apply_inputs(self, vector) -> None:
-        """Drive primary inputs with direct array writes (no event setup)."""
-        v1, v0 = self.v1, self.v0
-        mask = self.mask
-        tsrc = self._tsrc
-        if isinstance(vector, dict):
-            index = self.cc.index
-            for name, (p1, p0) in vector.items():
-                idx = index[name]
-                v1[idx] = p1 & mask
-                v0[idx] = p0 & mask
-                if idx in tsrc:
-                    self._src_shadow[idx] = (v1[idx], v0[idx])
-        else:
-            for idx, (p1, p0) in zip(self.cc.pi, vector):
-                v1[idx] = p1 & mask
-                v0[idx] = p0 & mask
-                if idx in tsrc:
-                    self._src_shadow[idx] = (v1[idx], v0[idx])
-        self._dirty = True
-
-    def clock(self) -> None:
-        """Latch D inputs into flip-flop outputs; resettling is deferred.
-
-        The next :meth:`settle` (triggered by the next frame's inputs or by
-        any read accessor) runs one sweep covering both the new state and
-        the new inputs, halving the sweeps per frame versus the event
-        backend's settle-on-clock.  Transition sites advance here: kernel
-        sites roll the capture buffer into the prev planes, source sites
-        roll their shadow, D-pin sites the raw latched value.
-        """
-        self.settle()  # D values must be stable before the edge
-        v1, v0 = self.v1, self.v0
-        # read every D value before writing any output: a flip-flop may
-        # feed another flip-flop's D pin directly
-        new1 = [v1[i] for i in self.cc.ff_in]
-        new0 = [v0[i] for i in self.cc.ff_in]
-        ff_raws: Dict[int, Tuple[int, int]] = {}
-        for ff_pos, injs in self._ff_pin.items():
-            val = new1[ff_pos], new0[ff_pos]
-            raw = val
-            for inj in injs:
-                if inj.model == "stuck_at":
-                    val = apply_stuck(val, inj.stuck, inj.mask)
-                else:
-                    forced = _combine_transition(
-                        raw, self._tff_prev[ff_pos], inj.stuck
-                    )
-                    val = _blend(val, forced, inj.mask)
-            if ff_pos in self._tff_prev:
-                ff_raws[ff_pos] = raw
-            new1[ff_pos], new0[ff_pos] = val
-        if self._has_transition:
-            self._tprev_flat[:] = self._tcap
-            for idx in self._tsrc:
-                self._tsrc_prev[idx] = self._src_shadow[idx]
-            for ff_pos, raw in ff_raws.items():
-                self._tff_prev[ff_pos] = raw
-        tsrc = self._tsrc
-        for out_idx, p1, p0 in zip(self.cc.ff_out, new1, new0):
-            v1[out_idx] = p1
-            v0[out_idx] = p0
-            if out_idx in tsrc:
-                self._src_shadow[out_idx] = (p1, p0)
-        self._dirty = True
-
-    # -- read accessors settle on demand (clock defers its sweep) --------
     def read(self, net: str) -> "Tuple[int, int]":
         self.settle()
         idx = self.cc.index[net]
@@ -533,56 +381,8 @@ class CodegenFrameSimulator(FrameSimulator):
             # refresh every net once via the full-writeback kernel
             if self._full_kernel is None:
                 self._full_kernel = kernel_for(self.cc, self._canon, None)
-            if self._tks:
-                self._full_kernel(self.v1, self.v0, self.mask,
-                                  *self._kernel_masks, *self._tprev_flat,
-                                  self._tcap)
-            else:
-                self._full_kernel(self.v1, self.v0, self.mask,
-                                  *self._kernel_masks)
+            self._sweep(self._full_kernel)
         return self.v1[idx], self.v0[idx]
-
-    def read_outputs(self) -> "List[Tuple[int, int]]":
-        self.settle()
-        return super().read_outputs()
-
-    def read_next_state(self) -> "List[Tuple[int, int]]":
-        self.settle()
-        return super().read_next_state()
-
-    def get_state(self) -> "List[Tuple[int, int]]":
-        # flip-flop outputs are sources the clock writes directly; a sweep
-        # only matters when a stem force sits on one of them.  Transition
-        # stems store the forced value on the net but the latch holds the
-        # raw — report the raw shadow so carried states don't re-apply the
-        # delay (matches the event backend).
-        if self._state_needs_settle:
-            self.settle()
-        out: "List[Tuple[int, int]]" = []
-        v1, v0 = self.v1, self.v0
-        tsrc = self._tsrc
-        for i in self.cc.ff_out:
-            val = (v1[i], v0[i])
-            injs = tsrc.get(i)
-            if injs:
-                tmask = 0
-                for inj in injs:
-                    tmask |= inj.mask
-                val = _blend(val, self._src_shadow[i], tmask)
-            out.append(val)
-        return out
-
-    def _write_source(self, idx: int, value) -> None:
-        # Stem injections on sources are applied (and written back) by the
-        # kernel, so the write itself stays raw; any write re-arms the sweep.
-        # Transition source stems shadow the raw for the pre-sweep force.
-        p1, p0 = value
-        mask = self.mask
-        self.v1[idx] = p1 & mask
-        self.v0[idx] = p0 & mask
-        if idx in self._tsrc:
-            self._src_shadow[idx] = (self.v1[idx], self.v0[idx])
-        self._dirty = True
 
 
 register_backend("codegen", CodegenFrameSimulator)

@@ -1,11 +1,17 @@
-"""Event-driven, bit-parallel, three-valued sequential logic simulation.
+"""Bit-parallel, three-valued sequential logic simulation.
 
 :class:`FrameSimulator` holds the packed value of every net and advances the
 circuit one synchronous time frame at a time: apply a primary-input vector,
-propagate events level by level, read primary outputs, clock the flip-flops.
+settle the combinational logic, read primary outputs, clock the flip-flops.
 Values are PROOFS-encoded ``(p1, p0)`` word pairs (see
 :mod:`repro.simulation.encoding`), so one simulator instance advances
 ``width`` independent pattern slots at once.
+
+The simulator latches lazily: :meth:`FrameSimulator.clock` writes the new
+state, and the next read settles it together with the next frame's inputs.
+It owns the state and the frame protocol of every backend; a backend only
+decides how the gates settle.  This class settles by events, level by
+level; :mod:`repro.simulation.codegen` runs one generated sweep instead.
 
 Fault injection follows PROOFS: a stuck-at fault is modelled as if an
 AND/OR gate were spliced in at the fault site, realised here by masking the
@@ -16,10 +22,10 @@ Transition (gross-delay) injections generalize the splice: instead of a
 constant, the spliced element combines the site's freshly computed value
 with the value it computed in the *previous* frame — a slow-to-rise site
 is the three-valued AND of the two (it cannot show a 1 until it has held
-one for a frame), slow-to-fall the three-valued OR.  The simulator keeps
-per-site previous/current raw values and advances them at each clock
-edge; the previous value starts as X, which is conservative (it can mask
-a detection in frame 0 but never invent one).
+one for a frame), slow-to-fall the three-valued OR.  Each site keeps its
+previous-frame raw value and rolls it over at the clock edge; it starts as
+X, which is conservative (it can mask a detection in frame 0 but never
+invent one).
 """
 
 from __future__ import annotations
@@ -27,16 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
-from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit
 from .compiled import CompiledCircuit, compile_circuit
-from .encoding import (
-    PackedValue,
-    X,
-    eval_packed,
-    full_mask,
-    pack_const,
-)
+from .encoding import PackedValue, X, full_mask, pack_const
 
 #: The simulator a caller gets unless it names one: the event-driven
 #: interpreter, which grades faults and is the differential oracle.
@@ -141,6 +140,34 @@ def _blend(value: PackedValue, forced: PackedValue, mask: int) -> PackedValue:
     return (p1 & ~mask) | (f1 & mask), (p0 & ~mask) | (f0 & mask)
 
 
+def _force(
+    raw: PackedValue, injs: Sequence[Injection], prev: Optional[PackedValue]
+) -> PackedValue:
+    """A site's value with its injections forced onto its raw value.
+
+    ``prev`` is the site's raw value in the previous frame; only a
+    transition injection reads it.
+    """
+    value = raw
+    for inj in injs:
+        if inj.model == "stuck_at":
+            value = apply_stuck(value, inj.stuck, inj.mask)
+        else:
+            value = _blend(
+                value, _combine_transition(raw, prev, inj.stuck), inj.mask
+            )
+    return value
+
+
+def _transition_mask(injs: Iterable[Injection]) -> int:
+    """Slots of the site's transition injections (0 when it has none)."""
+    tmask = 0
+    for inj in injs:
+        if inj.model != "stuck_at":
+            tmask |= inj.mask
+    return tmask
+
+
 def _eval_ints(code: int, fanin, v1, v0, mask: int) -> PackedValue:
     """Inline bit-parallel gate evaluation over raw value arrays.
 
@@ -180,12 +207,12 @@ def _eval_ints(code: int, fanin, v1, v0, mask: int) -> PackedValue:
 
 
 class FrameSimulator:
-    """Bit-parallel event-driven simulator with persistent state.
+    """Bit-parallel sequential simulator with persistent state.
 
     Args:
         circuit: the circuit (or an already-compiled form) to simulate.
         width: number of parallel pattern slots per word.
-        injections: stuck-at injections active for the simulator's lifetime.
+        injections: fault injections active for the simulator's lifetime.
 
     The flip-flop state starts all-X; use :meth:`set_state` to override.
     Typical frame loop::
@@ -193,6 +220,16 @@ class FrameSimulator:
         sim = FrameSimulator(circuit, width=64)
         for vector in vectors:              # vector: {pi_name: PackedValue}
             po = sim.step(vector)           # outputs for this frame
+
+    This class owns the value words, the source writes (primary inputs
+    and flip-flop outputs, with their stem injections forced on every
+    write), the clock edge with its D-pin injections, and the
+    previous-frame values of those transition sites.  The gates settle
+    through five hooks a backend overrides: :meth:`_init_gates`,
+    :meth:`_changed`, :meth:`settle`, :meth:`_roll` and
+    :meth:`_reset_gates`.  Here they propagate events level by level, with
+    the gate-level injections (gate-output stems and pins) forced as each
+    gate is evaluated.
     """
 
     def __init__(
@@ -204,106 +241,61 @@ class FrameSimulator:
         self.cc = circuit if isinstance(circuit, CompiledCircuit) else compile_circuit(circuit)
         self.width = width
         self.mask = full_mask(width)
-        #: net index -> stem injections on that net (slots may differ per fault)
-        self._stem_list: Dict[int, List[Injection]] = {}
-        #: gate position -> branch injections seen only by that gate
-        self._pin: Dict[int, List[Injection]] = {}
-        #: flip-flop position -> branch injections on that D pin
+        self._x = x = pack_const(X, width)
+        self.v1: List[int] = [x[0]] * self.cc.num_nets
+        self.v0: List[int] = [x[1]] * self.cc.num_nets
+        #: source net -> stem injections, forced on every write
+        self._src_stems: Dict[int, List[Injection]] = {}
+        #: flip-flop position -> D-pin injections, forced at the clock edge
         self._ff_pin: Dict[int, List[Injection]] = {}
-        self._has_transition = False
+        gate_level: List[Injection] = []
         for inj in injections:
             if inj.stuck not in (0, 1):
                 raise ValueError(f"stuck value must be 0/1, got {inj.stuck}")
-            if inj.model != "stuck_at":
-                self._has_transition = True
             if inj.ff_pos is not None:
                 self._ff_pin.setdefault(inj.ff_pos, []).append(inj)
-            elif inj.gate_pos is None:
-                self._stem_list.setdefault(inj.net, []).append(inj)
+            elif inj.gate_pos is None and self.cc.is_source(inj.net):
+                self._src_stems.setdefault(inj.net, []).append(inj)
             else:
-                self._pin.setdefault(inj.gate_pos, []).append(inj)
-        x_all = pack_const(X, width)
-        self._x = x_all
-        self.v1: List[int] = [x_all[0]] * self.cc.num_nets
-        self.v0: List[int] = [x_all[1]] * self.cc.num_nets
-        self._pending: List[set] = [set() for _ in range(self.cc.num_levels + 1)]
-        self._dirty = True  # force a full first sweep
-        # -- transition-model per-site state ---------------------------
-        #: site key -> raw value the site computed in the previous frame.
-        #: Keys: net index (stem), ("p", gate_pos, pin), ("f", ff_pos).
-        self._tprev: Dict = {}
-        #: site key -> raw value computed so far in the current frame
-        self._tcur: Dict = {}
-        #: raw (pre-force) value shadow for *source* nets carrying a
-        #: transition stem — the stored net value is the forced one, so
-        #: frame advance and full sweeps re-force from this shadow
-        self._src_raw: Dict[int, PackedValue] = {}
-        #: stem nets with at least one transition injection
-        self._tr_stem_nets: set = set()
-        #: source nets among those (PIs / FF outputs / constants)
-        self._tr_src_nets: set = set()
-        #: gate positions re-scheduled at every frame advance: readers of
-        #: transition pins and drivers of transition gate-output stems —
-        #: their forced value changes when prev advances even if no input
-        #: event reaches them
-        self._tr_wake: List[int] = []
-        if self._has_transition:
-            driver_pos = {g.out: pos for pos, g in enumerate(self.cc.gates)}
-            for net, injs in self._stem_list.items():
-                if not any(i.model != "stuck_at" for i in injs):
-                    continue
-                self._tr_stem_nets.add(net)
-                self._tprev[net] = x_all
-                self._tcur[net] = x_all
-                if self.cc.is_source(net):
-                    self._tr_src_nets.add(net)
-                    self._src_raw[net] = x_all
-                else:
-                    self._tr_wake.append(driver_pos[net])
-            for pos, injs in self._pin.items():
-                wake = False
-                for inj in injs:
-                    if inj.model == "stuck_at":
-                        continue
-                    key = ("p", pos, inj.pin)
-                    self._tprev[key] = x_all
-                    self._tcur[key] = x_all
-                    wake = True
-                if wake:
-                    self._tr_wake.append(pos)
-            for ff_pos, injs in self._ff_pin.items():
-                if any(i.model != "stuck_at" for i in injs):
-                    key = ("f", ff_pos)
-                    self._tprev[key] = x_all
-                    self._tcur[key] = x_all
+                gate_level.append(inj)
+        #: source net with a transition stem -> the slots it delays.  The
+        #: net stores the forced value, so the raw (applied or latched)
+        #: value is kept beside it, with its value in the previous frame
+        self._src_tmask: Dict[int, int] = {
+            idx: tmask for idx, injs in self._src_stems.items()
+            if (tmask := _transition_mask(injs))
+        }
+        self._src_raw: Dict[int, PackedValue] = dict.fromkeys(self._src_tmask, x)
+        self._src_prev: Dict[int, PackedValue] = dict.fromkeys(self._src_tmask, x)
+        #: D pin with a transition injection -> its value at the last edge
+        self._ff_prev: Dict[int, PackedValue] = {
+            pos: x for pos, injs in self._ff_pin.items() if _transition_mask(injs)
+        }
+        self._init_gates(gate_level)
+        self.reset()
 
     # ------------------------------------------------------------------
     # state access
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Return every net (including flip-flop state) to all-X."""
-        x1, x0 = pack_const(X, self.width)
-        for i in range(self.cc.num_nets):
-            self.v1[i] = x1
-            self.v0[i] = x0
-        if self._has_transition:
-            for key in self._tprev:
-                self._tprev[key] = (x1, x0)
-                self._tcur[key] = (x1, x0)
-            for idx in self._src_raw:
-                self._src_raw[idx] = (x1, x0)
-        self._dirty = True
+        x = self._x
+        self.v1[:] = [x[0]] * self.cc.num_nets
+        self.v0[:] = [x[1]] * self.cc.num_nets
+        for table in (self._src_prev, self._ff_prev):
+            for key in table:
+                table[key] = x
+        self._reset_gates()
+        # forces every source stem, and sets each raw value to X
+        self._write_sources([(idx, x) for idx in self._src_stems])
 
     def set_state(self, values: "Dict[str, PackedValue] | Sequence[PackedValue]") -> None:
         """Set flip-flop output values (packed), by name map or FF order."""
         if isinstance(values, dict):
-            items = [
-                (self.cc.index[name], val) for name, val in values.items()
-            ]
+            index = self.cc.index
+            self._write_sources([(index[name], val) for name, val in values.items()])
         else:
-            items = list(zip(self.cc.ff_out, values))
-        for idx, val in items:
-            self._write_source(idx, val)
+            self._write_sources(zip(self.cc.ff_out, values))
 
     def get_state(self) -> List[PackedValue]:
         """Current flip-flop output values, in flip-flop order.
@@ -311,32 +303,33 @@ class FrameSimulator:
         A transition stem on a flip-flop output stores the *forced*
         (delay-combined) value on the net; the latch itself holds the raw
         value.  Carrying the forced value forward would re-apply the delay
-        in the next run, so those slots report the raw shadow instead —
+        in the next run, so those slots report the raw value instead —
         restoring via :meth:`set_state` re-forces from it.
         """
-        out: List[PackedValue] = []
-        for i in self.cc.ff_out:
-            val = (self.v1[i], self.v0[i])
-            if i in self._tr_src_nets:
-                tmask = 0
-                for inj in self._stem_list[i]:
-                    if inj.model != "stuck_at":
-                        tmask |= inj.mask
-                val = _blend(val, self._src_raw[i], tmask)
-            out.append(val)
-        return out
+        v1, v0 = self.v1, self.v0
+        state = [(v1[i], v0[i]) for i in self.cc.ff_out]
+        if self._src_raw:
+            for pos, idx in enumerate(self.cc.ff_out):
+                if idx in self._src_raw:
+                    state[pos] = _blend(
+                        state[pos], self._src_raw[idx], self._src_tmask[idx]
+                    )
+        return state
 
     def read(self, net: str) -> PackedValue:
         """Packed value of a net by name."""
+        self.settle()
         i = self.cc.index[net]
         return self.v1[i], self.v0[i]
 
     def read_outputs(self) -> List[PackedValue]:
         """Primary output values, in declaration order."""
+        self.settle()
         return [(self.v1[i], self.v0[i]) for i in self.cc.po]
 
     def read_next_state(self) -> List[PackedValue]:
         """Values currently at the flip-flop D inputs (next state)."""
+        self.settle()
         return [(self.v1[i], self.v0[i]) for i in self.cc.ff_in]
 
     # ------------------------------------------------------------------
@@ -355,7 +348,6 @@ class FrameSimulator:
             The primary output values of this frame (before the clock edge).
         """
         self.apply_inputs(vector)
-        self.settle()
         outputs = self.read_outputs()
         self.clock()
         return outputs
@@ -365,23 +357,120 @@ class FrameSimulator:
     ) -> None:
         """Drive primary inputs (no propagation yet)."""
         if isinstance(vector, dict):
-            items = [(self.cc.index[name], val) for name, val in vector.items()]
+            index = self.cc.index
+            self._write_sources([(index[name], val) for name, val in vector.items()])
         else:
-            items = list(zip(self.cc.pi, vector))
-        for idx, val in items:
-            self._write_source(idx, val)
+            self._write_sources(zip(self.cc.pi, vector))
+
+    def clock(self) -> None:
+        """Latch the D-input values into the flip-flop outputs.
+
+        The clock edge is the frame boundary: D-pin injections force the
+        latched values, and every transition site rolls its previous-frame
+        raw value over.  The new state is written, not propagated; the
+        next read settles it together with the next frame's inputs.
+        """
+        self.settle()  # D values must be stable before the edge
+        v1, v0 = self.v1, self.v0
+        # read every D value before writing any output: a flip-flop may
+        # feed another flip-flop's D pin directly
+        state = [(v1[i], v0[i]) for i in self.cc.ff_in]
+        for pos, injs in self._ff_pin.items():
+            raw = state[pos]
+            state[pos] = _force(raw, injs, self._ff_prev.get(pos))
+            if pos in self._ff_prev:
+                self._ff_prev[pos] = raw
+        self._src_prev.update(self._src_raw)
+        self._roll()
+        # a transition-forced source changes with its previous value even
+        # when its raw value holds, so every one is written again
+        self._write_sources([*self._src_raw.items(), *zip(self.cc.ff_out, state)])
+
+    def _write_sources(self, items: Iterable) -> None:
+        """Write ``(net, value)`` pairs to sources, forcing their stems."""
+        v1, v0, mask = self.v1, self.v0, self.mask
+        stems, raws, prevs = self._src_stems, self._src_raw, self._src_prev
+        changed = []
+        for idx, (p1, p0) in items:
+            p1 &= mask
+            p0 &= mask
+            injs = stems.get(idx)
+            if injs:
+                if idx in raws:
+                    raws[idx] = p1, p0
+                p1, p0 = _force((p1, p0), injs, prevs.get(idx))
+            if p1 != v1[idx] or p0 != v0[idx]:
+                v1[idx] = p1
+                v0[idx] = p0
+                changed.append(idx)
+        if changed:
+            self._changed(changed)
+
+    # ------------------------------------------------------------------
+    # how the gates settle: the event backend's hooks
+    # ------------------------------------------------------------------
+    def _init_gates(self, injections: List[Injection]) -> None:
+        """Take the gate-level injections: gate-output stems and pins."""
+        cc = self.cc
+        #: gate-output net -> stem injections on it
+        self._stems: Dict[int, List[Injection]] = {}
+        #: gate position -> input pin -> injections on that pin
+        self._pin: Dict[int, Dict[int, List[Injection]]] = {}
+        for inj in injections:
+            if inj.gate_pos is None:
+                self._stems.setdefault(inj.net, []).append(inj)
+            else:
+                pins = self._pin.setdefault(inj.gate_pos, {})
+                pins.setdefault(inj.pin, []).append(inj)
+        #: transition sites (a gate-output net, or a (gate position, pin)
+        #: pair) -> raw value in the previous frame and in this one
+        self._tprev: Dict = {}
+        self._tcur: Dict = {}
+        #: gates whose forced value moves when the previous values roll
+        self._wake: List[int] = []
+        for net, injs in self._stems.items():
+            if _transition_mask(injs):
+                self._tprev[net] = self._tcur[net] = self._x
+                self._wake.append(cc.gate_of[net])
+        for pos, pins in self._pin.items():
+            for pin, injs in pins.items():
+                if _transition_mask(injs):
+                    self._tprev[pos, pin] = self._tcur[pos, pin] = self._x
+                    if pos not in self._wake:
+                        self._wake.append(pos)
+        self._pending: List[set] = [set() for _ in range(cc.num_levels + 1)]
+
+    def _reset_gates(self) -> None:
+        """Forget the gate-level state: every gate is stale."""
+        for key in self._tprev:
+            self._tprev[key] = self._tcur[key] = self._x
+        self._schedule(range(len(self.cc.gates)))
+
+    def _changed(self, nets: List[int]) -> None:
+        """Sources ``nets`` changed value: schedule their readers."""
+        fanout = self.cc.fanout_gates
+        for idx in nets:
+            self._schedule(fanout[idx])
+
+    def _roll(self) -> None:
+        """Roll the gate-level transition sites over the clock edge."""
+        if self._tprev:
+            self._tprev.update(self._tcur)
+            self._schedule(self._wake)
+
+    def _schedule(self, positions: Iterable[int]) -> None:
+        gates, pending = self.cc.gates, self._pending
+        for pos in positions:
+            pending[gates[pos].level].add(pos)
 
     def settle(self) -> None:
         """Propagate pending events through the combinational logic."""
-        if self._dirty:
-            self._full_sweep()
-            self._dirty = False
-            return
         gates = self.cc.gates
         v1, v0 = self.v1, self.v0
         mask = self.mask
         pin = self._pin
-        stems = self._stem_list
+        stems = self._stems
+        tprev, tcur = self._tprev, self._tcur
         fanout = self.cc.fanout_gates
         pending = self._pending
         for level_bucket in pending:
@@ -389,156 +478,34 @@ class FrameSimulator:
                 pos = level_bucket.pop()
                 gate = gates[pos]
                 if pos in pin:
-                    vals = self._gate_inputs(pos, gate)
-                    p1, p0 = eval_packed(gate.gtype, vals, mask)
+                    f1, f0 = self._pin_view(pos, gate.fanin)
+                    p1, p0 = _eval_ints(gate.code, range(len(f1)), f1, f0, mask)
                 else:
                     p1, p0 = _eval_ints(gate.code, gate.fanin, v1, v0, mask)
                 out = gate.out
                 injs = stems.get(out)
                 if injs:
-                    p1, p0 = self._apply_stem(out, injs, p1, p0)
+                    if out in tcur:
+                        tcur[out] = p1, p0
+                    p1, p0 = _force((p1, p0), injs, tprev.get(out))
                 if p1 != v1[out] or p0 != v0[out]:
                     v1[out] = p1
                     v0[out] = p0
                     for fpos in fanout[out]:
                         pending[gates[fpos].level].add(fpos)
 
-    def clock(self) -> None:
-        """Latch D-input values into flip-flop outputs and propagate.
-
-        The clock edge is the frame boundary: transition sites advance
-        their previous-frame raw value here, and any site whose forced
-        value depends on it is re-forced / re-scheduled so the next
-        settle sees the new combine even without an input event.
-        """
-        new_vals = [(self.v1[i], self.v0[i]) for i in self.cc.ff_in]
-        for ff_pos, injs in self._ff_pin.items():
-            val = new_vals[ff_pos]
-            raw = val
-            for inj in injs:
-                if inj.model == "stuck_at":
-                    val = apply_stuck(val, inj.stuck, inj.mask)
-                else:
-                    key = ("f", ff_pos)
-                    self._tcur[key] = raw
-                    forced = _combine_transition(
-                        raw, self._tprev[key], inj.stuck
-                    )
-                    val = _blend(val, forced, inj.mask)
-            new_vals[ff_pos] = val
-        if self._has_transition:
-            self._advance_frame()
-        for out_idx, val in zip(self.cc.ff_out, new_vals):
-            self._write_source(out_idx, val)
-        self.settle()
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _write_source(self, idx: int, value: PackedValue) -> None:
-        p1, p0 = value
-        mask = self.mask
-        p1 &= mask
-        p0 &= mask
-        injs = self._stem_list.get(idx)
-        if injs:
-            if idx in self._tr_src_nets:
-                self._src_raw[idx] = (p1, p0)
-            p1, p0 = self._apply_stem(idx, injs, p1, p0)
-        if (p1, p0) != (self.v1[idx], self.v0[idx]):
-            self.v1[idx] = p1
-            self.v0[idx] = p0
-            self._schedule_fanout(idx)
-
-    def _apply_stem(self, idx: int, injs, p1: int, p0: int) -> PackedValue:
-        """Apply every stem injection on net ``idx`` to its raw value."""
-        if idx in self._tr_stem_nets:
-            raw = (p1, p0)
-            self._tcur[idx] = raw
-            prev = self._tprev[idx]
-            for inj in injs:
-                if inj.model == "stuck_at":
-                    p1, p0 = apply_stuck((p1, p0), inj.stuck, inj.mask)
-                else:
-                    forced = _combine_transition(raw, prev, inj.stuck)
-                    p1, p0 = _blend((p1, p0), forced, inj.mask)
-            return p1, p0
-        for inj in injs:
-            p1, p0 = apply_stuck((p1, p0), inj.stuck, inj.mask)
-        return p1, p0
-
-    def _advance_frame(self) -> None:
-        """Roll transition sites over a clock edge (prev <- cur)."""
-        tprev, tcur = self._tprev, self._tcur
-        for key in tprev:
-            tprev[key] = tcur[key]
-        # sources keep their raw value across the edge, but the forced
-        # value changes with the advanced prev — re-force from the shadow
-        for idx in self._tr_src_nets:
-            p1, p0 = self._src_raw[idx]
-            p1, p0 = self._apply_stem(idx, self._stem_list[idx], p1, p0)
-            if (p1, p0) != (self.v1[idx], self.v0[idx]):
-                self.v1[idx] = p1
-                self.v0[idx] = p0
-                self._schedule_fanout(idx)
-        gates = self.cc.gates
-        for pos in self._tr_wake:
-            self._pending[gates[pos].level].add(pos)
-
-    def _schedule_fanout(self, idx: int) -> None:
-        gates = self.cc.gates
-        for pos in self.cc.fanout_gates[idx]:
-            self._pending[gates[pos].level].add(pos)
-
-    def _gate_inputs(self, pos: int, gate) -> List[PackedValue]:
-        """Input values as the gate sees them (branch injections applied)."""
-        vals = [(self.v1[i], self.v0[i]) for i in gate.fanin]
-        injs = self._pin.get(pos, ())
-        if not self._has_transition:
-            for inj in injs:
-                vals[inj.pin] = apply_stuck(vals[inj.pin], inj.stuck, inj.mask)
-            return vals
-        raws: Dict[int, PackedValue] = {}
-        for inj in injs:
-            raw = raws.setdefault(inj.pin, vals[inj.pin])
-            if inj.model == "stuck_at":
-                vals[inj.pin] = apply_stuck(vals[inj.pin], inj.stuck, inj.mask)
-            else:
-                key = ("p", pos, inj.pin)
-                self._tcur[key] = raw
-                forced = _combine_transition(raw, self._tprev[key], inj.stuck)
-                vals[inj.pin] = _blend(vals[inj.pin], forced, inj.mask)
-        return vals
-
-    def _full_sweep(self) -> None:
-        for bucket in self._pending:
-            bucket.clear()
-        # re-assert stem injections on sources (PIs / FF outputs / consts);
-        # transition-forced sources re-force from the raw shadow (the
-        # stored value already has the force folded in)
-        for idx, injs in self._stem_list.items():
-            if self.cc.is_source(idx):
-                if idx in self._tr_src_nets:
-                    p1, p0 = self._src_raw[idx]
-                else:
-                    p1, p0 = self.v1[idx], self.v0[idx]
-                p1, p0 = self._apply_stem(idx, injs, p1, p0)
-                self.v1[idx], self.v0[idx] = p1, p0
+    def _pin_view(self, pos: int, fanin) -> Tuple[List[int], List[int]]:
+        """The gate's input words as it sees them, pin injections forced."""
         v1, v0 = self.v1, self.v0
-        mask = self.mask
-        pin = self._pin
-        stems = self._stem_list
-        for pos, gate in enumerate(self.cc.gates):
-            if pos in pin:
-                vals = self._gate_inputs(pos, gate)
-                p1, p0 = eval_packed(gate.gtype, vals, mask)
-            else:
-                p1, p0 = _eval_ints(gate.code, gate.fanin, v1, v0, mask)
-            injs = stems.get(gate.out)
-            if injs:
-                p1, p0 = self._apply_stem(gate.out, injs, p1, p0)
-            v1[gate.out] = p1
-            v0[gate.out] = p0
+        f1 = [v1[i] for i in fanin]
+        f0 = [v0[i] for i in fanin]
+        for pin, injs in self._pin[pos].items():
+            raw = f1[pin], f0[pin]
+            key = (pos, pin)
+            if key in self._tcur:
+                self._tcur[key] = raw
+            f1[pin], f0[pin] = _force(raw, injs, self._tprev.get(key))
+        return f1, f0
 
 
 register_backend("event", FrameSimulator)

@@ -13,7 +13,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     NULL_RECORDER,
-    NullRecorder,
     Recorder,
     TelemetryRecorder,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_RECORDER",
-    "NullRecorder",
     "PassReport",
     "Recorder",
     "RunReport",

@@ -135,12 +135,8 @@ _NULL_SPAN = _NullSpan()
 class Recorder:
     """Telemetry interface; this base class is the no-op implementation.
 
-    ``enabled`` lets hot loops skip *preparing* expensive attributes
-    (string formatting, aggregation) when telemetry is off; calling the
-    methods unconditionally is always safe and nearly free.
+    Calling the methods unconditionally is always safe and nearly free.
     """
-
-    enabled: bool = False
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment a counter (no-op)."""
@@ -160,12 +156,8 @@ class Recorder:
         return 0
 
 
-class NullRecorder(Recorder):
-    """Explicit alias of the no-op base recorder."""
-
-
 #: Shared default recorder: safe to use from any number of components.
-NULL_RECORDER = NullRecorder()
+NULL_RECORDER = Recorder()
 
 
 class _Span:
@@ -205,8 +197,6 @@ class TelemetryRecorder(Recorder):
             and :meth:`save_trace`.
         clock: monotonic time source, injectable for tests.
     """
-
-    enabled = True
 
     def __init__(
         self,

@@ -231,7 +231,7 @@ class TestQueries:
         model.assign(0, cc.index["a"], 1)
         frontier = model.d_frontier()
         assert frontier == [(0, cc.gate_of[cc.index["y"]])]
-        assert model.x_path_exists(frontier)
+        assert model.x_path_info(frontier)[0]
         # blocking side input kills the frontier
         undo = model.assign(0, cc.index["b"], 0)
         assert model.d_frontier() == []

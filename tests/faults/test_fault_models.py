@@ -89,7 +89,6 @@ class TestRegistry:
         assert m.min_window == 2
         assert m.inject_from_frame == 1
         assert not m.untestable_proofs
-        assert not m.local_collapse
 
     def test_transition_universe_mirrors_stuck_at_sites(self):
         c = s27()

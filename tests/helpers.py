@@ -6,6 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
+from repro.faults.model import Fault
 from repro.simulation.encoding import X, pack_const, unpack
 from repro.simulation.logic_sim import FrameSimulator
 
@@ -94,6 +95,41 @@ def reference_sequence(
         po, state = reference_step(circuit, state, vec)
         outputs.append(po)
     return outputs
+
+
+def mutant_circuit(circuit: Circuit, fault: Fault) -> Circuit:
+    """The faulty machine of ``fault`` as a fault-free netlist.
+
+    An independent oracle for fault injection, simulated with
+    :func:`reference_sequence`.  The site's readers (every reader of a
+    stem, one gate's or one flip-flop's pin for a branch) read a new net
+    ``mutant_site`` instead: a constant for stuck-at; for a transition,
+    the AND (slow-to-rise) or OR (slow-to-fall) of the site and a new
+    flip-flop ``mutant_prev`` holding its previous-frame value, which
+    starts at X like every flip-flop.  Outputs keep their positions.
+    """
+    site = "mutant_site"
+    mutant = Circuit(f"{circuit.name}_mutant")
+    for net in circuit.inputs:
+        mutant.add_input(net)
+    if fault.model == "stuck_at":
+        tie = GateType.CONST1 if fault.stuck else GateType.CONST0
+        mutant.add_gate(site, tie)
+    else:
+        mutant.add_gate("mutant_prev", GateType.DFF, [fault.net])
+        combine = GateType.OR if fault.stuck else GateType.AND
+        mutant.add_gate(site, combine, [fault.net, "mutant_prev"])
+    for name, gate in circuit.gates.items():
+        ins = list(gate.inputs)
+        if not fault.is_branch:
+            ins = [site if net == fault.net else net for net in ins]
+        elif name == fault.gate:
+            ins[fault.pin] = site
+        mutant.add_gate(name, gate.gtype, ins)
+    for net in circuit.outputs:
+        stem = net == fault.net and not fault.is_branch
+        mutant.add_output(site if stem else net)
+    return mutant
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,18 @@
 """Integration tests for the multi-pass GA-HITEC / HITEC drivers."""
 
+import threading
+import time
+
 import pytest
 
 from repro.analysis.coverage import evaluate_test_set
-from repro.circuits import redundant_and, REDUNDANT_FAULT, s27, two_stage_pipeline
+from repro.circuits import (
+    REDUNDANT_FAULT,
+    iscas89,
+    redundant_and,
+    s27,
+    two_stage_pipeline,
+)
 from repro.faults.collapse import collapse_faults
 from repro.hybrid.driver import HybridTestGenerator, gahitec, hitec_baseline
 from repro.hybrid.passes import gahitec_schedule, hitec_schedule
@@ -107,3 +116,29 @@ class TestDriverMechanics:
         text = result.summary()
         assert "s27" in text and "GA-HITEC" in text
         assert "pass 1" in text
+
+    def test_cpu_time_counts_only_its_own_thread(self):
+        # the service runs concurrent jobs in threads of one process: two
+        # drivers running side by side must not count each other's work
+        start = threading.Barrier(2)
+        own, reported = {}, {}
+
+        def run(key):
+            driver = hitec_baseline(iscas89("s298"), seed=1)
+            schedule = hitec_schedule(num_passes=1, backtrack_base=1,
+                                      justify_depth=3, time_scale=None)
+            start.wait(timeout=60)
+            cpu0 = time.thread_time()
+            result = driver.run(schedule)
+            own[key] = time.thread_time() - cpu0
+            reported[key] = result.report.cpu_time_s
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+            assert not thread.is_alive()
+        assert sorted(own) == [0, 1]
+        for key in own:
+            assert 0.0 < reported[key] <= 1.5 * own[key], (reported, own)

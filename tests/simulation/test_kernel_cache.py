@@ -7,17 +7,52 @@ truncated entry is detected, discarded and transparently rebuilt — the
 cache can degrade but never crash a run.
 """
 
+import hashlib
 import os
 
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.circuits import s27
+from repro.faults.model import Fault
 from repro.hybrid import gahitec, gahitec_schedule
 from repro.simulation import kernel_cache
-from repro.simulation.codegen import compile_stats, kernel_for
+from repro.simulation.codegen import (
+    KERNEL_CACHE_VERSION,
+    _canonical,
+    compile_stats,
+    generate_kernel_source,
+    kernel_for,
+)
 from repro.simulation.compiled import compile_circuit
+from repro.simulation.fault_sim import injection_for
 from repro.telemetry import TelemetryRecorder
+
+#: sha256 of the kernel source generated for fixed s27 injection shapes
+#: at the hot writeback, per :data:`KERNEL_CACHE_VERSION`.  A disk entry's
+#: key holds the version, the circuit fingerprint and the injection
+#: signature, not the code, and CI restores older caches by prefix: a
+#: generator change that moves a hash must bump the version and re-pin
+#: the hashes under it, or warm runs load stale kernels.
+KERNEL_SOURCE_SHA256 = {
+    2: {
+        "none": "3b7d097f1eed16f845ec5bfeca1d7569bc0429537b28937485db93e78532a526",
+        "stem": "f9e826fefd9586ea0464067fb914788af86a9451630b3fdae6dea7bfda8ab7b3",
+        "pin": "ffda517386f66e1ecc9419c4f829f33a3fc74c111cccef18117f03a621d0f79e",
+        "transition_stem": "9f57b52b14f88ad7cefb935183d7e92cb7bd20e185546530308ea89557c46408",
+        "transition_pin": "090c930d0af0aac2448aa98a36301e96acb96c7c9e991a7b83a9922466a6f409",
+    },
+}
+
+#: The pinned shapes: s27's G8 feeds G15 and G16.
+_SHAPES = {
+    "none": [],
+    "stem": [Fault("G8", 1)],
+    "pin": [Fault("G8", 0, gate="G15", pin=1)],
+    "transition_stem": [Fault("G8", 0, model="transition")],
+    "transition_pin": [Fault("G8", 1, gate="G16", pin=1, model="transition")],
+}
+
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
@@ -167,3 +202,20 @@ class TestTelemetryCounters:
         monkeypatch.delenv(kernel_cache.ENV_VAR, raising=False)
         counters = self.counters_of_gahitec_run()
         assert not any(k.startswith("sim.kernel_cache") for k in counters)
+
+
+class TestGeneratorGuard:
+    def test_kernel_source_is_pinned_to_the_cache_version(self):
+        cc = compile_circuit(s27())
+        hot = frozenset(cc.po) | frozenset(cc.ff_in)
+        got = {
+            name: hashlib.sha256(generate_kernel_source(
+                cc, _canonical([injection_for(cc, f, 1) for f in faults]),
+                writeback=hot,
+            ).encode()).hexdigest()
+            for name, faults in _SHAPES.items()
+        }
+        assert got == KERNEL_SOURCE_SHA256.get(KERNEL_CACHE_VERSION), (
+            "the kernel generator changed: bump KERNEL_CACHE_VERSION and "
+            "pin these hashes under the new version"
+        )

@@ -1,17 +1,26 @@
 """Differential and behavioural tests for the event-driven logic simulator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.circuits import s27
+from repro.faults.model import full_fault_list
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, pack_const, unpack
-from repro.simulation.logic_sim import FrameSimulator, Injection, simulate_sequence
+from repro.simulation.fault_sim import FaultSimulator, injection_for
+from repro.simulation.logic_sim import (
+    FrameSimulator,
+    Injection,
+    make_simulator,
+    simulate_sequence,
+)
 
 from ..conftest import random_circuits
-from ..helpers import reference_sequence
+from ..helpers import mutant_circuit, reference_sequence
 
 
 def scalar_step(sim: FrameSimulator, circuit: Circuit, vector: dict) -> dict:
@@ -64,6 +73,16 @@ class TestStateHandling:
         scalar_step(sim, s27_circuit, {"G0": 1, "G1": 0, "G2": 1, "G3": 0})
         sim.reset()
         assert all(unpack(v, 1) == [X] for v in sim.get_state())
+
+    @pytest.mark.parametrize("backend", ["event", "codegen"])
+    def test_source_stem_is_forced_before_any_frame(self, backend):
+        # a source stem is forced as the source is written, reset included
+        cc = compile_circuit(s27())
+        inj = Injection(net=cc.index["G5"], stuck=1, mask=1)
+        sim = make_simulator(cc, width=1, injections=[inj], backend=backend)
+        assert unpack(sim.get_state()[0], 1) == [1]
+        sim.set_state([pack_const(0, 1)] * 3)
+        assert unpack(sim.get_state()[0], 1) == [1]
 
     def test_clock_latches_next_state(self):
         c = Circuit("latch")
@@ -169,6 +188,88 @@ class TestInjection:
         out = scalar_step(sim, c, {"a": 1})
         assert out["y"] == 0      # the latched value was forced to 0
         assert out["other"] == 1  # the combinational reader is unaffected
+
+
+def _po_rows(circuit, vectors):
+    """Reference per-frame PO scalars, in PO order."""
+    return [list(po.values()) for po in reference_sequence(circuit, vectors)]
+
+
+def _injected_rows(circuit, fault, vectors, backend):
+    """Per-frame PO scalars of one backend with ``fault`` in its one slot."""
+    cc = compile_circuit(circuit)
+    sim = make_simulator(cc, width=1, injections=[injection_for(cc, fault, 1)],
+                         backend=backend)
+    return [
+        [unpack(v, 1)[0] for v in
+         sim.step([pack_const(vec[pi], 1) for pi in circuit.inputs])]
+        for vec in vectors
+    ]
+
+
+def _check_against_mutants(circuit, faults, vectors):
+    """Both backends and fault simulation agree with each fault's mutant.
+
+    Returns the detection frame of every detected fault.
+    """
+    good = _po_rows(circuit, vectors)
+    expected = {}
+    for fault in faults:
+        bad = _po_rows(mutant_circuit(circuit, fault), vectors)
+        for backend in ("event", "codegen"):
+            got = _injected_rows(circuit, fault, vectors, backend)
+            assert got == bad, (str(fault), backend)
+        for frame, (g, b) in enumerate(zip(good, bad)):
+            if any(x != X and y != X and x != y for x, y in zip(g, b)):
+                expected[fault] = frame
+                break
+    rows = [[vec[pi] for pi in circuit.inputs] for vec in vectors]
+    for backend in ("event", "codegen"):
+        result = FaultSimulator(circuit, width=8, backend=backend).run(rows, faults)
+        assert result.detected == expected, backend
+    return expected
+
+
+class TestMutantReference:
+    """Every injection kind against an independent reference: the fault's
+    mutant netlist under :func:`reference_sequence`.  Stems on a primary
+    input, a flip-flop output or a gate output, gate pins and flip-flop D
+    pins, under both fault models, several faults to a batch."""
+
+    def test_every_injection_kind_on_a_fixed_circuit(self):
+        c = Circuit("kinds")
+        a = c.add_input("a")
+        b = c.add_input("b")
+        c.add_gate("s", GateType.AND, [a, b])
+        c.add_gate("y", GateType.NOR, ["s", b])
+        c.add_gate("q", GateType.DFF, ["s"])
+        c.add_gate("z", GateType.XOR, ["q", a])
+        c.add_output("y")
+        c.add_output("z")
+        # stems on the inputs, the flip-flop output and every gate output;
+        # branches into gates s, y and z and into q's D pin
+        faults = full_fault_list(c) + full_fault_list(c, "transition")
+        assert {f.gate for f in faults if f.is_branch} == {"s", "y", "z", "q"}
+        rng = random.Random(5)
+        vectors = [{pi: rng.choice([0, 1, X]) for pi in c.inputs}
+                   for _ in range(12)]
+        detected = _check_against_mutants(c, faults, vectors)
+        assert {f.model for f in detected} == {"stuck_at", "transition"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_circuits_equal_mutant_circuits(self, data):
+        circuit = data.draw(random_circuits(max_pi=3, max_ff=3, max_gates=8))
+        universe = (full_fault_list(circuit)
+                    + full_fault_list(circuit, "transition"))
+        faults = data.draw(st.lists(st.sampled_from(universe), min_size=1,
+                                    max_size=6, unique=True))
+        length = data.draw(st.integers(1, 6))
+        vectors = [
+            {pi: data.draw(st.sampled_from([0, 1, X])) for pi in circuit.inputs}
+            for _ in range(length)
+        ]
+        _check_against_mutants(circuit, faults, vectors)
 
 
 class TestConvenience:

@@ -8,7 +8,6 @@ from repro.telemetry import (
     NULL_RECORDER,
     Histogram,
     MetricsRegistry,
-    NullRecorder,
     Recorder,
     TelemetryRecorder,
 )
@@ -29,10 +28,8 @@ class FakeClock:
 
 
 class TestNullRecorder:
-    def test_disabled_flag(self):
-        assert NULL_RECORDER.enabled is False
-        assert isinstance(NULL_RECORDER, Recorder)
-        assert isinstance(NULL_RECORDER, NullRecorder)
+    def test_is_the_base_recorder(self):
+        assert type(NULL_RECORDER) is Recorder
 
     def test_methods_are_noops(self):
         NULL_RECORDER.count("x")
@@ -109,7 +106,6 @@ class TestTelemetryRecorder:
         rec = TelemetryRecorder()
         rec.count("c", 3)
         rec.observe("h", 0.5)
-        assert rec.enabled is True
         assert rec.value("c") == 3
         assert rec.registry.histograms["h"].count == 1
 

@@ -5,7 +5,7 @@ A direct ``time.time()`` / ``time.monotonic()`` / ``time.perf_counter()``
 read anywhere in ``src/repro`` (outside the sanctioned ``clock`` module)
 re-introduces an untestable timeout path, so the grep fails the build
 with the exact offending lines.  ``time.sleep`` (a delay, not a read) and
-``time.process_time`` (CPU accounting, not wall clock) stay allowed.
+``time.thread_time`` (CPU accounting, not wall clock) stay allowed.
 """
 
 from __future__ import annotations
