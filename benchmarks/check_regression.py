@@ -52,16 +52,19 @@ When the fresh file carries a ``service`` section (written by
   harness recorded (``queue_wait_bound_s``).
 
 ``--policy`` gates ``BENCH_policy.json`` (written by
-``benchmarks/test_policy.py``).  Its floors are absolute, measured
-static-vs-policy on the same machine in the same run:
+``benchmarks/test_policy.py``): a policy trained on each circuit's first
+faults, graded on a larger fault range it mostly never saw.  Its floors
+are absolute, measured static-vs-policy on the same machine in the same
+run.  For every circuit and shard size recorded:
 
-* every circuit's policy-campaign detected fault set is identical to the
-  static campaign's (``coverage_equal``) — the mop-up safety net means a
-  learned schedule may only move work, never drop coverage;
-* the policy solve phase took at most ``--max-solve-ratio`` (default
-  0.9) of the static solve phase — the ≥10%% wall-time saving the
-  policy exists for;
-* the policy engaged: non-zero ``atpg.policy.pass_skips``.
+* the policy campaign's detected fault set contains the static
+  campaign's (no ``lost`` faults) — skipping passes can lose detections,
+  so this is measured, not guaranteed;
+* the policy engaged: non-zero ``pass_skips``.
+
+For every shard size, over all circuits: the policy solve phases took at
+most ``--max-solve-ratio`` (default 0.9) of the static ones — the ≥10%%
+wall-time saving the policy exists for.
 
 A baseline, when given, is printed for context only.
 """
@@ -272,48 +275,47 @@ def compare_campaign(
 
 def compare_policy(new: Dict[str, Any], max_solve_ratio: float) -> int:
     """Gate ``BENCH_policy.json``; return a process exit status."""
-    ratio = float(new["solve_ratio"])
-    counters = new.get("policy_counters", {})
-    skips = int(counters.get("atpg.policy.pass_skips", 0))
     failures = []
-
-    print("policy schedule gate:")
-    for name, row in sorted(new.get("circuits", {}).items()):
-        equal = bool(row.get("detected_equal"))
+    print(
+        f"policy schedule gate (trained on {new['train_faults']} faults per "
+        f"circuit, graded on {new['held_out_faults']}):"
+    )
+    for row in new["runs"]:
+        where = f"{row['circuit']} at shard size {row['shard_size']}"
+        lost = row["lost"]
+        skips = int(row["pass_skips"])
         print(
-            f"  {name}: static coverage "
-            f"{float(row.get('static_coverage', 0.0)):.3f}, policy "
-            f"{float(row.get('policy_coverage', 0.0)):.3f}, detected "
-            f"sets {'identical' if equal else 'DIFFER'}"
+            f"  {where}: detected static {row['static_detected']}, policy "
+            f"{row['policy_detected']} ({len(lost)} lost); solve "
+            f"{float(row['solve_seconds_static']):.2f} s -> "
+            f"{float(row['solve_seconds_policy']):.2f} s; {skips} pass skips"
         )
-        if not equal:
+        if lost:
             failures.append(
-                f"{name}: the policy campaign detected a different fault "
-                "set than the static schedule — the mop-up safety net is "
-                "broken"
+                f"{where}: the policy lost {len(lost)} static detections: "
+                + ", ".join(lost)
             )
-    print(
-        f"  solve wall: static {float(new['solve_seconds_static']):.2f} s, "
-        f"policy {float(new['solve_seconds_policy']):.2f} s — ratio "
-        f"{ratio:.3f} (ceiling {max_solve_ratio:.2f})"
-    )
-    if ratio > max_solve_ratio:
-        failures.append(
-            f"policy solve ratio {ratio:.3f} exceeded the "
-            f"{max_solve_ratio:.2f} ceiling — the learned schedule "
-            "stopped paying for itself"
+        if skips == 0:
+            failures.append(
+                f"{where}: the policy never skipped a pass — it was inert"
+            )
+    for shard in new["shards"]:
+        where = f"shard size {shard['shard_size']}"
+        ratio = float(shard["solve_ratio"])
+        print(
+            f"  {where}, all circuits: solve "
+            f"{float(shard['solve_seconds_static']):.2f} s -> "
+            f"{float(shard['solve_seconds_policy']):.2f} s, ratio "
+            f"{ratio:.3f} (ceiling {max_solve_ratio:.2f})"
         )
-    print(
-        f"  policy activity: {skips} pass skips, "
-        f"{int(counters.get('atpg.policy.deferred', 0))} deferrals, "
-        f"{int(counters.get('atpg.policy.mispredictions', 0))} "
-        "mispredictions"
-    )
-    if skips == 0:
-        failures.append(
-            "the policy never skipped a pass — it was inert, so the "
-            "wall-time ratio measures nothing"
-        )
+        if ratio > max_solve_ratio:
+            failures.append(
+                f"{where}: policy solve ratio {ratio:.3f} exceeded the "
+                f"{max_solve_ratio:.2f} ceiling — the learned schedule "
+                "stopped paying for itself"
+            )
+    if not new["runs"] or not new["shards"]:
+        failures.append("the file records no held-out runs")
 
     for failure in failures:
         print(f"  FAIL: {failure}")
@@ -341,8 +343,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--policy",
         action="store_true",
-        help="gate BENCH_policy.json: identical detected sets and a "
-        "solve wall-time ratio at or below --max-solve-ratio",
+        help="gate BENCH_policy.json: held-out detected sets that "
+        "contain the static ones, and a solve wall-time ratio at or "
+        "below --max-solve-ratio",
     )
     parser.add_argument(
         "--min-ratio",

@@ -94,12 +94,11 @@ class CampaignSpec:
             a ``repro-knowledge/v1`` sidecar next to the journal.
         knowledge_file: optional ``repro-knowledge/v1`` sidecar preloaded
             into every item's store (a fixed input, so determinism holds).
-        policy_file: optional ``repro-policy/v1`` artifact (trained via
-            ``repro train-policy``) applied to every item: faults are
-            reordered cheap-first and passes predicted not to resolve a
-            fault skip it, with the schedule's final pass always
-            targeting everything remaining (the mop-up pass; it does
-            not keep coverage, see docs/POLICY.md).
+        policy_file: optional ``repro-policy/v2`` artifact (trained via
+            ``repro train-policy``) applied to every item: each fault
+            starts at the pass predicted to resolve it, and the
+            schedule's final pass targets everything remaining.  A
+            skipped pass can lose a detection (docs/POLICY.md).
             Lives in the spec because it affects results; serialized
             only when set, so policy-less specs keep the hash (and
             journal identity) they had before the field existed.

@@ -109,8 +109,8 @@ def run_item(
         spec.knowledge if preloaded is None else preloaded
     )
     # policy-steered items carry a real recorder so the campaign report
-    # rolls up the atpg.policy.* counters (reorders, skips, deferrals);
-    # plain items keep the no-op recorder and their payloads unchanged
+    # rolls up atpg.policy.pass_skips; plain items keep the no-op
+    # recorder and a payload without metrics
     recorder = TelemetryRecorder() if spec.policy_file else None
     driver = HybridTestGenerator(
         state.circuit,

@@ -11,7 +11,7 @@ Commands
 ``report``    — pretty-print a saved run report, or diff two of them;
 ``--json`` emits the same information machine-readably and
 ``--dispositions`` exports the per-fault rows as JSONL.
-``train-policy`` — fit a ``repro-policy/v1`` scheduling policy (see
+``train-policy`` — fit a ``repro-policy/v2`` scheduling policy (see
 ``docs/POLICY.md``) from saved run reports; apply it with
 ``atpg --policy`` or ``campaign run --policy``.
 ``campaign``  — durable multi-circuit campaigns: ``campaign run`` executes
@@ -332,17 +332,12 @@ def cmd_train_policy(args: argparse.Namespace) -> int:
         raise PolicyError(
             "no trainable fault dispositions in the given reports"
         )
-    policy = train_policy(dataset, rounds=args.rounds)
+    policy = train_policy(dataset)
     policy.save(args.output)
     print(f"dataset: {dataset.summary()}")
-    xs = dataset.matrix()
-    rows = dataset.rows
-    print(f"fit: detect mae "
-          f"{policy.detect.mean_abs_error(xs, [r.detected for r in rows]):.4f}"
-          f"  pass mae "
-          f"{policy.resolve_pass.mean_abs_error(xs, [r.resolve_pass for r in rows]):.4f}"
-          f"  cost mae "
-          f"{policy.cost.mean_abs_error(xs, [r.cost for r in rows]):.4f}")
+    labels = [row.resolve_pass for row in dataset.rows]
+    print(f"fit: pass mae "
+          f"{policy.resolve_pass.mean_abs_error(dataset.matrix(), labels):.4f}")
     print(f"wrote policy [{policy.fingerprint}] to {args.output}")
     return 0
 
@@ -537,9 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knowledge-in", metavar="PATH",
                    help="preload a repro-knowledge/v1 sidecar")
     p.add_argument("--policy", metavar="PATH",
-                   help="repro-policy/v1 artifact (see `repro "
-                        "train-policy`): reorder faults cheap-first and "
-                        "skip passes predicted not to resolve them")
+                   help="repro-policy/v2 artifact (see `repro "
+                        "train-policy`): start each fault at the pass "
+                        "predicted to resolve it; the final pass targets "
+                        "every remaining fault, and skipped passes may "
+                        "lose detections")
     p.add_argument("--knowledge-out", metavar="PATH",
                    help="write the run's knowledge store to PATH")
     p.add_argument("--fault", action="append", metavar="FAULT",
@@ -566,15 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "train-policy",
-        help="train a repro-policy/v1 scheduling policy from run reports",
+        help="train a repro-policy/v2 scheduling policy from run reports",
     )
     p.add_argument("reports", nargs="+",
                    help="repro-run-report/v1 files (from --telemetry or "
                         "campaign --report) to mine for training rows")
     p.add_argument("-o", "--output", required=True,
-                   help="write the repro-policy/v1 artifact to this file")
-    p.add_argument("--rounds", type=int, default=40,
-                   help="boosting rounds per model (default 40)")
+                   help="write the repro-policy/v2 artifact to this file")
     p.set_defaults(func=cmd_train_policy)
 
     p = sub.add_parser(
@@ -630,9 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="preload each item's knowledge store from this "
                          "repro-knowledge/v1 sidecar")
     cp.add_argument("--policy", metavar="PATH", default=None,
-                    help="repro-policy/v1 artifact applied to every item "
-                         "(cheap-first order + predicted pass skips; the "
-                         "final pass always targets everything)")
+                    help="repro-policy/v2 artifact applied to every item "
+                         "(each fault starts at its predicted pass; the "
+                         "final pass targets everything remaining)")
     _add_fault_model_option(cp)
     _campaign_runner_options(cp)
     cp.set_defaults(func=cmd_campaign_run)

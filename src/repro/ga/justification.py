@@ -90,6 +90,8 @@ class GAStateJustifier:
         self.cc = ctx.cc
         self.rng = rng or random.Random()
         self.telemetry = ctx.telemetry
+        #: generations evolved over every attempt; callers read deltas
+        self.generations = 0
         self.n_pi = len(self.cc.pi)
         self.n_ff = len(self.cc.ff_out)
         self.constraints = ctx.constraints
@@ -173,6 +175,7 @@ class GAStateJustifier:
         )
         with self.telemetry.span("ga.justify"):
             result = ga.run()
+        self.generations += result.generations_run
         if result.payload is not None:
             self.telemetry.count("ga.justify.successes")
             # only all-X-start proofs hold from every concrete start state

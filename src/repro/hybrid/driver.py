@@ -94,12 +94,11 @@ class HybridTestGenerator:
             (a per-circuit plan is built when :meth:`run` knows the
             schedule) or a prebuilt
             :class:`~repro.policy.schedule.PolicyPlan` (e.g. from a
-            campaign's warm state).  The plan reorders the fault list
-            cheap-first and skips targeting faults in passes predicted
-            not to resolve them; the schedule's final pass always
-            targets everything remaining, so deferral can only move
-            work later, never drop it.  ``None`` (default) preserves
-            today's static behaviour exactly.
+            campaign's warm state).  Passes before a fault's predicted
+            start pass skip it; the schedule's final pass targets
+            everything remaining.  A skipped targeting can still lose a
+            detection (docs/POLICY.md).  ``None`` (default) runs the
+            static schedule.
         fault_model: registered fault-model name the run targets
             (``"stuck_at"`` default, ``"transition"``).  Defines the
             default fault universe, the engines' detection semantics,
@@ -222,15 +221,6 @@ class HybridTestGenerator:
         self.untestable = []
         self._records = {}
         self._plan = self._resolve_plan(schedule)
-        if self._plan is not None:
-            remaining = self.tests.remaining
-            if self._plan.reorder:
-                ordered = self._plan.order(remaining)
-                moved = sum(1 for a, b in zip(ordered, remaining) if a is not b)
-                if moved:
-                    self.tests.remaining = remaining = ordered
-                    tel.count("atpg.policy.faults_reordered", moved)
-            tel.count("atpg.policy.deferred", self._plan.deferred_count(remaining))
 
         report = RunReport(
             circuit=self.circuit.name,
@@ -315,20 +305,10 @@ class HybridTestGenerator:
 
     def _finalize_report(self, report: RunReport) -> None:
         """Fill the campaign totals and per-fault dispositions."""
-        mispredicted = 0
         for fault in self.all_faults:
             record = self._record_for(fault)
             record.features = fault_features(self.cc, fault)
             report.faults.append(record)
-            if self._plan is not None:
-                plan = self._plan.plan_for(fault)
-                if plan is not None and (
-                    (plan.deferred and record.status == "detected")
-                    or (not plan.deferred and record.status == "aborted")
-                ):
-                    mispredicted += 1
-        if self._plan is not None and mispredicted:
-            self.telemetry.count("atpg.policy.mispredictions", mispredicted)
         report.detected = len(self.tests.detected)
         report.untestable = len(self.untestable)
         report.vectors = len(self.tests.vectors)
@@ -375,8 +355,8 @@ class HybridTestGenerator:
             if fault in detected:
                 continue  # dropped incidentally earlier in this pass
             if self._plan is not None and not self._plan.eligible(fault, cfg.number):
-                # the policy predicts this pass cannot resolve the
-                # fault; a later pass (at worst the mop-up) targets it
+                # the policy predicts a later pass resolves the fault;
+                # that pass (at the latest the final one) targets it
                 self.telemetry.count("atpg.policy.pass_skips")
                 continue
             if self._deadline is not None and self.clock() >= self._deadline:
@@ -404,7 +384,7 @@ class HybridTestGenerator:
         record = self._record_for(fault)
         record.targeted += 1
         record.pass_number = cfg.number
-        ga_generations0 = tel.value("ga.generations")
+        ga_generations0 = self.ga_justifier.generations
         knowledge0 = self._knowledge_hit_total() if self.knowledge is not None else 0
         started = self.clock()
 
@@ -429,7 +409,7 @@ class HybridTestGenerator:
             start_fault_state=self.tests.fault_states.get(fault),
         )
         record.backtracks += result.backtracks
-        record.ga_generations += tel.value("ga.generations") - ga_generations0
+        record.ga_generations += self.ga_justifier.generations - ga_generations0
         if self.knowledge is not None:
             record.knowledge_hits += self._knowledge_hit_total() - knowledge0
 

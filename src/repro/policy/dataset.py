@@ -14,11 +14,10 @@ per-circuit fault identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..faults.model import Fault, parse_fault
+from ..faults.model import parse_fault
 from ..telemetry.report import FaultRecord, RunReport
 from .features import FEATURE_NAMES, fault_features, feature_vector
 
@@ -31,21 +30,16 @@ class DatasetRow:
         circuit: source circuit name.
         fault: printable fault name (prefix stripped).
         features: the static feature dict (see :data:`FEATURE_NAMES`).
-        status: the disposition status the labels derive from.
-        detected: 1.0 when the fault was detected, else 0.0.
-        resolve_pass: the pass number that resolved (or last targeted)
-            the fault; 1.0 for never-targeted rows.
-        cost: ``log1p(backtracks + ga_generations)`` — the cheap-first
-            ordering key.
+        status: the fault's disposition status.
+        resolve_pass: the label: the pass number that resolved (or last
+            targeted) the fault; 1.0 for never-targeted rows.
     """
 
     circuit: str
     fault: str
     features: Dict[str, float]
     status: str
-    detected: float
     resolve_pass: float
-    cost: float
 
 
 @dataclass
@@ -124,24 +118,16 @@ def _label_row(
         fault=fault,
         features=features,
         status=record.status,
-        detected=1.0 if record.status == "detected" else 0.0,
         resolve_pass=float(max(record.pass_number, 1)),
-        cost=math.log1p(max(record.backtracks + record.ga_generations, 0)),
     )
 
 
 def dataset_from_reports(
     reports: Iterable[Union[str, RunReport]],
-    backfill: bool = True,
 ) -> Dataset:
-    """Mine one dataset out of many reports (paths or parsed objects).
-
-    ``backfill=False`` skips rows without embedded features instead of
-    resolving circuits — useful when mining reports for circuits that
-    are not locally resolvable.
-    """
+    """Mine one dataset out of many reports (paths or parsed objects)."""
     dataset = Dataset()
-    recompute = _FeatureBackfill() if backfill else None
+    recompute = _FeatureBackfill()
     for source in reports:
         report = (
             RunReport.load(source) if isinstance(source, str) else source
@@ -150,7 +136,7 @@ def dataset_from_reports(
         for record in report.faults:
             circuit, bare = _split_fault_name(record.fault, report.circuit)
             features = record.features
-            if features is None and recompute is not None:
+            if features is None:
                 features = recompute.features(circuit, bare)
             if features is None:
                 dataset.skipped += 1

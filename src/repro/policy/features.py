@@ -15,7 +15,7 @@ so older reports stay usable as training data.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..atpg.scoap import HARD, cached_testability
 from ..faults.model import DEFAULT_FAULT_MODEL, Fault
@@ -93,10 +93,3 @@ def feature_vector(features: Dict[str, float]) -> List[float]:
     feature indices.
     """
     return [float(features.get(name, 0.0)) for name in FEATURE_NAMES]
-
-
-def features_for_faults(
-    cc: CompiledCircuit, faults: Sequence[Fault]
-) -> Dict[str, Dict[str, float]]:
-    """Feature dicts for a whole fault list, keyed by ``str(fault)``."""
-    return {str(fault): fault_features(cc, fault) for fault in faults}

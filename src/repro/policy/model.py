@@ -1,37 +1,39 @@
 """Dependency-free gradient-boosted regression trees + the policy artifact.
 
 The predictor is deliberately small: boosted CART regression trees
-(depth ≤ 3 by default) fit with exact greedy least-squares splits over
-per-feature value boundaries.  Training is fully deterministic — no
-sampling, no randomized tie-breaks (ties resolve to the lowest feature
-index and lowest threshold) — so the same dataset always yields the
-same artifact byte for byte, which the campaign layer's reproducibility
-story depends on.
+(depth ≤ 3) fit with exact greedy least-squares splits over per-feature
+value boundaries.  Training is fully deterministic — no sampling, no
+randomized tie-breaks (ties resolve to the lowest feature index and
+lowest threshold) — so the same dataset always yields the same artifact
+byte for byte, which the campaign layer's reproducibility story depends
+on.
 
-A :class:`FaultPolicy` bundles three boosted models over the shared
-:data:`~repro.policy.features.FEATURE_NAMES` input layout:
-
-* ``detect`` — probability-like score that targeting the fault yields a
-  detection at all (label: 1.0 for ``detected`` rows, else 0.0);
-* ``pass`` — regression to the pass number that resolved the fault;
-* ``cost`` — regression to ``log1p(backtracks + ga_generations)``, the
-  cheap-first ordering key.
-
-Artifacts serialize as versioned ``repro-policy/v1`` JSON with a
-circuit-family fingerprint; :func:`FaultPolicy.load` validates before
-use and raises :class:`PolicyError` on any mismatch.
+A :class:`FaultPolicy` holds one boosted model over the
+:data:`~repro.policy.features.FEATURE_NAMES` input layout: ``pass``, a
+regression to the pass number that resolved each fault.  Artifacts
+serialize as versioned ``repro-policy/v2`` JSON with a circuit-family
+fingerprint; :func:`FaultPolicy.load` validates before use and raises
+:class:`PolicyError` on any mismatch.  A ``repro-policy/v1`` artifact,
+whose extra models drove the removed deferral and reordering, fails to
+load with one line asking for a retrain.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .dataset import Dataset
 from .features import FEATURE_NAMES
 
 #: Identifier embedded in every serialized policy artifact.
-SCHEMA = "repro-policy/v1"
+SCHEMA = "repro-policy/v2"
+
+#: The schema of artifacts written before deferral and reordering were
+#: removed; they no longer load.
+RETIRED_SCHEMA = "repro-policy/v1"
 
 #: Maximum split candidates examined per feature per node.
 MAX_THRESHOLDS = 32
@@ -54,7 +56,6 @@ def _best_split(
     xs: Sequence[Sequence[float]],
     ys: Sequence[float],
     idxs: List[int],
-    min_leaf: int,
 ) -> Optional[Tuple[float, int, float]]:
     """The (sse, feature, threshold) of the best split, or None.
 
@@ -83,22 +84,18 @@ def _best_split(
             ]
         left_sum = 0.0
         left_sq = 0.0
-        taken = 0
         b = 0
         for k in range(1, n):
             y = ys[order[k - 1]]
             left_sum += y
             left_sq += y * y
-            taken += 1
             if b >= len(boundaries) or boundaries[b] != k:
                 continue
             b += 1
-            if taken < min_leaf or n - taken < min_leaf:
-                continue
             right_sum = total - left_sum
             right_sq = total_sq - left_sq
-            sse = (left_sq - left_sum * left_sum / taken) + (
-                right_sq - right_sum * right_sum / (n - taken)
+            sse = (left_sq - left_sum * left_sum / k) + (
+                right_sq - right_sum * right_sum / (n - k)
             )
             if sse < base_sse - 1e-12 and (best is None or sse < best[0]):
                 lo = xs[order[k - 1]][feat]
@@ -112,11 +109,10 @@ def _fit_tree(
     ys: Sequence[float],
     idxs: List[int],
     depth: int,
-    min_leaf: int,
 ) -> Dict[str, Any]:
-    if depth <= 0 or len(idxs) < 2 * min_leaf:
+    if depth <= 0 or len(idxs) < 2:
         return _leaf(ys, idxs)
-    split = _best_split(xs, ys, idxs, min_leaf)
+    split = _best_split(xs, ys, idxs)
     if split is None:
         return _leaf(ys, idxs)
     _, feat, threshold = split
@@ -127,8 +123,8 @@ def _fit_tree(
     return {
         "feature": feat,
         "threshold": threshold,
-        "left": _fit_tree(xs, ys, left_idx, depth - 1, min_leaf),
-        "right": _fit_tree(xs, ys, right_idx, depth - 1, min_leaf),
+        "left": _fit_tree(xs, ys, left_idx, depth - 1),
+        "right": _fit_tree(xs, ys, right_idx, depth - 1),
     }
 
 
@@ -139,21 +135,36 @@ def _eval_tree(node: Dict[str, Any], x: Sequence[float]) -> float:
     return float(node["value"])
 
 
+def _is_number(value: Any) -> bool:
+    """Is ``value`` a finite JSON number?  Booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _validate_tree(node: Any, path: str, problems: List[str]) -> None:
     if not isinstance(node, dict):
         problems.append(f"{path} is not an object")
         return
     if "value" in node:
-        if not isinstance(node["value"], (int, float)):
+        if not _is_number(node["value"]):
             problems.append(f"{path}.value is not a number")
         return
     for key in ("feature", "threshold", "left", "right"):
         if key not in node:
             problems.append(f"{path} missing {key!r}")
             return
-    if not isinstance(node["feature"], int) or node["feature"] < 0:
+    feature = node["feature"]
+    if (
+        isinstance(feature, bool)
+        or not isinstance(feature, int)
+        or not 0 <= feature < len(FEATURE_NAMES)
+    ):
         problems.append(f"{path}.feature is not a feature index")
-    if not isinstance(node["threshold"], (int, float)):
+    if not _is_number(node["threshold"]):
         problems.append(f"{path}.threshold is not a number")
     _validate_tree(node["left"], path + ".left", problems)
     _validate_tree(node["right"], path + ".right", problems)
@@ -180,8 +191,6 @@ class BoostedTrees:
         rounds: int = 40,
         max_depth: int = 3,
         learning_rate: float = 0.5,
-        min_leaf: int = 1,
-        tol: float = 1e-6,
     ) -> "BoostedTrees":
         if not xs:
             raise PolicyError("cannot fit a model on zero rows")
@@ -192,9 +201,9 @@ class BoostedTrees:
         idxs = list(range(len(ys)))
         for _ in range(rounds):
             residuals = [ys[i] - preds[i] for i in idxs]
-            if max(abs(r) for r in residuals) <= tol:
+            if max(abs(r) for r in residuals) <= 1e-6:
                 break
-            tree = _fit_tree(xs, residuals, idxs, max_depth, min_leaf)
+            tree = _fit_tree(xs, residuals, idxs, max_depth)
             model.trees.append(tree)
             for i in idxs:
                 preds[i] += learning_rate * _eval_tree(tree, xs[i])
@@ -241,46 +250,21 @@ def family_fingerprint(circuits: Sequence[str]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-#: Default action thresholds; overridable per artifact via ``options``.
-DEFAULT_OPTIONS: Dict[str, Any] = {
-    # faults scoring below this detect probability are deferred to the
-    # final mop-up pass
-    "defer_threshold": 0.25,
-    # reorder the fault list cheap-first by the cost model
-    "reorder": True,
-}
-
-
 class FaultPolicy:
     """A trained, serializable fault-scheduling policy."""
 
     def __init__(
         self,
-        detect: BoostedTrees,
         resolve_pass: BoostedTrees,
-        cost: BoostedTrees,
         circuits: Sequence[str],
         trained_rows: int,
         feature_names: Sequence[str] = FEATURE_NAMES,
-        options: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.detect = detect
         self.resolve_pass = resolve_pass
-        self.cost = cost
         self.circuits = tuple(sorted(set(circuits)))
         self.fingerprint = family_fingerprint(self.circuits)
         self.trained_rows = trained_rows
         self.feature_names = tuple(feature_names)
-        self.options = dict(DEFAULT_OPTIONS)
-        if options:
-            self.options.update(options)
-        # artifacts written before GA-budget shrinking was removed carry
-        # it switched off; only a request to switch it on is an error
-        if self.options.pop("shrink_ga", False):
-            raise PolicyError(
-                "policy option 'shrink_ga' was removed; retrain without it"
-            )
-        self.options.pop("cheap_cost", None)
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -290,12 +274,7 @@ class FaultPolicy:
             "circuits": list(self.circuits),
             "trained_rows": self.trained_rows,
             "feature_names": list(self.feature_names),
-            "options": dict(self.options),
-            "models": {
-                "detect": self.detect.to_dict(),
-                "pass": self.resolve_pass.to_dict(),
-                "cost": self.cost.to_dict(),
-            },
+            "models": {"pass": self.resolve_pass.to_dict()},
         }
 
     def save(self, path: str) -> None:
@@ -310,15 +289,11 @@ class FaultPolicy:
             raise PolicyError(
                 "invalid policy artifact: " + "; ".join(problems[:5])
             )
-        models = data["models"]
         policy = cls(
-            detect=BoostedTrees.from_dict(models["detect"]),
-            resolve_pass=BoostedTrees.from_dict(models["pass"]),
-            cost=BoostedTrees.from_dict(models["cost"]),
+            resolve_pass=BoostedTrees.from_dict(data["models"]["pass"]),
             circuits=data["circuits"],
-            trained_rows=int(data["trained_rows"]),
+            trained_rows=data["trained_rows"],
             feature_names=data["feature_names"],
-            options=data.get("options"),
         )
         if policy.fingerprint != data["fingerprint"]:
             raise PolicyError(
@@ -341,20 +316,21 @@ class FaultPolicy:
         """True when the policy was trained on this circuit."""
         return circuit_name in self.circuits
 
-    def predict(self, x: Sequence[float]) -> Tuple[float, float, float]:
-        """(detect score, resolving pass, cost key) for one feature row."""
-        return (
-            self.detect.predict(x),
-            self.resolve_pass.predict(x),
-            self.cost.predict(x),
-        )
+    def predict(self, x: Sequence[float]) -> float:
+        """The pass predicted to resolve the fault of one feature row."""
+        return self.resolve_pass.predict(x)
 
 
 def validate_policy(data: Any) -> List[str]:
-    """Check a parsed document against the v1 policy schema."""
-    problems: List[str] = []
+    """Check a parsed document against the v2 policy schema."""
     if not isinstance(data, dict):
         return ["policy must be a JSON object"]
+    if data.get("schema") == RETIRED_SCHEMA:
+        return [
+            f"{RETIRED_SCHEMA} is no longer read (its deferral and "
+            "reordering were removed); retrain it with `repro train-policy`"
+        ]
+    problems: List[str] = []
     if data.get("schema") != SCHEMA:
         problems.append(
             f"schema must be {SCHEMA!r}, got {data.get('schema')!r}"
@@ -368,66 +344,38 @@ def validate_policy(data: Any) -> List[str]:
     ):
         if key not in data:
             problems.append(f"missing key {key!r}")
-        elif not isinstance(data[key], types):
+        elif not isinstance(data[key], types) or isinstance(data[key], bool):
             problems.append(f"key {key!r} has wrong type")
+        elif types is list and not all(isinstance(n, str) for n in data[key]):
+            problems.append(f"key {key!r} must list strings")
     models = data.get("models")
-    if isinstance(models, dict):
-        for name in ("detect", "pass", "cost"):
-            model = models.get(name)
-            if not isinstance(model, dict):
-                problems.append(f"models.{name} missing or not an object")
-                continue
-            for key in ("bias", "learning_rate", "trees"):
-                if key not in model:
-                    problems.append(f"models.{name} missing {key!r}")
-            for pos, tree in enumerate(model.get("trees") or []):
-                _validate_tree(
-                    tree, f"models.{name}.trees[{pos}]", problems
-                )
-                if problems:
-                    break
+    if not isinstance(models, dict):
+        return problems
+    model = models.get("pass")
+    if not isinstance(model, dict):
+        return problems + ["models.pass missing or not an object"]
+    for key in ("bias", "learning_rate"):
+        if not _is_number(model.get(key)):
+            problems.append(f"models.pass.{key} is not a number")
+    trees = model.get("trees")
+    if not isinstance(trees, list):
+        return problems + ["models.pass.trees is not a list"]
+    for pos, tree in enumerate(trees):
+        _validate_tree(tree, f"models.pass.trees[{pos}]", problems)
+        if problems:
+            break
     return problems
 
 
-def train_policy(
-    dataset: "Dataset",
-    rounds: int = 40,
-    max_depth: int = 3,
-    learning_rate: float = 0.5,
-    options: Optional[Dict[str, Any]] = None,
-) -> FaultPolicy:
-    """Fit the three models on a mined dataset; fully deterministic."""
-    from .dataset import Dataset  # local import: avoid a module cycle
-
-    if not isinstance(dataset, Dataset) or not dataset.rows:
+def train_policy(dataset: Dataset) -> FaultPolicy:
+    """Fit the ``pass`` model on a mined dataset; fully deterministic."""
+    if not dataset.rows:
         raise PolicyError("training needs a non-empty dataset")
-    xs = dataset.matrix()
-    detect = BoostedTrees.fit(
-        xs,
-        [row.detected for row in dataset.rows],
-        rounds=rounds,
-        max_depth=max_depth,
-        learning_rate=learning_rate,
-    )
     resolve = BoostedTrees.fit(
-        xs,
-        [row.resolve_pass for row in dataset.rows],
-        rounds=rounds,
-        max_depth=max_depth,
-        learning_rate=learning_rate,
-    )
-    cost = BoostedTrees.fit(
-        xs,
-        [row.cost for row in dataset.rows],
-        rounds=rounds,
-        max_depth=max_depth,
-        learning_rate=learning_rate,
+        dataset.matrix(), [row.resolve_pass for row in dataset.rows]
     )
     return FaultPolicy(
-        detect=detect,
         resolve_pass=resolve,
-        cost=cost,
         circuits=sorted({row.circuit for row in dataset.rows}),
         trained_rows=len(dataset.rows),
-        options=options,
     )

@@ -6,7 +6,7 @@ Endpoints (all JSON unless noted):
 GET    ``/healthz``                     liveness probe
 GET    ``/stats``                       queue depth, job states, telemetry
 POST   ``/circuits``                    upload a ``.bench`` netlist
-POST   ``/policies``                    upload a ``repro-policy/v1`` artifact
+POST   ``/policies``                    upload a ``repro-policy/v2`` artifact
 POST   ``/jobs``                        submit a campaign spec (idempotent)
 GET    ``/jobs``                        list jobs
 GET    ``/jobs/{id}``                   job detail + live journal progress
@@ -133,7 +133,7 @@ class ServiceApp:
 
     # -- policies ------------------------------------------------------
     def upload_policy(self, request: Request) -> Response:
-        """Store an uploaded ``repro-policy/v1`` artifact, content-addressed.
+        """Store an uploaded ``repro-policy/v2`` artifact, content-addressed.
 
         The returned ``path`` is what a subsequent spec's ``policy_file``
         should reference.  The document is validated before it is kept,

@@ -119,7 +119,7 @@ class JobManager:
     Args:
         root: service state directory — journals (``<spec_hash>.jsonl``),
             reports, knowledge sidecars, ``uploads/``, and ``policies/``
-            (content-addressed ``repro-policy/v1`` artifacts) live here.
+            (content-addressed ``repro-policy/v2`` artifacts) live here.
         max_running: campaigns executed concurrently.
         max_queue: total queued jobs across all lanes; submissions past
             it are rejected with 429.

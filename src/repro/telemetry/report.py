@@ -42,8 +42,7 @@ class FaultRecord:
         backtracks: PODEM backtracks spent on it.
         justification: how its accepted test's state was justified
             (``"none"`` when no test was accepted or none was needed).
-        ga_generations: GA generations consumed while targeting it
-            (0 when telemetry was disabled).
+        ga_generations: GA generations evolved while targeting it.
         incidental: detected by another fault's test, never by its own.
         features: static per-fault feature dict recorded by the driver
             (see :data:`repro.policy.features.FEATURE_NAMES`), making

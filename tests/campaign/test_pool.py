@@ -370,11 +370,16 @@ class TestWorkerCountDeterminism:
             str(tmp_path / "prior.jsonl"),
         )
         report = prior.run().report
-        policy_path = str(tmp_path / "policy.json")
-        train_policy(dataset_from_reports([report])).save(policy_path)
+        policy = train_policy(dataset_from_reports([report])).to_dict()
+        # start every fault at pass 2, so that each one-fault item of a
+        # two-pass schedule skips pass 1
+        policy["models"]["pass"].update(bias=2.0, trees=[])
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps(policy))
         preload = load_knowledge(prior.knowledge_path())
-        s = CampaignSpec(**base, knowledge_file=prior.knowledge_path(),
-                         policy_file=policy_path)
+        s = CampaignSpec(**dict(base, passes=2),
+                         knowledge_file=prior.knowledge_path(),
+                         policy_file=str(policy_path))
         payloads = {}
         for workers in (1, 2):
             journal = str(tmp_path / f"w{workers}.jsonl")
@@ -391,6 +396,6 @@ class TestWorkerCountDeterminism:
             assert facts(payload["knowledge"]) >= facts(
                 preload[payload["circuit"]].to_dict()
             )
-            # only a driver steered by a plan counts deferrals
+            # the plan reached the item's driver
             counters = payload["report"]["metrics"]["counters"]
-            assert "atpg.policy.deferred" in counters
+            assert counters["atpg.policy.pass_skips"] == 1

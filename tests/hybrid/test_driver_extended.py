@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.compaction import split_blocks
 from repro.circuits import redundant_and, s27, untestable_stem
 from repro.hybrid import HybridTestGenerator, gahitec, gahitec_schedule
-from repro.telemetry import TelemetryRecorder
 
 
 def quick(x=12):
@@ -26,8 +25,7 @@ class TestPassOneUntestables:
     ], ids=["redundant_and", "untestable_stem", "s27"])
     def test_one_ga_pass_proves_them_without_ga_work(self, make, proven):
         circuit = make()
-        # without a recorder every record reads 0 GA generations
-        result = gahitec(circuit, seed=0, telemetry=TelemetryRecorder()).run(
+        result = gahitec(circuit, seed=0).run(
             gahitec_schedule(
                 x=max(4, 4 * circuit.sequential_depth), num_passes=1,
                 time_scale=None, backtrack_base=100, justify_depth=3,

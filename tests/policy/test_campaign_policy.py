@@ -9,6 +9,8 @@ from repro.campaign.warm import CampaignWarmState
 from repro.policy.dataset import dataset_from_reports
 from repro.policy.model import train_policy
 
+from .test_model import v1_doc
+
 
 def merged(result):
     return {
@@ -65,7 +67,7 @@ class TestWarmState:
         warm = state.circuits["s27"]
         assert warm.policy_plan is not None
         assert warm.policy_plan.circuit == "s27"
-        assert set(warm.policy_plan.plans) == {
+        assert set(warm.policy_plan.start_passes) == {
             str(f) for f in warm.faults
         }
 
@@ -77,6 +79,18 @@ class TestWarmState:
         )
         with pytest.raises(CampaignError):
             CampaignWarmState.build(spec)
+
+    def test_v1_policy_fails_before_the_journal(self, tmp_path):
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(v1_doc()))
+        spec = CampaignSpec(
+            circuits=("s27",), seed=3, policy_file=str(old)
+        )
+        journal = tmp_path / "c.jsonl"
+        with pytest.raises(CampaignError, match="retrain") as exc:
+            CampaignRunner(spec, str(journal)).run()
+        assert "\n" not in str(exc.value)
+        assert not journal.exists()
 
     def test_plainspec_build_has_no_plans(self):
         spec = CampaignSpec(circuits=("s27",), seed=3)
@@ -120,15 +134,15 @@ class TestEndToEnd:
         policy_keys = [
             k for k in counters if k.startswith("atpg.policy.")
         ]
-        assert policy_keys
+        assert policy_keys == ["atpg.policy.pass_skips"]
 
     def test_each_deferred_fault_counts_once(self, tmp_path, policy_file):
-        """Items count deferrals among their own targets only, so a
-        policy that defers all 26 s27 faults reports 26 over 26 items,
-        not 26 per item."""
+        """Items count skips among their own targets only, so a policy
+        that starts all 26 s27 faults at the final pass reports two
+        skips per fault over 26 items, not two per fault per item."""
         with open(policy_file) as handle:
             data = json.load(handle)
-        data["options"]["defer_threshold"] = 1.5
+        data["models"]["pass"].update(bias=3.0, trees=[])
         defer_all = tmp_path / "defer_all.json"
         defer_all.write_text(json.dumps(data))
         spec = CampaignSpec(
@@ -138,7 +152,7 @@ class TestEndToEnd:
         result = CampaignRunner(spec, str(tmp_path / "c.jsonl")).run()
         assert result.items_done == 26
         counters = result.report.metrics["counters"]
-        assert counters["atpg.policy.deferred"] == 26
+        assert counters["atpg.policy.pass_skips"] == 2 * 26
 
     def test_missing_policy_file_fails_loudly(self, tmp_path):
         spec = CampaignSpec(

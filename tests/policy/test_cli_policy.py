@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
-from .test_model import shrink_ga_doc
+from .test_model import MALFORMED, malformed_doc, shrink_ga_doc
 
 
 def make_report(tmp_path, name="rep.json", seed=3):
@@ -24,7 +26,7 @@ class TestTrainPolicy:
         text = capsys.readouterr().out
         assert "dataset:" in text and "fit:" in text
         doc = json.load(open(out))
-        assert doc["schema"] == "repro-policy/v1"
+        assert doc["schema"] == "repro-policy/v2"
         assert doc["circuits"] == ["s27"]
 
     def test_missing_report_exits_2(self, tmp_path, capsys):
@@ -59,11 +61,26 @@ class TestApplyPolicy:
         assert "error:" in capsys.readouterr().err
 
     def test_atpg_with_shrink_ga_policy_exits_2(self, tmp_path, capsys):
+        """A shrink_ga artifact is a v1 artifact: retrain it."""
         bad = tmp_path / "shrink.json"
         bad.write_text(json.dumps(shrink_ga_doc()))
         assert main(["atpg", "s27", "--policy", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: policy option 'shrink_ga' was removed")
+        assert err.startswith(
+            "error: invalid policy artifact: repro-policy/v1 is no longer read"
+        )
+        assert "retrain" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit", [edit for _, edit in MALFORMED],
+        ids=[name for name, _ in MALFORMED],
+    )
+    def test_atpg_with_malformed_policy_exits_2(self, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(malformed_doc(edit)))
+        assert main(["atpg", "s27", "--policy", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid policy artifact")
         assert err.count("\n") == 1
 
     def test_campaign_run_with_policy(self, tmp_path, capsys):

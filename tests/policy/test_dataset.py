@@ -1,7 +1,5 @@
 """Mining run reports into labeled training datasets."""
 
-import math
-
 import pytest
 
 from repro.faults.collapse import collapse_faults
@@ -64,9 +62,8 @@ class TestMining:
         assert len(dataset.rows) == 1 and dataset.skipped == 0
         row = dataset.rows[0]
         assert row.circuit == "s27" and row.fault == "G1 s-a-0"
-        assert row.detected == 1.0
+        assert row.status == "detected"
         assert row.resolve_pass == 2.0
-        assert row.cost == pytest.approx(math.log1p(7))
 
     def test_prefixed_fault_names_stripped(self):
         record = embedded_record("s298:G1 s-a-0")
@@ -87,13 +84,6 @@ class TestMining:
         features = set(dataset.rows[0].features)
         assert features <= set(FEATURE_NAMES)
         assert set(FEATURE_NAMES) - features <= {"is_transition"}
-
-    def test_backfill_disabled_skips_featureless_rows(self):
-        record = FaultRecord(fault="G1 s-a-0", status="detected")
-        dataset = dataset_from_reports(
-            [report_with([record])], backfill=False
-        )
-        assert not dataset.rows and dataset.skipped == 1
 
     def test_unresolvable_circuit_counted_not_fatal(self):
         record = FaultRecord(fault="G1 s-a-0", status="detected")

@@ -8,7 +8,6 @@ from repro.policy.features import (
     FEATURE_NAMES,
     fault_features,
     feature_vector,
-    features_for_faults,
 )
 from repro.simulation.compiled import compile_circuit
 
@@ -92,13 +91,3 @@ class TestFeatureVector:
         assert feature_vector({"not_a_feature": 9.0}) == [0.0] * len(
             FEATURE_NAMES
         )
-
-
-class TestFeaturesForFaults:
-    def test_keyed_by_fault_name(self):
-        cc = fixtures()
-        faults = collapse_faults(cc.circuit)
-        table = features_for_faults(cc, faults)
-        assert set(table) == {str(f) for f in faults}
-        probe = faults[3]
-        assert table[str(probe)] == fault_features(cc, probe)

@@ -1,4 +1,4 @@
-"""Boosted-tree models and the repro-policy/v1 artifact."""
+"""Boosted-tree models and the repro-policy/v2 artifact."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.policy.dataset import Dataset, DatasetRow
 from repro.policy.features import FEATURE_NAMES
 from repro.policy.model import (
     BoostedTrees,
-    DEFAULT_OPTIONS,
     FaultPolicy,
     PolicyError,
     family_fingerprint,
@@ -24,25 +23,57 @@ def toy_rows(n=24):
         features = {name: 0.0 for name in FEATURE_NAMES}
         features["cc0"] = float(i % 6)
         features["co"] = float(i % 4)
-        detected = 1.0 if i % 6 < 4 else 0.0
         rows.append(
             DatasetRow(
                 circuit="s27",
                 fault=f"G{i} s-a-0",
                 features=features,
-                status="detected" if detected else "aborted",
-                detected=detected,
+                status="detected" if i % 6 < 4 else "aborted",
                 resolve_pass=1.0 + (i % 3),
-                cost=float(i % 4) * 2.0,
             )
         )
     return Dataset(rows=rows, reports=1)
 
 
-def shrink_ga_doc():
-    """A valid artifact that asks for the removed GA-budget shrinking."""
+def v1_doc(**options):
+    """A ``repro-policy/v1`` artifact as it was written before deferral
+    and reordering were removed: three models and their options."""
     doc = train_policy(toy_rows()).to_dict()
-    doc["options"].update(shrink_ga=True, cheap_cost=0.0)
+    model = doc["models"]["pass"]
+    doc["schema"] = "repro-policy/v1"
+    doc["models"] = {"detect": model, "pass": model, "cost": model}
+    doc["options"] = {"defer_threshold": 0.25, "reorder": True, **options}
+    return doc
+
+
+def shrink_ga_doc():
+    """A v1 artifact that asks for the removed GA-budget shrinking."""
+    return v1_doc(shrink_ga=True, cheap_cost=0.0)
+
+
+#: Malformed v2 artifacts, each as (name, edit of a valid document).
+MALFORMED = [
+    ("string-bias", lambda d: d["models"]["pass"].update(bias="x")),
+    ("null-learning-rate",
+     lambda d: d["models"]["pass"].update(learning_rate=None)),
+    ("integer-circuits", lambda d: d.update(circuits=[1, 2])),
+    ("feature-out-of-range",
+     lambda d: d["models"]["pass"]["trees"].insert(
+         0, {"feature": 99, "threshold": 0.5,
+             "left": {"value": 0.0}, "right": {"value": 1.0}})),
+    ("string-threshold",
+     lambda d: d["models"]["pass"]["trees"].insert(
+         0, {"feature": 0, "threshold": "0.5",
+             "left": {"value": 0.0}, "right": {"value": 1.0}})),
+    ("nan-leaf",
+     lambda d: d["models"]["pass"]["trees"].insert(0, {"value": float("nan")})),
+    ("trees-not-a-list", lambda d: d["models"]["pass"].update(trees=5)),
+]
+
+
+def malformed_doc(edit):
+    doc = train_policy(toy_rows()).to_dict()
+    edit(doc)
     return doc
 
 
@@ -86,29 +117,21 @@ class TestBoostedTrees:
 
 
 class TestTrainPolicy:
-    def test_trains_three_models(self):
-        policy = train_policy(toy_rows())
+    def test_trains_the_pass_model(self):
+        rows = toy_rows()
+        policy = train_policy(rows)
         assert policy.circuits == ("s27",)
         assert policy.trained_rows == 24
         assert policy.feature_names == FEATURE_NAMES
-        detect, resolve, cost = policy.predict(
-            [0.0] * len(FEATURE_NAMES)
-        )
-        assert all(
-            isinstance(v, float) for v in (detect, resolve, cost)
-        )
+        # the pass model with the ensemble's own defaults, nothing else
+        labels = [row.resolve_pass for row in rows.rows]
+        expected = BoostedTrees.fit(rows.matrix(), labels)
+        assert policy.resolve_pass.to_dict() == expected.to_dict()
+        assert isinstance(policy.predict([0.0] * len(FEATURE_NAMES)), float)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(PolicyError):
             train_policy(Dataset())
-
-    def test_default_options_applied(self):
-        policy = train_policy(toy_rows())
-        assert policy.options == DEFAULT_OPTIONS
-
-    def test_removed_shrink_ga_option_is_rejected(self):
-        with pytest.raises(PolicyError, match="'shrink_ga' was removed"):
-            train_policy(toy_rows(), options={"shrink_ga": True})
 
     def test_training_is_deterministic(self):
         a = train_policy(toy_rows()).to_dict()
@@ -169,20 +192,34 @@ class TestArtifact:
             FaultPolicy.from_dict(doc)
 
     def test_shrink_ga_artifact_fails_with_one_line(self, tmp_path):
+        """Only v1 artifacts could ask for GA-budget shrinking, and no
+        v1 artifact loads."""
         path = tmp_path / "shrink.json"
         path.write_text(json.dumps(shrink_ga_doc()))
-        with pytest.raises(PolicyError, match="'shrink_ga' was removed") as exc:
+        with pytest.raises(PolicyError) as exc:
             FaultPolicy.load(str(path))
+        message = str(exc.value)
+        assert "repro-policy/v1" in message and "retrain" in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "edit", [edit for _, edit in MALFORMED],
+        ids=[name for name, _ in MALFORMED],
+    )
+    def test_malformed_artifact_is_a_policy_error(self, edit):
+        with pytest.raises(PolicyError) as exc:
+            FaultPolicy.from_dict(malformed_doc(edit))
         assert "\n" not in str(exc.value)
 
     def test_validate_reports_tree_problems(self):
         doc = train_policy(toy_rows()).to_dict()
-        doc["models"]["detect"]["trees"] = [{"feature": 0}]
+        doc["models"]["pass"]["trees"] = [{"feature": 0}]
         assert validate_policy(doc)
 
     def test_artifact_is_json(self, tmp_path):
         path = str(tmp_path / "policy.json")
         train_policy(toy_rows()).save(path)
         data = json.load(open(path))
-        assert data["schema"] == "repro-policy/v1"
-        assert set(data["models"]) == {"detect", "pass", "cost"}
+        assert data["schema"] == "repro-policy/v2"
+        assert set(data["models"]) == {"pass"}
+        assert "options" not in data

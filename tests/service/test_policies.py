@@ -1,13 +1,14 @@
 """POST /policies uploads and policy-steered job submission."""
 
 import asyncio
+import json
 import os
 
 from repro.campaign import CampaignRunner, CampaignSpec
 from repro.policy.dataset import dataset_from_reports
 from repro.policy.model import FaultPolicy, train_policy
 
-from ..policy.test_model import shrink_ga_doc
+from ..policy.test_model import MALFORMED, malformed_doc, shrink_ga_doc
 from .test_http import SPEC, ServiceHarness
 
 
@@ -65,14 +66,39 @@ class TestPolicyEndpoint:
         asyncio.run(scenario())
 
     def test_shrink_ga_policy_rejected(self, tmp_path):
+        """A shrink_ga artifact is a v1 artifact: retrain it."""
         async def scenario():
             async with ServiceHarness(tmp_path) as svc:
                 status, body = await svc.request(
                     "POST", "/policies", {"policy": shrink_ga_doc()}
                 )
                 assert status == 400
-                assert "'shrink_ga' was removed" in body["error"]
+                assert "repro-policy/v1" in body["error"]
+                assert "retrain" in body["error"]
                 assert "\n" not in body["error"]
+
+        asyncio.run(scenario())
+
+    def test_malformed_policies_rejected(self, tmp_path):
+        """Each malformed artifact is a one-line 400, on upload and when
+        a submitted spec names it, never a 500."""
+        async def scenario():
+            async with ServiceHarness(tmp_path / "svc") as svc:
+                for name, edit in MALFORMED:
+                    doc = malformed_doc(edit)
+                    status, body = await svc.request(
+                        "POST", "/policies", {"policy": doc}
+                    )
+                    assert status == 400, name
+                    assert "\n" not in body["error"], name
+                    path = tmp_path / f"{name}.json"
+                    path.write_text(json.dumps(doc))
+                    status, body = await svc.request(
+                        "POST", "/jobs",
+                        {"spec": dict(SPEC, policy_file=str(path))},
+                    )
+                    assert status == 400, name
+                    assert "\n" not in body["error"], name
 
         asyncio.run(scenario())
 
@@ -91,6 +117,9 @@ class TestPolicyEndpoint:
 
     def test_policy_job_matches_direct_run(self, tmp_path):
         doc = trained_policy_doc(tmp_path)
+        # the training run resolved every fault in pass 1; start every
+        # fault at the final pass instead, so that every item skips
+        doc["models"]["pass"].update(bias=2.0, trees=[])
 
         async def scenario():
             async with ServiceHarness(tmp_path / "svc") as svc:
@@ -121,7 +150,8 @@ class TestPolicyEndpoint:
 
         # policy counters rolled up into the served report
         counters = served.get("metrics", {}).get("counters", {})
-        assert any(k.startswith("atpg.policy.") for k in counters)
+        skips = direct.report.metrics["counters"]["atpg.policy.pass_skips"]
+        assert counters["atpg.policy.pass_skips"] == skips > 0
 
     def test_report_of_a_job_whose_policy_is_gone_is_a_4xx(self, tmp_path):
         """Re-merging a report reads the spec's warm state, policy plan

@@ -106,8 +106,22 @@ class TestDisabledTelemetry:
         report = result.report
         assert validate_report(report.to_dict()) == []
         assert report.metrics == {}
-        # GA generation attribution needs a live recorder.
-        assert all(r.ga_generations == 0 for r in report.faults)
+
+    def test_ga_generations_counted_without_recorder(self):
+        """Each record counts the generations its targetings evolved,
+        from the GA's own results, whether or not a recorder listens."""
+        schedule = gahitec_schedule(4, time_scale=None, backtrack_base=20)
+        plain = gahitec(s27(), seed=0).run(schedule)
+        recorder = TelemetryRecorder()
+        traced = gahitec(s27(), seed=0, telemetry=recorder).run(schedule)
+        assert plain.test_set == traced.test_set
+
+        def generations(result):
+            return {r.fault: r.ga_generations for r in result.report.faults}
+
+        assert generations(plain) == generations(traced)
+        total = sum(generations(plain).values())
+        assert total == recorder.value("ga.generations") > 0
 
     def test_same_campaign_with_and_without_telemetry(self):
         plain = gahitec(s27(), seed=7).run(gahitec_schedule(x=4, time_scale=None))

@@ -55,9 +55,10 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["atpg", "s27", "--prefilter"],
         ["train-policy", "r.json", "-o", "p.json", "--shrink-ga"],
+        ["train-policy", "r.json", "-o", "p.json", "--rounds=5"],
         ["faultsim", "s27", "t.vec", "--kernel-cache=k"],
     ], ids=["atpg-prefilter", "train-policy-shrink-ga",
-            "faultsim-kernel-cache"])
+            "train-policy-rounds", "faultsim-kernel-cache"])
     def test_removed_flags_are_unrecognized(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
