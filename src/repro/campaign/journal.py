@@ -1,7 +1,13 @@
 """Append-only campaign journal: durability and resume in one JSONL file.
 
 Every state transition the runner makes is appended as one JSON line and
-fsynced, so the journal survives SIGKILL of the campaign at any instant.
+handed to the operating system at once, so the journal survives SIGKILL
+of the campaign at any instant.  An append is also fsynced, unless it is
+made inside :meth:`Journal.group`: the pooled runner groups the events of
+one scheduler round and fsyncs them together before it dispatches more
+work.  A machine crash can then lose at most that round's events, which
+is the same as a crash just before their messages arrived: the items
+were started but not finished, and rerun with their original seeds.
 ``repro campaign resume`` replays the file: items with a ``item_done``
 event keep their recorded results (including accepted vectors and their
 ``repro-run-report/v1`` payloads); items that were merely started are
@@ -15,7 +21,6 @@ Event types (all carry ``ts``):
 ``items``           — the item catalogue (ids + fault hashes), for drift
                       detection on resume.
 ``item_started``    — an attempt began (item id, attempt, worker pid).
-``heartbeat``       — a worker's liveness beacon for its running item.
 ``item_done``       — attempt finished; carries the full item payload.
 ``item_failed``     — attempt raised or timed out; carries the error.
 ``item_interrupted``— a worker held the item (running or queued) when it
@@ -34,8 +39,9 @@ from __future__ import annotations
 import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..clock import wall
 from .spec import CampaignError
@@ -45,12 +51,16 @@ JOURNAL_SCHEMA = "repro-campaign-journal/v1"
 
 
 class Journal:
-    """Append-only JSONL writer with per-event fsync durability."""
+    """Append-only JSONL writer: fsync per event, or per :meth:`group`."""
 
     def __init__(self, path: str, clock: Callable[[], float] = wall):
         self.path = path
         self.clock = clock
         self._handle: Optional[io.TextIOWrapper] = None
+        #: inside :meth:`group`, appends leave the fsync to its exit
+        self._grouped = False
+        #: written since the last fsync
+        self._unsynced = False
 
     def _open(self) -> io.TextIOWrapper:
         if self._handle is None:
@@ -67,13 +77,35 @@ class Journal:
         return self._handle
 
     def append(self, event: Dict[str, Any]) -> None:
-        """Write one event durably (flush + fsync)."""
+        """Write one event (flush), and fsync it unless inside a group."""
         handle = self._open()
         event = dict(event)
         event.setdefault("ts", round(self.clock(), 3))
         handle.write(json.dumps(event, separators=(",", ":")) + "\n")
         handle.flush()
-        os.fsync(handle.fileno())
+        self._unsynced = True
+        if not self._grouped:
+            self._sync()
+
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """Make the events appended inside durable with one fsync at exit.
+
+        Each event is still written as it is appended, so a killed
+        process loses none of them; only the fsync waits for the exit,
+        which also comes when the body raises.
+        """
+        self._grouped = True
+        try:
+            yield
+        finally:
+            self._grouped = False
+            self._sync()
+
+    def _sync(self) -> None:
+        if self._unsynced and self._handle is not None:
+            os.fsync(self._handle.fileno())
+            self._unsynced = False
 
     def close(self) -> None:
         if self._handle is not None:

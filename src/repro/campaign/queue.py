@@ -38,6 +38,10 @@ class ItemState(enum.Enum):
     FAILED = "failed"
 
 
+#: states an item can still leave; the queue is finished when none is in one
+_OPEN = (ItemState.PENDING, ItemState.RUNNING)
+
+
 @dataclass(frozen=True)
 class WorkItem:
     """One (circuit, fault-shard) unit of campaign work.
@@ -121,7 +125,12 @@ class _Slot:
 
 
 class WorkQueue:
-    """Item-state machine with bounded, seed-perturbing retries."""
+    """Item-state machine with bounded, seed-perturbing retries.
+
+    The pending deque may hold ids of items that have since left the
+    pending state (a replayed completion, an exhausted restore); ``take``
+    skips them.
+    """
 
     def __init__(self, items: List[WorkItem], max_attempts: int = 3):
         self.max_attempts = max_attempts
@@ -129,6 +138,13 @@ class WorkQueue:
             item.item_id: _Slot(item) for item in items
         }
         self._pending: Deque[str] = deque(item.item_id for item in items)
+        #: slots pending or running, kept by :meth:`_move`
+        self._open = len(self._slots)
+
+    def _move(self, slot: _Slot, state: ItemState) -> None:
+        """The one place a slot changes state, so ``_open`` stays exact."""
+        self._open += (state in _OPEN) - (slot.state in _OPEN)
+        slot.state = state
 
     # -- dispatch ------------------------------------------------------
     def take(self) -> Optional[WorkItem]:
@@ -137,7 +153,7 @@ class WorkQueue:
             item_id = self._pending.popleft()
             slot = self._slots[item_id]
             if slot.state is ItemState.PENDING:
-                slot.state = ItemState.RUNNING
+                self._move(slot, ItemState.RUNNING)
                 slot.attempt += 1
                 return replace(
                     slot.item,
@@ -152,34 +168,30 @@ class WorkQueue:
     def mark_done(self, item_id: str) -> None:
         """Mark an item completed, by this run or by a replayed journal.
 
-        A replayed item may still be pending, so it also leaves the
-        pending queue and is never dispatched.
+        A replayed item may still be pending; ``take`` skips it from then
+        on, so it is never dispatched.
         """
         slot = self._slots.get(item_id)
         if slot is None:
             raise CampaignError(f"journal references unknown item {item_id}")
-        slot.state = ItemState.DONE
-        try:
-            self._pending.remove(item_id)
-        except ValueError:
-            pass
+        self._move(slot, ItemState.DONE)
 
     def mark_failed(self, item_id: str, error: str) -> bool:
         """Record a failed attempt; True when the item will be retried."""
         slot = self._slots[item_id]
         slot.error = error
         if slot.attempt < self.max_attempts:
-            slot.state = ItemState.PENDING
+            self._move(slot, ItemState.PENDING)
             self._pending.append(item_id)
             return True
-        slot.state = ItemState.FAILED
+        self._move(slot, ItemState.FAILED)
         return False
 
     def mark_interrupted(self, item_id: str) -> None:
         """Requeue after a crash without consuming an attempt or the seed."""
         slot = self._slots[item_id]
         slot.attempt = max(0, slot.attempt - 1)
-        slot.state = ItemState.PENDING
+        self._move(slot, ItemState.PENDING)
         self._pending.append(item_id)
 
     def restore_attempts(self, item_id: str, attempts: int) -> None:
@@ -195,11 +207,7 @@ class WorkQueue:
             raise CampaignError(f"journal references unknown item {item_id}")
         slot.attempt = max(slot.attempt, attempts)
         if slot.attempt >= self.max_attempts:
-            slot.state = ItemState.FAILED
-            try:
-                self._pending.remove(item_id)
-            except ValueError:
-                pass
+            self._move(slot, ItemState.FAILED)
 
     # -- queries -------------------------------------------------------
     def state_of(self, item_id: str) -> ItemState:
@@ -212,10 +220,8 @@ class WorkQueue:
         return out
 
     def finished(self) -> bool:
-        return all(
-            slot.state in (ItemState.DONE, ItemState.FAILED)
-            for slot in self._slots.values()
-        )
+        """True when no item is pending or running; O(1)."""
+        return self._open == 0
 
     def failed_items(self) -> List[str]:
         return sorted(

@@ -10,18 +10,25 @@ campaign finishes with the merge stage.
 
 Dispatch is one item at a time from one shared queue, not static
 sharding: the parent keeps exactly one unstarted item queued at each
-live worker and sends the next one as soon as the worker reports it
-started the queued one, so a worker never waits on the parent between
-items.  A worker holds at most its running item plus one queued item, so
-the tail imbalance is at most one item.  With per-fault items
-(``shard_size=1``, the default) one hard fault cannot straggle a whole
-shard.
+live worker, on that worker's task pipe, and sends the next one in the
+scheduler round after the worker reports it started the queued one, so
+a worker waits on the parent between items only when its queued item
+takes less time than that round.  A worker holds at most its running
+item plus one queued item, so the tail imbalance is at most one item.
+With per-fault items (``shard_size=1``, the default) one hard fault
+cannot straggle a whole shard.
+
+Each scheduler round handles every waiting worker message and then
+checks liveness; the journal events of the round are written as they
+happen and fsynced together (:meth:`Journal.group`) before the runner
+dispatches anything or returns.
 
 The parent never trusts a worker: liveness is tracked through heartbeats
 and ``is_alive``.  A hung worker is killed and its running item fails;
 a dead worker's running and queued items are requeued (without
 consuming an attempt, so results stay deterministic) and the worker is
-respawned with a fresh task queue and result pipe.
+respawned with a fresh task pipe and result pipe.  A task the parent
+cannot send (the pipe broke) marks its worker dead.
 
 Crash model:
 
@@ -32,9 +39,10 @@ Crash model:
   ``max_attempts``; the final attempt of a timed-out item keeps its
   partial results;
 * the *campaign* dies (SIGKILL, power loss, Ctrl-C) — the journal holds
-  every completed item; ``resume`` replays it, reruns only unfinished
-  items with their original seeds, and produces the same final test set
-  and coverage as an uninterrupted run.
+  every completed item (power loss can take the last scheduler round's,
+  as if their messages had never arrived); ``resume`` replays it, reruns
+  only unfinished items with their original seeds, and produces the same
+  final test set and coverage as an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -66,10 +74,12 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     return None
 
 
-#: Held from a result pipe's creation until the parent closes its write
-#: end, so no other runner in this process forks a worker in between: a
-#: worker that inherited the write end would keep its owner from seeing
-#: EOF when the owning worker dies, and a torn frame would block ``recv``.
+#: Held from a worker's pipes' creation until the parent closes its ends
+#: of them, so no other runner in this process forks a worker in between:
+#: a worker that inherited the result pipe's write end would keep its
+#: owner from seeing EOF when the owning worker dies, and a torn frame
+#: would block ``recv``; one that inherited the task pipe's read end would
+#: keep the parent's sends to a dead worker from failing.
 _SPAWN_LOCK = threading.Lock()
 
 
@@ -79,7 +89,8 @@ class _WorkerHandle:
     def __init__(self, wid: int) -> None:
         self.wid = wid
         self.proc: Optional[multiprocessing.process.BaseProcess] = None
-        self.task_q: Any = None
+        #: write end of the worker's task pipe
+        self.task_w: Any = None
         #: read end of the worker's result pipe; None once it broke
         self.result_r: Any = None
         #: the item the worker said it started, if any: (item, attempt)
@@ -376,22 +387,26 @@ class CampaignRunner:
         handles = [_WorkerHandle(wid) for wid in range(self.workers)]
 
         def spawn(handle: _WorkerHandle) -> None:
-            # a fresh task queue and result pipe per (re)spawn: items sent
+            # a fresh task pipe and result pipe per (re)spawn: items sent
             # to a dead worker can never be replayed by its replacement,
             # and a worker killed mid-message tears only its own pipe
-            if handle.result_r is not None:
-                handle.result_r.close()
-            handle.task_q = ctx.Queue()
+            for end in (handle.task_w, handle.result_r):
+                if end is not None:
+                    end.close()
             with _SPAWN_LOCK:
+                task_r, handle.task_w = ctx.Pipe(duplex=False)
                 handle.result_r, result_w = ctx.Pipe(duplex=False)
                 handle.proc = ctx.Process(
                     target=worker_main,
-                    args=(handle.wid, handle.task_q, result_w, self.spec,
+                    args=(handle.wid, task_r, result_w, self.spec,
                           warm_state, self.heartbeat_interval),
                     daemon=True,
                 )
                 handle.proc.start()
-                result_w.close()  # the worker holds the only write end
+                # the worker holds the only read end of its tasks and
+                # the only write end of its results
+                task_r.close()
+                result_w.close()
             handle.last_beat = self.clock()
 
         t0 = self.clock()
@@ -404,7 +419,7 @@ class CampaignRunner:
             while True:
                 self._check_cancelled(journal)
                 # keep one unstarted item queued at every live worker, so
-                # it never waits on the parent between items
+                # it can start its next item without waiting for this loop
                 for handle in handles:
                     if handle.queued is not None or not handle.proc.is_alive():
                         continue
@@ -412,46 +427,58 @@ class CampaignRunner:
                     if item is None:
                         break
                     handle.queued = (item, queue.attempt_of(item.item_id))
-                    handle.task_q.put(handle.queued)
-                if queue.finished() and not any(h.held() for h in handles):
-                    break
-                self._drain(handles, queue, payloads, journal)
-                now = self.clock()
-                for handle in handles:
-                    if handle.proc.is_alive():
-                        if (
-                            handle.running is None
-                            or self.hang_timeout_s is None
-                            or now - handle.last_beat <= self.hang_timeout_s
-                        ):
-                            continue
-                        # hung worker: kill it and fail its running item
-                        # (consumes an attempt); its queued item is
-                        # requeued below, as a crashed worker's would be
+                    try:
+                        handle.task_w.send(handle.queued)
+                    except BrokenPipeError:
+                        # the worker's end is gone, so it is dead or about
+                        # to be: make sure, and the liveness check below
+                        # requeues what it held
                         handle.proc.kill()
                         handle.proc.join(timeout=5.0)
-                        item, attempt = handle.running
-                        self._fail(item.item_id, attempt, "hung",
-                                   queue, journal)
-                        handle.running = None
-                    # dead worker: requeue everything it held without
-                    # burning attempts, so reruns reproduce the same results
-                    for item, attempt in handle.held():
-                        journal.append({
-                            "type": "item_interrupted", "item": item.item_id,
-                            "attempt": attempt, "worker": handle.wid,
-                        })
-                        queue.mark_interrupted(item.item_id)
-                    handle.running = handle.queued = None
-                    if queue.finished():
-                        continue  # nothing left for a replacement to do
-                    respawns += 1
-                    if respawns > self.MAX_RESPAWNS_PER_WORKER * self.workers:
-                        raise CampaignError(
-                            "workers keep dying; campaign halted "
-                            "(journal is durable — resume when fixed)"
-                        )
-                    spawn(handle)
+                if queue.finished() and not any(h.held() for h in handles):
+                    break
+                # the round's events become durable together, before the
+                # next dispatch or the return
+                with journal.group():
+                    self._drain(handles, queue, payloads, journal)
+                    now = self.clock()
+                    for handle in handles:
+                        if handle.proc.is_alive():
+                            if (
+                                handle.running is None
+                                or self.hang_timeout_s is None
+                                or now - handle.last_beat <= self.hang_timeout_s
+                            ):
+                                continue
+                            # hung worker: kill it and fail its running item
+                            # (consumes an attempt); its queued item is
+                            # requeued below, as a crashed worker's would be
+                            handle.proc.kill()
+                            handle.proc.join(timeout=5.0)
+                            item, attempt = handle.running
+                            self._fail(item.item_id, attempt, "hung",
+                                       queue, journal)
+                            handle.running = None
+                        # dead worker: requeue everything it held without
+                        # burning attempts, so reruns reproduce the same
+                        # results
+                        for item, attempt in handle.held():
+                            journal.append({
+                                "type": "item_interrupted",
+                                "item": item.item_id,
+                                "attempt": attempt, "worker": handle.wid,
+                            })
+                            queue.mark_interrupted(item.item_id)
+                        handle.running = handle.queued = None
+                        if queue.finished():
+                            continue  # nothing left for a replacement to do
+                        respawns += 1
+                        if respawns > self.MAX_RESPAWNS_PER_WORKER * self.workers:
+                            raise CampaignError(
+                                "workers keep dying; campaign halted "
+                                "(journal is durable — resume when fixed)"
+                            )
+                        spawn(handle)
         except BaseException:
             for handle in handles:
                 if handle.proc is not None and handle.proc.is_alive():
@@ -459,17 +486,20 @@ class CampaignRunner:
             raise
         finally:
             for handle in handles:
+                if handle.task_w is None:
+                    continue  # never spawned
                 try:
-                    handle.task_q.put(None)
-                except Exception:
-                    pass
+                    handle.task_w.send(None)
+                except BrokenPipeError:
+                    pass  # a dead worker needs no poison
             for handle in handles:
                 if handle.proc is not None:
                     handle.proc.join(timeout=2.0)
                     if handle.proc.is_alive():
                         handle.proc.kill()
-                if handle.result_r is not None:
-                    handle.result_r.close()
+                for end in (handle.task_w, handle.result_r):
+                    if end is not None:
+                        end.close()
 
     def _drain(
         self,

@@ -6,11 +6,12 @@ the runner calls it inline in single-worker mode and
 execution modes produce byte-identical payloads.  Each item builds its own
 :class:`~repro.hybrid.driver.HybridTestGenerator` restricted to the item's
 fault shard and runs the spec's schedule under the item's wall-clock
-deadline; the worker's heartbeat thread keeps beaconing while the (single
+deadline.  Each worker process runs one heartbeat thread for its whole
+life, which beacons whichever item is running while the (single
 threaded, GIL-holding) ATPG loop runs, so the parent can tell a slow item
-from a dead process.
+from a dead process; no thread is started or joined per item.
 
-Pooled workers run the ``(item, attempt)`` pairs their task queue hands
+Pooled workers run the ``(item, attempt)`` pairs their task pipe hands
 them, in order, until they read ``None``; the parent keeps at most one
 unstarted pair queued per worker.  Every artifact an item needs (compiled
 circuit, SCOAP, collapsed faults, the knowledge preload, the policy
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional
 
 from ..clock import monotonic
@@ -61,7 +62,12 @@ class ItemOutcome:
     knowledge_stats: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The ``item_done`` payload: the fields by name, not copied.
+
+        ``dataclasses.asdict`` would deep-copy the report and knowledge
+        documents ``run_item`` has just built; the JSON is the same.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def run_item(
@@ -152,21 +158,30 @@ def run_item(
 
 
 class _Heartbeat(threading.Thread):
-    """Beacon thread: emits (worker, item) liveness while an item runs."""
+    """Beacon thread: emits (worker, item) liveness while an item runs.
+
+    One per worker process: it beacons :attr:`item_id`, which the worker
+    sets when an item starts and clears when it ends, and stays quiet
+    while the worker waits for its next task.
+    """
 
     def __init__(self, send: Callable[[tuple], None], worker_id: int,
-                 item_id: str, interval: float):
+                 interval: float):
         super().__init__(daemon=True)
         self._send = send
         self._worker_id = worker_id
-        self._item_id = item_id
         self._interval = interval
         self._halt = threading.Event()
+        #: the running item's id, or None between items
+        self.item_id: Optional[str] = None
 
     def run(self) -> None:
         while not self._halt.wait(self._interval):
+            item_id = self.item_id
+            if item_id is None:
+                continue
             try:
-                self._send(("heartbeat", self._worker_id, self._item_id, None))
+                self._send(("heartbeat", self._worker_id, item_id, None))
             except OSError:
                 return  # parent gone; the worker is about to die anyway
 
@@ -177,7 +192,7 @@ class _Heartbeat(threading.Thread):
 
 def worker_main(
     worker_id: int,
-    task_q,
+    task_conn,
     result_conn,
     spec: CampaignSpec,
     warm: CampaignWarmState,
@@ -188,7 +203,8 @@ def worker_main(
     The runner starts it in a forked child, so ``spec`` and ``warm`` are
     the parent's objects, inherited rather than pickled.
 
-    Messages from the parent (all on ``task_q``):
+    Messages from the parent (all on ``task_conn``, the read end of a
+    pipe only the parent writes to, fresh per spawn):
 
     * ``(item, attempt)`` — run this item next.
     * ``None`` — exit.
@@ -210,20 +226,23 @@ def worker_main(
         with lock:
             result_conn.send(message)
 
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        item, attempt = task
-        send(("started", worker_id, item.item_id, (attempt, os.getpid())))
-        beacon = _Heartbeat(send, worker_id, item.item_id, heartbeat_interval)
-        beacon.start()
-        try:
-            outcome = run_item(spec, item, warm)
-            send(("done", worker_id, item.item_id, outcome.to_dict()))
-        except Exception as exc:  # noqa: BLE001 — report, don't die
-            send(("failed", worker_id, item.item_id,
-                  f"{type(exc).__name__}: {exc}"))
-        finally:
-            beacon.stop()
-            beacon.join(timeout=2.0)
+    beacon = _Heartbeat(send, worker_id, heartbeat_interval)
+    beacon.start()
+    try:
+        while True:
+            task = task_conn.recv()
+            if task is None:
+                return
+            item, attempt = task
+            send(("started", worker_id, item.item_id, (attempt, os.getpid())))
+            beacon.item_id = item.item_id
+            try:
+                outcome = run_item(spec, item, warm)
+                send(("done", worker_id, item.item_id, outcome.to_dict()))
+            except Exception as exc:  # noqa: BLE001 — report, don't die
+                send(("failed", worker_id, item.item_id,
+                      f"{type(exc).__name__}: {exc}"))
+            finally:
+                beacon.item_id = None
+    finally:
+        beacon.stop()

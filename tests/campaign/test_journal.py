@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.campaign.journal as journal_module
 from repro.campaign import (
     JOURNAL_SCHEMA,
     CampaignError,
@@ -51,6 +52,59 @@ class TestJournalWriter:
             journal.append({"type": "merged", "summary": {}})
         events = read_events(str(path))
         assert [e["type"] for e in events] == ["campaign", "merged"]
+
+
+@pytest.fixture
+def fsyncs(tmp_path, monkeypatch):
+    """Lines of ``tmp_path/j.jsonl`` at each ``os.fsync`` the journal
+    module makes."""
+    seen = []
+    real_fsync = journal_module.os.fsync
+
+    def counted(fd):
+        real_fsync(fd)
+        seen.append(len((tmp_path / "j.jsonl").read_text().splitlines()))
+
+    monkeypatch.setattr(journal_module.os, "fsync", counted)
+    return seen
+
+
+class TestGroupCommit:
+    def test_appends_outside_a_group_fsync_each_event(self, tmp_path, fsyncs):
+        write_journal(tmp_path / "j.jsonl", [HEADER] + [{"type": "x"}] * 3)
+        assert fsyncs == [1, 2, 3, 4]
+
+    def test_a_group_fsyncs_once_at_its_exit(self, tmp_path, fsyncs):
+        with Journal(str(tmp_path / "j.jsonl")) as journal:
+            journal.append(HEADER)
+            with journal.group():
+                for n in range(5):
+                    journal.append({"type": "item_started", "item": str(n)})
+                # written at once, so a killed process loses none of them
+                assert len(read_events(journal.path)) == 6
+                assert fsyncs == [1]
+            assert fsyncs == [1, 6]
+            with journal.group():
+                pass  # nothing written, nothing to sync
+            assert fsyncs == [1, 6]
+            journal.append({"type": "merged", "summary": {}})
+            assert fsyncs == [1, 6, 7]
+
+    def test_an_exception_in_a_group_still_syncs_its_events(
+        self, tmp_path, fsyncs
+    ):
+        with Journal(str(tmp_path / "j.jsonl")) as journal:
+            with pytest.raises(RuntimeError, match="mid-round"):
+                with journal.group():
+                    journal.append(HEADER)
+                    journal.append({"type": "item_started", "item": "a"})
+                    raise RuntimeError("mid-round")
+            assert fsyncs == [2]
+            journal.append({"type": "cancelled"})  # per event again
+            assert fsyncs == [2, 3]
+        assert [e["type"] for e in read_events(journal.path)] == [
+            "campaign", "item_started", "cancelled",
+        ]
 
 
 class TestReadEvents:

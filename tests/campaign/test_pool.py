@@ -68,6 +68,43 @@ def facts(document):
     }
 
 
+def in_own_session(tmp_path, body, stalled):
+    """``body()``'s JSON-able result, computed in a forked child.
+
+    The child leads its own process group and never returns to pytest.
+    A child still running after 60 s is killed with its group and fails
+    the test with ``stalled``, so a deadlock fails the test instead of
+    hanging it.
+    """
+    out = tmp_path / "child.json"
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.setsid()
+            out.write_text(json.dumps(body()))
+            status = 0
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.killpg(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise AssertionError(stalled)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    return json.loads(out.read_text())
+
+
+def merged_s27(result):
+    merged = result.circuits["s27"]
+    return {"vectors": merged.vectors, "detected": merged.detected}
+
+
 class TestPoolProtocol:
     def test_no_item_lost_or_double_credited(self, tmp_path):
         """Every catalogue item lands exactly one ``item_done`` when
@@ -141,7 +178,7 @@ class TestPoolProtocol:
         real_worker_main = campaign_runner.worker_main
         marker = tmp_path / "torn"
 
-        def tearing_worker_main(wid, task_q, channel, *rest):
+        def tearing_worker_main(wid, task_conn, channel, *rest):
             if wid == 0 and not marker.exists():
                 marker.touch()
                 if isinstance(channel, Connection):
@@ -150,39 +187,60 @@ class TestPoolProtocol:
                 else:
                     channel._wlock.acquire()
                 os._exit(1)
-            real_worker_main(wid, task_q, channel, *rest)
+            real_worker_main(wid, task_conn, channel, *rest)
 
         monkeypatch.setattr(campaign_runner, "worker_main", tearing_worker_main)
-        out = tmp_path / "result.json"
-        pid = os.fork()
-        if pid == 0:  # the child: run the campaign, never return to pytest
-            status = 1
-            try:
-                os.setsid()
-                result = CampaignRunner(
-                    spec(), str(tmp_path / "torn.jsonl"), workers=2
-                ).run()
-                merged = result.circuits["s27"]
-                out.write_text(json.dumps(
-                    {"vectors": merged.vectors, "detected": merged.detected}
-                ))
-                status = 0
-            finally:
-                os._exit(status)
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.05)
-        else:
-            os.killpg(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise AssertionError("campaign deadlocked after a torn message")
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-        merged = json.loads(out.read_text())
-        assert merged["vectors"] == reference.circuits["s27"].vectors
-        assert merged["detected"] == reference.circuits["s27"].detected
+        merged = in_own_session(
+            tmp_path,
+            lambda: merged_s27(CampaignRunner(
+                spec(), str(tmp_path / "torn.jsonl"), workers=2
+            ).run()),
+            "campaign deadlocked after a torn message",
+        )
+        assert merged == merged_s27(reference)
+
+    def test_broken_task_pipe_marks_its_worker_dead(
+        self, tmp_path, monkeypatch
+    ):
+        """Worker 0 closes its task pipe's read end after its first task,
+        reports that task started and stays alive, so the parent's next
+        send to it fails.  The runner must take the failed send as the
+        worker's death: kill it, requeue both items it held at their
+        attempt, respawn it, and end with the 1-worker result."""
+        reference = CampaignRunner(
+            spec(), str(tmp_path / "ref.jsonl"), workers=1
+        ).run()
+        real_worker_main = campaign_runner.worker_main
+        marker = tmp_path / "closed"
+
+        def closing_worker_main(wid, task_conn, result_conn, *rest):
+            if wid == 0 and not marker.exists():
+                marker.touch()
+                item, attempt = task_conn.recv()
+                task_conn.close()
+                result_conn.send(
+                    ("started", wid, item.item_id, (attempt, os.getpid()))
+                )
+                time.sleep(120)  # alive until the parent kills it
+                os._exit(1)
+            real_worker_main(wid, task_conn, result_conn, *rest)
+
+        monkeypatch.setattr(campaign_runner, "worker_main", closing_worker_main)
+        journal = str(tmp_path / "closed.jsonl")
+        merged = in_own_session(
+            tmp_path,
+            lambda: merged_s27(
+                CampaignRunner(spec(), journal, workers=2).run()
+            ),
+            "campaign stalled on a worker whose task pipe broke",
+        )
+        assert merged == merged_s27(reference)
+        events = read_events(journal)
+        interrupted = [e for e in events if e["type"] == "item_interrupted"]
+        # the item it started, and the one whose send failed
+        assert len(interrupted) == 2
+        assert {(e["worker"], e["attempt"]) for e in interrupted} == {(0, 1)}
+        assert [e for e in events if e["type"] == "item_failed"] == []
 
     def test_torn_pipe_reaches_eof_while_another_runner_spawns(
         self, tmp_path, monkeypatch
@@ -237,12 +295,12 @@ class TestPoolProtocol:
                 a_in_window.wait(timeout=60)
             return HeldContext(real_fork_context())
 
-        def tearing_worker_main(wid, task_q, channel, item_spec, *rest):
+        def tearing_worker_main(wid, task_conn, channel, item_spec, *rest):
             if item_spec.name == "a" and wid == 0 and not torn.exists():
                 torn.touch()
                 os.write(channel.fileno(), struct.pack("!i", 1 << 16) + b"torn")
                 os._exit(1)
-            real_worker_main(wid, task_q, channel, item_spec, *rest)
+            real_worker_main(wid, task_conn, channel, item_spec, *rest)
 
         def waiting_run_item(item_spec, item, warm, clock=None):
             while item_spec.name == "b" and not a_done.exists():
@@ -252,53 +310,34 @@ class TestPoolProtocol:
         monkeypatch.setattr(campaign_runner, "_fork_context", fork_context)
         monkeypatch.setattr(campaign_runner, "worker_main", tearing_worker_main)
         monkeypatch.setattr(campaign_worker, "run_item", waiting_run_item)
-        out = tmp_path / "result.json"
-        pid = os.fork()
-        if pid == 0:  # the child: run both campaigns, never return to pytest
-            status = 1
-            try:
-                os.setsid()
-                results = {}
 
-                def run(name):
-                    results[name] = CampaignRunner(
-                        spec(name=name), str(tmp_path / f"{name}.jsonl"),
-                        workers=2,
-                    ).run()
-                    if name == "a":
-                        a_done.touch()
+        def run_both():
+            results = {}
 
-                threads = [
-                    threading.Thread(target=run, args=(name,), name=name)
-                    for name in "ab"
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                merged = results["a"].circuits["s27"]
-                out.write_text(json.dumps({
-                    "vectors": merged.vectors, "detected": merged.detected,
-                    "b_items_done": results["b"].items_done,
-                }))
-                status = 0
-            finally:
-                os._exit(status)
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.05)
-        else:
-            os.killpg(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise AssertionError("a runner missed EOF on a torn result pipe")
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-        merged = json.loads(out.read_text())
-        assert merged["vectors"] == reference.circuits["s27"].vectors
-        assert merged["detected"] == reference.circuits["s27"].detected
-        assert merged["b_items_done"] == len(items_of(spec()))
+            def run(name):
+                results[name] = CampaignRunner(
+                    spec(name=name), str(tmp_path / f"{name}.jsonl"),
+                    workers=2,
+                ).run()
+                if name == "a":
+                    a_done.touch()
+
+            threads = [
+                threading.Thread(target=run, args=(name,), name=name)
+                for name in "ab"
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            return dict(merged_s27(results["a"]),
+                        b_items_done=results["b"].items_done)
+
+        merged = in_own_session(
+            tmp_path, run_both, "a runner missed EOF on a torn result pipe"
+        )
+        assert merged == dict(merged_s27(reference),
+                              b_items_done=len(items_of(spec())))
 
 
 class TestWorkerCountDeterminism:

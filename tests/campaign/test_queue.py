@@ -1,5 +1,7 @@
 """Work-item catalogue construction and queue state machine."""
 
+import random
+
 import pytest
 
 from repro.campaign import (
@@ -164,3 +166,59 @@ class TestWorkQueue:
             queue.mark_done(item.item_id)
         assert queue.finished()
         assert queue.counts()["done"] == len(items)
+
+
+class TestOpenCount:
+    """``finished()`` reads a count of open (pending or running) slots
+    that every transition keeps; it must agree with a full scan."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_finished_and_counts_match_a_full_scan(self, seed):
+        rng = random.Random(seed)
+        items = items_of(spec(shard_size=2))  # 13 items
+        ids = [i.item_id for i in items]
+        queue = WorkQueue(items, max_attempts=rng.choice([1, 2, 3]))
+        # a resume first replays completions and failed attempts
+        for item_id in rng.sample(ids, rng.randrange(4)):
+            queue.mark_done(item_id)
+        for item_id in rng.sample(ids, rng.randrange(4)):
+            queue.restore_attempts(item_id, rng.randrange(1, 4))
+        running = []
+        for _ in range(300):
+            move = rng.choice(
+                ["take", "done", "done_any", "fail", "interrupt"]
+            )
+            if move == "take":
+                item = queue.take()
+                if item is not None:
+                    running.append(item.item_id)
+            elif move == "done_any":
+                # replayed or duplicate completions, and late ones
+                queue.mark_done(rng.choice(ids))
+            elif running:
+                item_id = running.pop(rng.randrange(len(running)))
+                if queue.state_of(item_id) is not ItemState.RUNNING:
+                    continue  # a late completion already closed it
+                if move == "done":
+                    queue.mark_done(item_id)
+                elif move == "fail":
+                    queue.mark_failed(item_id, "boom")
+                else:
+                    queue.mark_interrupted(item_id)
+            states = [queue.state_of(i) for i in ids]
+            assert queue.finished() == all(
+                state in (ItemState.DONE, ItemState.FAILED)
+                for state in states
+            )
+            assert queue.counts() == {
+                state.value: states.count(state) for state in ItemState
+            }
+        # the queue drains to finished once every taken item completes
+        while True:
+            item = queue.take()
+            if item is None:
+                break
+            running.append(item.item_id)
+        for item_id in running:
+            queue.mark_done(item_id)
+        assert queue.finished()

@@ -324,6 +324,26 @@ class TestPooledRun:
         assert (pooled.circuits["s27"].detected
                 == inline.circuits["s27"].detected)
 
+    def test_items_longer_than_the_beat_survive_on_every_worker(
+        self, tmp_path
+    ):
+        """Items that outlast several heartbeat intervals finish: each
+        worker's one beacon thread beats for every item it runs, not
+        only its first."""
+        s = spec(synthetic_item_seconds=0.6, fault_limit=4, shard_size=1,
+                 max_attempts=1)
+        journal = str(tmp_path / "beat.jsonl")
+        result = CampaignRunner(s, journal, workers=2, heartbeat_interval=0.05,
+                                hang_timeout_s=0.3).run()
+        events = read_events(journal)
+        assert result.items_done == 4 and result.items_failed == 0
+        assert [e for e in events if e["type"] in (
+            "item_failed", "item_interrupted"
+        )] == []
+        started = Counter(e["pid"] for e in events
+                          if e["type"] == "item_started")
+        assert sorted(started.values()) == [2, 2]
+
     def test_hung_workers_are_killed_and_items_failed(self, tmp_path):
         s = spec(synthetic_item_seconds=2.0, fault_limit=2, shard_size=1,
                  max_attempts=1)

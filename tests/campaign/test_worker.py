@@ -1,5 +1,7 @@
 """Work-item execution: determinism, timeouts, and drift detection."""
 
+import dataclasses
+import json
 from dataclasses import replace
 
 import pytest
@@ -90,3 +92,17 @@ class TestRunItem:
         outcome = run(s, items_of(s)[0])
         assert outcome.vectors == [] and outcome.detected == []
         assert outcome.total_faults == 8
+
+    def test_payload_serializes_as_asdict_does(self):
+        """``to_dict`` skips ``asdict``'s deep copy; the journaled JSON
+        must not change by a byte."""
+        # the HITEC baseline leaves proven facts in every item's store
+        s = spec(shard_size=4, passes=1, baseline=True)
+        warm = CampaignWarmState.build(s)
+        outcomes = [run_item(s, item, warm) for item in build_items(s, warm)]
+        assert all(o.knowledge for o in outcomes)
+        for outcome in outcomes:
+            assert outcome.report and outcome.vectors
+            assert json.dumps(outcome.to_dict()) == json.dumps(
+                dataclasses.asdict(outcome)
+            )
