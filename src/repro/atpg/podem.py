@@ -16,22 +16,37 @@ backtracking is a pure undo — classic PODEM.  The search yields successive
 solutions on demand, which the sequential engines use to try alternative
 propagation paths when a required state proves unjustifiable (the
 "backtracks are made in the fault propagation phase" loop of the paper).
+
+The objective, the backtrace and the JUSTIFY goal check read the
+circuit's search tables (kept with its implication steps in
+:mod:`repro.atpg.unrolled`) and the model's raw value words.  Each
+solution's frame-0 state requirement is minimised by release trials,
+skipping the trials a backward necessity trace proves would fail.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..circuit.gates import CONTROLLING_VALUE, INVERSION, GateType
 from ..clock import monotonic
 from ..faults.model import Fault
 from ..simulation.compiled import CompiledCircuit
 from ..simulation.encoding import X
 from .constraints import InputConstraints
-from .scoap import cached_testability
-from .unrolled import Leaf, UndoRecord, UnrolledModel
+from .unrolled import (
+    _CHAIN,
+    _CONTROL,
+    _FAULTY,
+    _GOOD,
+    _PARITY,
+    _PI,
+    _PPI,
+    Leaf,
+    UndoRecord,
+    UnrolledModel,
+)
 
 
 class SearchStatus(enum.Enum):
@@ -79,12 +94,19 @@ class Solution:
     backtracks: int
 
 
-@dataclass
 class _Decision:
-    leaf: Leaf
-    value: int
-    flipped: bool
-    undo: List[UndoRecord]
+    """One search decision: its leaf and value, whether it is the second
+    value tried, and the undo log of its assignment."""
+
+    __slots__ = ("leaf", "value", "flipped", "undo")
+
+    def __init__(
+        self, leaf: Leaf, value: int, flipped: bool, undo: List[UndoRecord]
+    ):
+        self.leaf = leaf
+        self.value = value
+        self.flipped = flipped
+        self.undo = undo
 
 
 class PodemEngine:
@@ -198,17 +220,22 @@ class PodemEngine:
     def _goal_reached(self) -> bool:
         if self.fault is not None:
             return self.model.detected_at(self.observe_ppo) is not None
-        return all(self.model.good(0, d) == v for d, v in self._targets)
+        # good slots (bit 0): a target that is X or holds the other value
+        r1, r0 = self.model.v1[0], self.model.v0[0]
+        for d_idx, val in self._targets:
+            if r1[d_idx] & r0[d_idx] & 1 or r1[d_idx] & 1 != val:
+                return False
+        return True
 
     def _objective(self) -> Optional[Tuple[int, int, int]]:
         """Next (frame, net index, good value) goal, or None at a dead end."""
         model = self.model
         if self.fault is None:
+            r1, r0 = model.v1[0], model.v0[0]
             for d_idx, val in self._targets:
-                g = model.good(0, d_idx)
-                if g == X:
+                if r1[d_idx] & r0[d_idx] & 1:
                     return (0, d_idx, val)
-                if g != val:
+                if r1[d_idx] & 1 != val:
                     return None  # requirement provably violated
             return None  # all satisfied (goal check happens first, not here)
 
@@ -246,23 +273,20 @@ class PodemEngine:
             if edge_reachable or model.d_reaches_window_edge():
                 self.window_hit = True
             return None
-        meas = cached_testability(self.cc)
+        t = model.tables
+        co, gate_out, want_of, fanin = t.co, t.gate_out, t.want, t.fanin
         for frame, pos in sorted(
-            frontier,
-            key=lambda fp: (fp[0], meas.co[self.cc.gates[fp[1]].out]),
+            frontier, key=lambda fp: (fp[0], co[gate_out[fp[1]]])
         ):
-            gate = self.cc.gates[pos]
-            ctrl = CONTROLLING_VALUE.get(gate.gtype)
-            want = (1 - ctrl) if ctrl is not None else None
+            want = want_of[pos]
             # good slots only: a pin fault forces the faulty slot alone,
             # and an input whose good value is X is never D/D̄
-            for src in gate.fanin:
-                if model.good(frame, src) == X:
+            r1, r0 = model.v1[frame], model.v0[frame]
+            for src in fanin[gate_out[pos]]:
+                if r1[src] & r0[src] & 1:
                     if want is not None:
                         return (frame, src, want)
-                    return (
-                        frame, src, 0 if meas.cc0[src] <= meas.cc1[src] else 1
-                    )
+                    return (frame, src, 0 if t.cc0[src] <= t.cc1[src] else 1)
         # No frontier gate offers a good-X input, yet an X path exists: the
         # remaining unknowns are faulty-slot-only and resolve as more leaves
         # get values.  Fill any free leaf to keep the enumeration complete.
@@ -271,13 +295,11 @@ class PodemEngine:
     def _fill_objective(self) -> Optional[Tuple[int, int, int]]:
         """Pick an unassigned leaf when no frontier objective is available."""
         model = self.model
-        meas = cached_testability(self.cc)
+        cc0, cc1 = model.tables.cc0, model.tables.cc1
         for frame in range(model.num_frames):
             for idx in self.cc.pi:
                 if model.good(frame, idx) == X:
-                    return (
-                        frame, idx, 0 if meas.cc0[idx] <= meas.cc1[idx] else 1
-                    )
+                    return (frame, idx, 0 if cc0[idx] <= cc1[idx] else 1)
         for idx in self.cc.ff_out:
             if model.good(0, idx) == X:
                 return (0, idx, 0)
@@ -286,65 +308,63 @@ class PodemEngine:
     def _backtrace(
         self, frame: int, idx: int, value: int
     ) -> Optional[Tuple[Leaf, int]]:
-        """Walk an objective back to an unassigned leaf (classic PODEM)."""
-        cc = self.cc
-        model = self.model
-        meas = cached_testability(cc)
-        guard = 0
+        """Walk an objective back to an unassigned leaf (classic PODEM).
+
+        Reads the circuit's tables and the good slots (bit 0) of the raw
+        value words; no injection touches the good slot.  Each step moves
+        to a lower level or an earlier frame, so the walk ends.
+        """
+        t = self.model.tables
+        kind, fanin, inv, ctrl, d_input = t.kind, t.fanin, t.inv, t.ctrl, t.d_input
+        costs = (t.cc0, t.cc1)
+        v1, v0 = self.model.v1, self.model.v0
         while True:
-            guard += 1
-            if guard > 10 * cc.num_nets * model.num_frames:
-                return None  # defensive: malformed circuit
-            if model.is_leaf(frame, idx):
-                if model.good(frame, idx) != X:
-                    return None  # already decided; objective unreachable
-                return (frame, idx), value
-            gate_pos = cc.gate_of[idx]
-            if gate_pos is None:
+            k = kind[idx]
+            if k == _PPI and frame:
                 # flip-flop output in frame > 0: cross the frame boundary
-                ff_pos = cc.ff_out.index(idx)
-                if frame == 0:
-                    return None  # unreachable: frame-0 PPIs are leaves
                 frame -= 1
-                idx = cc.ff_in[ff_pos]
+                idx = d_input[idx]
                 continue
-            gate = cc.gates[gate_pos]
-            t = gate.gtype
-            inv = INVERSION[t]
-            if t in (GateType.CONST0, GateType.CONST1):
-                return None  # cannot control a constant
-            if t in (GateType.BUF, GateType.NOT, GateType.DFF):
-                idx = gate.fanin[0]
-                value ^= inv
-                continue
-            # inputs are read in the good slot, which no injection touches
-            if t in (GateType.XOR, GateType.XNOR):
-                parity = inv
+            r1, r0 = v1[frame], v0[frame]
+            if k == _PI or k == _PPI:
+                if r1[idx] & r0[idx] & 1:
+                    return (frame, idx), value
+                return None  # already decided; objective unreachable
+            if k == _CHAIN:
+                value ^= inv[idx]
+                idx = fanin[idx][0]
+            elif k == _PARITY:
+                parity = inv[idx]
                 chosen = None
-                for src in gate.fanin:
-                    g = model.good(frame, src)
-                    if g != X:
-                        parity ^= g
+                for src in fanin[idx]:
+                    if not r1[src] & r0[src] & 1:
+                        parity ^= r1[src] & 1
                     elif chosen is None:
                         chosen = src  # other X inputs default to 0 (no parity)
                 if chosen is None:
                     return None
                 idx = chosen
-                value = value ^ parity
-                continue
-            ctrl = CONTROLLING_VALUE[t]
-            need = value ^ inv  # the AND/OR-sense output value required
-            xs = [src for src in gate.fanin if model.good(frame, src) == X]
-            if not xs:
-                return None
-            if need == ctrl:
-                # one controlling input suffices: pick the easiest
-                idx = min(xs, key=lambda src: meas.cc(src, ctrl))
-                value = ctrl
+                value ^= parity
+            elif k == _CONTROL:
+                c = ctrl[idx]
+                # the AND/OR-sense output value required: one controlling
+                # input suffices, so pick the easiest; else every input
+                # must be non-controlling, so attack the hardest first
+                easiest = value ^ inv[idx] == c
+                value = c if easiest else 1 - c
+                cost = costs[value]
+                best = None
+                for src in fanin[idx]:
+                    if r1[src] & r0[src] & 1 and (
+                        best is None
+                        or (cost[src] < bound if easiest else cost[src] > bound)
+                    ):
+                        best, bound = src, cost[src]
+                if best is None:
+                    return None
+                idx = best
             else:
-                # all inputs must be non-controlling: attack the hardest first
-                idx = max(xs, key=lambda src: meas.cc(src, 1 - ctrl))
-                value = 1 - ctrl
+                return None  # cannot control a constant
 
     def _assign_decision(self, frame: int, idx: int, value: int):
         """Assign a decision leaf; hold pins mirror into every frame."""
@@ -408,11 +428,13 @@ class PodemEngine:
         vectors and the whole requirement.  Each requirement in turn is
         then released to X, and if the goal — fault detection, or the
         justification targets — still holds, it is dropped for good,
-        otherwise the release is undone.  Smaller requirements are
-        strictly easier for every justifier, and minimal requirements are
-        what keep the reverse-time justification search from missing
-        reachable options.  Every release is undone at the end, so the
-        search resumes from the solution it yielded.
+        otherwise the release is undone.  A requirement that
+        :meth:`_necessary` proves the goal needs is kept without a trial:
+        its release would be undone.  Smaller requirements are strictly
+        easier for every justifier, and minimal requirements are what keep
+        the reverse-time justification search from missing reachable
+        options.  Every release is undone at the end, so the search
+        resumes from the solution it yielded.
         """
         model = self.model
         undo: List[UndoRecord] = []
@@ -420,9 +442,13 @@ class PodemEngine:
             for idx in self.cc.pi:
                 if model.good(frame, idx) != X:
                     undo += model.assign(frame, idx, X)
+        necessary = self._necessary()
         kept = dict(required)
         for name in required:
-            release = model.assign(0, self.cc.index[name], X)
+            idx = self.cc.index[name]
+            if idx in necessary:
+                continue
+            release = model.assign(0, idx, X)
             if self._goal_reached():
                 del kept[name]
                 undo += release
@@ -430,3 +456,28 @@ class PodemEngine:
                 model.unassign(release)
         model.unassign(undo)
         return kept
+
+    def _necessary(self) -> Set[int]:
+        """Frame-0 flip-flop outputs whose release alone would lose the goal.
+
+        Traced backward over the settled solution
+        (:meth:`UnrolledModel.necessary_leaves`).  JUSTIFY loses its goal
+        when any target's good slot turns X.  DETECT loses it only when
+        every detecting pair loses its good or its faulty slot, so the
+        pairs' sets are intersected.  A release only turns known values
+        to X, so the answer holds after the other releases too.
+        """
+        model = self.model
+        if self.fault is None:
+            return model.necessary_leaves(
+                [(0, d_idx, _GOOD) for d_idx, _ in self._targets]
+            )
+        necessary: Optional[Set[int]] = None
+        for frame, idx in model.detections(self.observe_ppo):
+            reached = model.necessary_leaves(
+                [(frame, idx, _GOOD), (frame, idx, _FAULTY)]
+            )
+            necessary = reached if necessary is None else necessary & reached
+            if not necessary:
+                break
+        return necessary or set()

@@ -22,19 +22,28 @@ the launch frame on, a faulty model runs one from a template also keyed
 by its injection (the forced input pin or the output, and the stuck
 value).  Steps emit their gate logic and stuck forces through the same
 functions as the simulation kernels of :mod:`repro.simulation.codegen`.
+
+The per-circuit tables that hold the steps also hold what PODEM's search
+reads per net (kind, fan-in, inversion, controlling value, the D input
+a flip-flop output latches, SCOAP), so the search never consults the
+circuit or a gate-type dictionary.  :meth:`UnrolledModel.necessary_leaves`
+traces a settled solution backward to the frame-0 state leaves its goal
+cannot do without.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..circuit.gates import CONTROLLING_VALUE, INVERSION, GateType
 from ..faults.model import DEFAULT_FAULT_MODEL, Fault, resolve_fault_model
 from ..simulation.codegen import force_lines, gate_lines
 from ..simulation.compiled import CompiledCircuit
 from ..simulation.encoding import PackedValue, X
 from ..simulation.fault_sim import injection_for
 from ..simulation.logic_sim import apply_stuck
-from .values import MASK2, XX, good_of, is_d, make9
+from .scoap import cached_testability
+from .values import MASK2, ONE, XX, ZERO, good_of, is_d
 
 #: A leaf the search may decide on: (frame, net index).
 Leaf = Tuple[int, int]
@@ -42,8 +51,14 @@ Leaf = Tuple[int, int]
 #: One undo record: (frame, net index, old p1, old p0).
 UndoRecord = Tuple[int, int, int, int]
 
+#: The good slot's bit of a two-slot word.
+_GOOD = 0b01
+
 #: The faulty slot's bit of a two-slot word: where the fault is forced.
 _FAULTY = 0b10
+
+#: The word a leaf takes per scalar (0, 1, X): both slots alike.
+_LEAF_WORDS = (ZERO, ONE, XX)
 
 #: Name of the per-CompiledCircuit attribute caching fault-free baselines.
 _BASELINE_ATTR = "_unrolled_baselines"
@@ -170,30 +185,73 @@ def _step(
     return factory(*fanin, gate.out, tuple(readers))
 
 
-#: Leaf kinds per net: a gate output, a primary input (a leaf in every
-#: frame), or a flip-flop output (a leaf in frame 0 only).
-_GATE, _PI, _PPI = 0, 1, 2
+#: Net kinds.  A primary input is a leaf in every frame and a flip-flop
+#: output in frame 0 only; a gate output is classed by how the search and
+#: the necessity trace read its gate: one input (BUF, NOT), parity (XOR,
+#: XNOR), a controlling value (AND, NAND, OR, NOR), or none (a tie cell).
+_PI, _PPI, _CHAIN, _PARITY, _CONTROL, _CONST = range(6)
+
+_KIND = {
+    GateType.BUF: _CHAIN, GateType.NOT: _CHAIN,
+    GateType.XOR: _PARITY, GateType.XNOR: _PARITY,
+    GateType.AND: _CONTROL, GateType.NAND: _CONTROL,
+    GateType.OR: _CONTROL, GateType.NOR: _CONTROL,
+    GateType.CONST0: _CONST, GateType.CONST1: _CONST,
+}
 
 
 class _Implication:
-    """Per-circuit implication tables, built once and cached on the circuit.
+    """Per-circuit implication and search tables, built once and cached on
+    the circuit.  Nothing in them refers back to the circuit.
 
     Attributes:
         level: gate position -> its level (its pending bucket).
         steps: gate position -> its compiled plain :data:`Step`.
-        leaf: net index -> leaf kind (``_GATE``, ``_PI`` or ``_PPI``).
+        kind: net index -> ``_PI``, ``_PPI`` or its driving gate's class.
+        fanin: net index -> its driving gate's inputs (``()`` for a source).
+        inv: net index -> its driving gate's output inversion.
+        ctrl: net index -> its driving gate's controlling value, or None.
+        d_input: net index -> the D input a flip-flop output latches
+            (None for other nets).
+        latches: (flip-flop position, output net, D-input net) per
+            flip-flop.
         ff_outs: D-input net -> the flip-flop outputs it feeds.
+        gate_out: gate position -> its output net.
+        want: gate position -> the non-controlling value a D-frontier gate
+            wants on its X inputs, or None when it has no controlling one.
+        cc0, cc1, co: the circuit's SCOAP tuples, the objects
+            :func:`~repro.atpg.scoap.cached_testability` holds.
     """
 
     def __init__(self, cc: CompiledCircuit):
         self.level: List[int] = [gate.level for gate in cc.gates]
         self.steps: List[Step] = [_step(cc, pos) for pos in range(len(cc.gates))]
-        self.leaf = [_PI if pos is None else _GATE for pos in cc.gate_of]
-        for idx in cc.ff_out:
-            self.leaf[idx] = _PPI
+        self.kind: List[int] = [_PI] * cc.num_nets
+        self.fanin: List[Tuple[int, ...]] = [()] * cc.num_nets
+        self.inv: List[int] = [0] * cc.num_nets
+        self.ctrl: List[Optional[int]] = [None] * cc.num_nets
+        self.gate_out: List[int] = [gate.out for gate in cc.gates]
+        self.want: List[Optional[int]] = []
+        for gate in cc.gates:
+            ctrl = CONTROLLING_VALUE.get(gate.gtype)
+            self.kind[gate.out] = _KIND[gate.gtype]
+            self.fanin[gate.out] = gate.fanin
+            self.inv[gate.out] = INVERSION.get(gate.gtype, 0)
+            self.ctrl[gate.out] = ctrl
+            self.want.append(None if ctrl is None else 1 - ctrl)
+        self.d_input: List[Optional[int]] = [None] * cc.num_nets
+        for out_idx, in_idx in zip(cc.ff_out, cc.ff_in):
+            self.kind[out_idx] = _PPI
+            self.d_input[out_idx] = in_idx
+        self.latches: Tuple[Tuple[int, int, int], ...] = tuple(
+            (ff_pos, out_idx, in_idx)
+            for ff_pos, (out_idx, in_idx) in enumerate(zip(cc.ff_out, cc.ff_in))
+        )
         self.ff_outs: Dict[int, List[int]] = {}
         for in_idx, out_idx in zip(cc.ff_in, cc.ff_out):
             self.ff_outs.setdefault(in_idx, []).append(out_idx)
+        meas = cached_testability(cc)
+        self.cc0, self.cc1, self.co = meas.cc0, meas.cc1, meas.co
 
 
 def _implication(cc: CompiledCircuit) -> _Implication:
@@ -238,13 +296,17 @@ class UnrolledModel:
         #: confirmed against true two-frame semantics by fault
         #: simulation before being reported).
         self._inject_from = 0
-        self._tables = _implication(cc)
+        self.tables = _implication(cc)
         #: each frame's steps; from the launch frame on, a faulty model's
         #: list carries the fault-site step
-        self._steps: List[List[Step]] = [self._tables.steps] * num_frames
+        self._steps: List[List[Step]] = [self.tables.steps] * num_frames
         #: (frame, net) pairs where the injection itself can put a D/D̄,
         #: from which :meth:`d_frontier` walks
         self._d_seeds: List[Tuple[int, int]] = []
+        #: the net whose faulty slot a stem or D-pin fault forces, from
+        #: frame ``_forced_from`` on (a pin fault forces only its pin)
+        self._forced_net: Optional[int] = None
+        self._forced_from = 0
         site_gate: Optional[int] = None
         if fault is not None:
             if fault.model != DEFAULT_FAULT_MODEL:
@@ -262,7 +324,7 @@ class UnrolledModel:
                 self._stem_idx = site.net
                 site_gate, pin = cc.gate_of[site.net], _OUT
             if site_gate is not None:
-                injected = list(self._tables.steps)
+                injected = list(self.tables.steps)
                 injected[site_gate] = _step(cc, site_gate, pin, site.stuck)
                 for frame in range(self._inject_from, num_frames):
                     self._steps[frame] = injected
@@ -272,6 +334,8 @@ class UnrolledModel:
             elif site.gate_pos is not None:
                 seed = cc.gates[site.gate_pos].out
             self._d_seeds = [(frame, seed) for frame in range(first, num_frames)]
+            if site.gate_pos is None:
+                self._forced_net, self._forced_from = seed, first
 
         base1, base0 = _baseline(cc, num_frames)
         self.v1: List[List[int]] = [list(row) for row in base1]
@@ -319,7 +383,7 @@ class UnrolledModel:
 
     def is_leaf(self, frame: int, idx: int) -> bool:
         """True for decidable leaves: any-frame PIs and frame-0 PPIs."""
-        kind = self._tables.leaf[idx]
+        kind = self.tables.kind[idx]
         return kind == _PI or (kind == _PPI and frame == 0)
 
     # ------------------------------------------------------------------
@@ -339,7 +403,7 @@ class UnrolledModel:
                 f"({frame}, {self.cc.net_names[idx]}) is not a decidable leaf"
             )
         undo: List[UndoRecord] = []
-        self._write(frame, idx, make9(scalar, scalar), undo)
+        self._write(frame, idx, _LEAF_WORDS[scalar], undo)
         self._settle(frame, undo)
         return undo
 
@@ -366,7 +430,7 @@ class UnrolledModel:
         undo.append((frame, idx, o1, o0))
         v1[idx] = p1
         v0[idx] = p0
-        pending, level = self._pending[frame], self._tables.level
+        pending, level = self._pending[frame], self.tables.level
         for pos in self.cc.fanout_gates[idx]:
             pending[level[pos]].add(pos)
 
@@ -395,13 +459,21 @@ class UnrolledModel:
                 self._latch(frame, undo)
 
     def _latch(self, frame: int, undo: List[UndoRecord]) -> None:
-        """Carry frame ``frame`` D-input values into frame ``frame+1``."""
-        cc = self.cc
-        for ff_pos, (out_idx, in_idx) in enumerate(zip(cc.ff_out, cc.ff_in)):
-            val = self.value(frame, in_idx)
-            if ff_pos == self._ff_pos and frame + 1 >= self._inject_from:
-                val = apply_stuck(val, self._stuck, _FAULTY)
-            self._write(frame + 1, out_idx, val, undo)
+        """Carry frame ``frame`` D-input values into frame ``frame+1``.
+
+        A word equal to the one latched already is skipped before
+        :meth:`_write`: a stem force on the output is idempotent, so the
+        write would change nothing.
+        """
+        src1, src0 = self.v1[frame], self.v0[frame]
+        dst1, dst0 = self.v1[frame + 1], self.v0[frame + 1]
+        forced = self._ff_pos if frame + 1 >= self._inject_from else None
+        for ff_pos, out_idx, in_idx in self.tables.latches:
+            p1, p0 = src1[in_idx], src0[in_idx]
+            if ff_pos == forced:
+                p1, p0 = apply_stuck((p1, p0), self._stuck, _FAULTY)
+            if p1 != dst1[out_idx] or p0 != dst0[out_idx]:
+                self._write(frame + 1, out_idx, (p1, p0), undo)
 
     # ------------------------------------------------------------------
     # ATPG queries
@@ -426,6 +498,23 @@ class UnrolledModel:
                 if is_d(self.value(last, idx)):
                     return last, idx
         return None
+
+    def detections(self, observe_ppo: bool = False) -> List[Tuple[int, int]]:
+        """Every observation point holding a D/D̄, in :meth:`detected_at`'s
+        order, which returns the first."""
+        pairs = []
+        for frame in range(self.num_frames):
+            v1, v0 = self.v1[frame], self.v0[frame]
+            for po in self.cc.po:
+                a1 = v1[po]
+                if (a1 ^ v0[po]) == MASK2 and (a1 & 1) != (a1 >> 1):
+                    pairs.append((frame, po))
+        if observe_ppo:
+            last = self.num_frames - 1
+            pairs += [
+                (last, idx) for idx in self.cc.ff_in if is_d(self.value(last, idx))
+            ]
+        return pairs
 
     def fault_excited(self, frame: int = 0) -> bool:
         """True when the fault produces a D at its site in ``frame``.
@@ -467,7 +556,7 @@ class UnrolledModel:
         bits of ``p1`` differ; the output bears X when ``p1 & p0 != 0``.
         """
         gates, fanout = self.cc.gates, self.cc.fanout_gates
-        ff_outs = self._tables.ff_outs
+        ff_outs = self.tables.ff_outs
         pin_gate, launch = self._pin_gate, self._inject_from
         last = self.num_frames - 1
         frontier: Set[Tuple[int, int]] = set()
@@ -536,7 +625,7 @@ class UnrolledModel:
         cc = self.cc
         po_set = set(cc.po)
         # one D-input net may feed several flip-flops: cross into each
-        ff_outs = self._tables.ff_outs
+        ff_outs = self.tables.ff_outs
         seen: Set[Tuple[int, int]] = set()
         stack: List[Tuple[int, int]] = [
             (frame, cc.gates[pos].out) for frame, pos in frontier
@@ -563,6 +652,84 @@ class UnrolledModel:
                 if v1[out] & v0[out]:  # the reader's output bears an X
                     stack.append((frame, out))
         return False, edge
+
+    def necessary_leaves(self, starts: Sequence[Tuple[int, int, int]]) -> Set[int]:
+        """Frame-0 flip-flop outputs that some start needs, traced backward.
+
+        A start is a (frame, net, slot bit) triple whose slot holds a known
+        value; bit ``0b01`` is the good slot and ``0b10`` the faulty one.
+        A known gate output needs its controlling input when exactly one
+        input holds the controlling value, and every input when none does;
+        a BUF, NOT, XOR or XNOR output needs every input.  The trace
+        crosses each flip-flop into the frame before.  It stops at slots
+        the injection forces: a stem from the launch frame on, a D-pin
+        fault's flip-flop output, and the pin-fault gate's forced pin, all
+        in the faulty slot.
+
+        Three-valued implication is monotone: a release only turns known
+        values to X.  So releasing a returned leaf turns some start slot
+        X, also after any other releases.
+        """
+        t = self.tables
+        kind, fanin, ctrl, d_input = t.kind, t.fanin, t.ctrl, t.d_input
+        pin = self._pin
+        pin_out = None if self._pin_gate is None else t.gate_out[self._pin_gate]
+        found: Set[int] = set()
+        for bit in (_GOOD, _FAULTY):
+            # one slot at a time, frame by frame from the last: a flip-flop
+            # hands its D input to the frame before, which runs later
+            todo: List[List[int]] = [[] for _ in range(self.num_frames)]
+            for frame, idx, b in starts:
+                if b == bit:
+                    todo[frame].append(idx)
+            for frame in range(self.num_frames - 1, -1, -1):
+                stack = todo[frame]
+                if not stack:
+                    continue
+                r1, r0 = self.v1[frame], self.v0[frame]
+                # per controlling value: the rows whose bit says the slot
+                # can be it, and can be the other value
+                rows = ((r0, r1), (r1, r0))
+                forced = forced_gate = None
+                if bit == _FAULTY:
+                    if frame >= self._forced_from:
+                        forced = self._forced_net
+                    if frame >= self._inject_from:
+                        forced_gate = pin_out
+                seen: Set[int] = set()
+                while stack:
+                    idx = stack.pop()
+                    if idx in seen or idx == forced:
+                        continue
+                    seen.add(idx)
+                    k = kind[idx]
+                    if k == _PPI:
+                        if frame:
+                            todo[frame - 1].append(d_input[idx])
+                        else:
+                            found.add(idx)
+                        continue
+                    ins: Sequence[int] = fanin[idx]  # () for a PI or tie cell
+                    if idx == forced_gate:
+                        if k == _CONTROL and self._stuck == ctrl[idx]:
+                            continue  # the forced pin controls the output
+                        ins = [src for j, src in enumerate(ins) if j != pin]
+                    if k == _CONTROL:
+                        # one controlling input is needed alone; of two or
+                        # more, none is; with none, every input is
+                        h, o = rows[ctrl[idx]]
+                        hits = 0
+                        for src in ins:
+                            if h[src] & bit and not o[src] & bit:
+                                hits += 1
+                                hit = src
+                        if hits == 1:
+                            stack.append(hit)
+                        elif not hits:
+                            stack.extend(ins)
+                        continue
+                    stack.extend(ins)
+        return found
 
     # ------------------------------------------------------------------
     # solution extraction

@@ -6,10 +6,11 @@ import weakref
 
 import pytest
 
-from repro.atpg import podem, scoap
+from repro.atpg import scoap, unrolled
 from repro.atpg.justify import justify_state
 from repro.atpg.podem import Limits, PodemEngine
 from repro.atpg.scoap import HARD, compute_testability, cached_testability
+from repro.atpg.unrolled import _implication
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.circuits import iscas89, s27
@@ -181,7 +182,8 @@ class TestHandComputedCircuit:
 class TestCache:
     def test_engines_and_justification_read_one_object(self, monkeypatch):
         """Two engines and a justification on one compiled circuit, none
-        handed SCOAP, compute it once and read the same object."""
+        handed SCOAP, compute it once.  The circuit's search tables read
+        it once, when they are built, and hold that object's tuples."""
         computed, read = [], []
         real_compute = scoap.compute_testability
 
@@ -194,14 +196,18 @@ class TestCache:
             return read[-1]
 
         monkeypatch.setattr(scoap, "compute_testability", compute)
-        monkeypatch.setattr(podem, "cached_testability", reader)
+        monkeypatch.setattr(unrolled, "cached_testability", reader)
         cc = CompiledCircuit(iscas89("s298"))  # a fresh form, cache empty
         for fault in collapse_faults(cc.circuit)[:2]:
             PodemEngine(cc, fault=fault, num_frames=2).run(Limits(20))
         justify_state(cc, {"ffr11": 0, "ffc3": 1}, max_depth=2,
                       limits=Limits(20))
         assert len(computed) == 1
-        assert len(read) > 2 and all(m is computed[0] for m in read)
+        assert len(read) == 1 and read[0] is computed[0]
+        tables = _implication(cc)
+        assert tables.cc0 is computed[0].cc0
+        assert tables.cc1 is computed[0].cc1
+        assert tables.co is computed[0].co
 
     def test_cached_measures_keep_no_circuit_alive(self):
         """Reference counting alone frees the measures with the compiled

@@ -124,12 +124,19 @@ class TestPoolProtocol:
     ):
         """One pooled worker exits in the middle of ``s27/004``.  The
         runner requeues what it held without consuming an attempt,
-        respawns it, and the merged result equals the 1-worker run."""
+        respawns it, and the merged result equals the 1-worker run.
+
+        Each worker process records its pid as it starts, so the respawn
+        is counted where it happens.  The ``item_started`` pids cannot
+        show it: the surviving worker may take the requeued item and
+        drain the queue before the replacement gets one."""
         reference = CampaignRunner(
             spec(), str(tmp_path / "ref.jsonl"), workers=1
         ).run()
         real_run_item = campaign_worker.run_item
+        real_worker_main = campaign_runner.worker_main
         marker = tmp_path / "died"
+        pids = tmp_path / "pids"
 
         def dying_run_item(item_spec, item, warm, clock=None):
             # forked workers inherit this patched global; the marker
@@ -139,7 +146,13 @@ class TestPoolProtocol:
                 os._exit(1)
             return real_run_item(item_spec, item, warm, clock)
 
+        def recording_worker_main(*args):
+            with open(pids, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            real_worker_main(*args)
+
         monkeypatch.setattr(campaign_worker, "run_item", dying_run_item)
+        monkeypatch.setattr(campaign_runner, "worker_main", recording_worker_main)
         journal = str(tmp_path / "dying.jsonl")
         result = CampaignRunner(spec(), journal, workers=2).run()
         events = read_events(journal)
@@ -154,7 +167,9 @@ class TestPoolProtocol:
         done = sorted(e["item"] for e in of("item_done"))
         assert done == sorted(i.item_id for i in items_of(spec()))
         assert of("item_failed") == []
-        assert len({e["pid"] for e in of("item_started")}) > 2
+        # the requeued item keeps the queue unfinished, so the dead
+        # worker is always respawned: 2 workers and 1 replacement
+        assert len(set(pids.read_text(encoding="utf-8").split())) == 3
         assert (result.circuits["s27"].vectors
                 == reference.circuits["s27"].vectors)
         assert (result.circuits["s27"].detected
